@@ -9,11 +9,9 @@ prints the two-exponent power-law fit.  The same table feeds
 import argparse
 import csv
 
-import numpy as np
-
 from cgolab import (Grid2D, TransformPlan, build_amplitude, build_cgo_solution,
                     cgo_residual, weight_catalog, random_coefficient_specs,
-                    CoefficientTriple)
+                    CoefficientTriple, fit_power_law)
 
 
 def main():
@@ -44,12 +42,8 @@ def main():
         writer.writeheader()
         writer.writerows(rows)
 
-    lt = np.log([r["tau"] for r in rows])
-    lh = np.log([1.0 / (r["nx"] - 1) for r in rows])
-    lr = np.log([r["residual_weighted"] for r in rows])
-    A = np.vstack([lt, lh, np.ones_like(lt)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, lr, rcond=None)
-    r2 = 1.0 - np.sum((lr - A @ coef) ** 2) / np.sum((lr - lr.mean()) ** 2)
+    coef, r2 = fit_power_law([(r["tau"], 1.0 / (r["nx"] - 1), r["residual_weighted"])
+                              for r in rows])
     print(f"residual ~ C tau^{coef[0]:.2f} h^{coef[1]:.2f}, R^2 = {r2:.4f}")
 
 

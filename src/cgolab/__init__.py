@@ -10,8 +10,7 @@ from .errors import (LabError, GridError, ConvergenceError, DivergenceError,
                      SingularSystemError, OverflowGuardError, ConfigError)
 from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,
                    bump_cutoff, plateau_cutoff, GAMMA_TILDE, GAMMA_0)
-from .fields import (VectorField, MatrixField, zeros_vector, zeros_matrix,
-                     constant_matrix, identity_matrix, scalar_field)
+from .fields import VectorField, MatrixField, constant_matrix, identity_matrix
 from .calculus import (wirtinger_dz, wirtinger_dzbar, laplacian,
                        trace_boundary, normal_derivative)
 from .synthetic import TrigSpec, random_trig_spec, random_coefficient_specs
@@ -28,7 +27,7 @@ from .forward import (CoefficientTriple, RealFormCoefficients,
                       OperatorFactorization, solve_dirichlet, neumann_trace,
                       hat_profiles, fourier_profiles, PartialCauchyData,
                       cauchy_data, cauchy_distance)
-from .harness import (GaugeSpec, SineWindow1D, ProfileX2, ProfileSeparable,
+from .harness import (GaugeSpec, SineWindow1D, ProfileX2,
                       remark_gauge, gauge_transform, RelationResidual,
                       check_relations, coefficient_gap,
                       gauge_equivalence_experiment, off_gauge_separation,
@@ -37,6 +36,6 @@ from .harness import (GaugeSpec, SineWindow1D, ProfileX2, ProfileSeparable,
 from .cgo import (CgoAmplitude, CgoSolution, holomorphic_seed, build_amplitude,
                   build_cgo_solution, cgo_residual, zero_order_remainder,
                   factorization_check, gauge_conjugated_cgo)
-from .cli import ScenarioConfig, DecayFit, fit_decay, run, main
+from .cli import ScenarioConfig, DecayFit, fit_decay, fit_power_law, run, main
 
 __version__ = "0.1.0"

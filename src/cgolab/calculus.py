@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GridError
 from .grid import BoundaryPartition
-from .fields import VectorField, MatrixField, same_kind
+from .fields import VectorField, same_kind
 
 
 def _diff(data: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -40,14 +40,6 @@ def _diff2(data: np.ndarray, h: float, axis: int) -> np.ndarray:
     out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
     out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
     return np.moveaxis(out, 0, axis)
-
-
-def dx_array(data: np.ndarray, grid) -> np.ndarray:
-    return _diff(data, grid.h_x, 0)
-
-
-def dy_array(data: np.ndarray, grid) -> np.ndarray:
-    return _diff(data, grid.h_y, 1)
 
 
 def dz_array(data: np.ndarray, grid) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import LabError, OverflowGuardError
 from .grid import Grid2D
-from .fields import VectorField, MatrixField
+from .fields import VectorField, MatrixField, pointwise
 from .calculus import dz_array, dzbar_array, laplacian_array
 from .synthetic import random_trig_spec
 from .forward import CoefficientTriple
@@ -81,6 +81,18 @@ class CgoAmplitude:
                            "exceeds the 1e-6 contract")
 
 
+def _first_order(w: np.ndarray, deriv, m: MatrixField, grid: Grid2D) -> np.ndarray:
+    """(2 deriv + m) w on raw samples."""
+    return 2 * deriv(w, grid) + pointwise(m.data, w)
+
+
+def _stencil_residual(w: VectorField, deriv, m: MatrixField) -> float:
+    """Relative interior residual of (2 deriv + m) w under the package stencils."""
+    r = _first_order(w.data, deriv, m, w.grid)
+    sl = np.s_[3:-3, 3:-3]
+    return float(np.linalg.norm(r[sl]) / max(np.linalg.norm(w.data[sl]), 1e-30))
+
+
 def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
                     seed: VectorField | None = None,
                     seed_tilde: VectorField | None = None,
@@ -111,14 +123,8 @@ def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
 
     res = max(integral_residual(w0, seed, op_a),
               integral_residual(w0t, seed_tilde, op_b))
-
-    def stencil_residual(w, deriv, m):
-        r = 2 * deriv(w.data, grid) + np.einsum("xyab,xyb->xya", m.data, w.data)
-        sl = np.s_[3:-3, 3:-3]
-        return float(np.linalg.norm(r[sl]) / max(np.linalg.norm(w.data[sl]), 1e-30))
-
-    sres = max(stencil_residual(w0, dzbar_array, coefs.a_coef),
-               stencil_residual(w0t, dz_array, coefs.b_coef))
+    sres = max(_stencil_residual(w0, dzbar_array, coefs.a_coef),
+               _stencil_residual(w0t, dz_array, coefs.b_coef))
     return CgoAmplitude(w0=w0, w0_tilde=w0t, seed=seed, seed_tilde=seed_tilde,
                         residual=res, stencil_residual=sres)
 
@@ -162,21 +168,25 @@ def build_cgo_solution(amplitude: CgoAmplitude, weight: HolomorphicWeight,
 def _apply_operator(v: np.ndarray, coefs: CoefficientTriple) -> np.ndarray:
     grid = coefs.grid
     return (laplacian_array(v, grid)
-            + 2 * np.einsum("xyab,xyb->xya", coefs.a_coef.data, dz_array(v, grid))
-            + 2 * np.einsum("xyab,xyb->xya", coefs.b_coef.data, dzbar_array(v, grid))
-            + np.einsum("xyab,xyb->xya", coefs.q_coef.data, v))
+            + 2 * pointwise(coefs.a_coef.data, dz_array(v, grid))
+            + 2 * pointwise(coefs.b_coef.data, dzbar_array(v, grid))
+            + pointwise(coefs.q_coef.data, v))
+
+
+def _sides(coefs: CoefficientTriple, piece: str):
+    """((A, dz), (B, dzbar)) for 'holo', swapped for 'anti'; the first pair carries the phase."""
+    holo, anti = (coefs.a_coef, dz_array), (coefs.b_coef, dzbar_array)
+    if piece == "holo":
+        return holo, anti
+    if piece == "anti":
+        return anti, holo
+    raise LabError(f"unknown piece {piece!r}")
 
 
 def zero_order_remainder(coefs: CoefficientTriple, piece: str = "holo") -> np.ndarray:
     """Q - 2 dz A - B A for the holomorphic branch, Q - 2 dzbar B - A B mirrored."""
-    grid = coefs.grid
-    if piece == "holo":
-        return (coefs.q_coef.data - 2 * dz_array(coefs.a_coef.data, grid)
-                - coefs.b_coef.matmat(coefs.a_coef).data)
-    if piece == "anti":
-        return (coefs.q_coef.data - 2 * dzbar_array(coefs.b_coef.data, grid)
-                - coefs.a_coef.matmat(coefs.b_coef).data)
-    raise LabError(f"unknown piece {piece!r}")
+    (m, d), (m_other, _) = _sides(coefs, piece)
+    return coefs.q_coef.data - 2 * d(m.data, coefs.grid) - m_other.matmat(m).data
 
 
 def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
@@ -201,28 +211,19 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
         # fixed physical inset: the transform quadrature is first-order
         # accurate in a shrinking collar at the boundary
         margin = int(np.ceil(0.05 * (grid.nx - 1)))
-    amp = sol.amplitude
+    (m_osc, d_osc), (m_flat, d_flat) = _sides(coefs, piece)
+    # the holo branch carries exp(tau Phi), the anti branch exp(tau conj(Phi))
+    dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
     if piece == "holo":
-        w = amp.w0.data
-        dzb = dzbar_array(w, grid)
-        dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
-        first = (2 * np.einsum("xyab,xyb->xya", coefs.a_coef.data,
-                               dz_array(w, grid) + sol.tau * dphi * w)
-                 + 2 * np.einsum("xyab,xyb->xya", coefs.b_coef.data, dzb)
-                 + 4 * sol.tau * dphi * dzb)
-    elif piece == "anti":
-        w = amp.w0_tilde.data
-        dz_ = dz_array(w, grid)
-        dphib = np.conj(sol.weight.dPhi(grid.nodes_z()))[:, :, None]
-        first = (2 * np.einsum("xyab,xyb->xya", coefs.a_coef.data, dz_)
-                 + 2 * np.einsum("xyab,xyb->xya", coefs.b_coef.data,
-                                 dzbar_array(w, grid) + sol.tau * dphib * w)
-                 + 4 * sol.tau * dphib * dz_)
+        w = sol.amplitude.w0.data
     else:
-        raise LabError(f"unknown piece {piece!r}")
+        w, dphi = sol.amplitude.w0_tilde.data, np.conj(dphi)
+    dw = d_flat(w, grid)
+    first = (2 * pointwise(m_osc.data, d_osc(w, grid) + sol.tau * dphi * w)
+             + 2 * pointwise(m_flat.data, dw) + 4 * sol.tau * dphi * dw)
     S = zero_order_remainder(coefs, piece)
     defect = (laplacian_array(w, grid) + first
-              + np.einsum("xyab,xyb->xya", coefs.q_coef.data - S, w))
+              + pointwise(coefs.q_coef.data - S, w))
 
     sl = np.s_[margin:-margin, margin:-margin]
     num = float(np.linalg.norm(defect[sl]))
@@ -253,14 +254,12 @@ def factorization_check(coefs: CoefficientTriple, test: VectorField | None = Non
         test = random_trig_spec(rng, (n,), amplitude=1.0).vector_field(grid)
     v = test.data
     direct = _apply_operator(v, coefs)
-
-    def first(deriv, m, w):
-        return 2 * deriv(w, grid) + np.einsum("xyab,xyb->xya", m.data, w)
-
-    f1 = (first(dz_array, coefs.b_coef, first(dzbar_array, coefs.a_coef, v))
-          + np.einsum("xyab,xyb->xya", zero_order_remainder(coefs, "holo"), v))
-    f2 = (first(dzbar_array, coefs.a_coef, first(dz_array, coefs.b_coef, v))
-          + np.einsum("xyab,xyb->xya", zero_order_remainder(coefs, "anti"), v))
+    f1 = (_first_order(_first_order(v, dzbar_array, coefs.a_coef, grid),
+                       dz_array, coefs.b_coef, grid)
+          + pointwise(zero_order_remainder(coefs, "holo"), v))
+    f2 = (_first_order(_first_order(v, dz_array, coefs.b_coef, grid),
+                       dzbar_array, coefs.a_coef, grid)
+          + pointwise(zero_order_remainder(coefs, "anti"), v))
     sl = np.s_[margin:-margin, margin:-margin]
     scale = max(float(np.max(np.abs(direct[sl]))), 1e-30)
     return {"nx": grid.nx,
@@ -287,12 +286,6 @@ def gauge_conjugated_cgo(amplitude: CgoAmplitude, gauge: GaugeSpec,
     w0 = amplitude.w0.with_data(amplitude.w0.data * fac)
     w0t = amplitude.w0_tilde.with_data(amplitude.w0_tilde.data * fac)
     t2 = gauge_transform(coefs, gauge.with_strength(-gauge.s))
-
-    def stencil_residual(w, deriv, m):
-        r = 2 * deriv(w.data, grid) + np.einsum("xyab,xyb->xya", m.data, w.data)
-        sl = np.s_[3:-3, 3:-3]
-        return float(np.linalg.norm(r[sl]) / max(np.linalg.norm(w.data[sl]), 1e-30))
-
-    sres = max(stencil_residual(w0, dzbar_array, t2.a_coef),
-               stencil_residual(w0t, dz_array, t2.b_coef))
+    sres = max(_stencil_residual(w0, dzbar_array, t2.a_coef),
+               _stencil_residual(w0t, dz_array, t2.b_coef))
     return {"w0": w0, "w0_tilde": w0t, "coefs": t2, "stencil_residual": sres}

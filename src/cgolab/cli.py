@@ -1,6 +1,6 @@
 """Command line front end: seeded scenario runs and decay-law fitting.
 
-``lab run config.json [--out DIR] [--seed N] [--jobs K]`` executes one
+``lab run config.json [--out DIR] [--seed N]`` executes one
 scenario and writes a JSON report plus CSV tables; ``lab fit table.csv
 --x col --y col`` fits a log-log power law to a table column pair.
 Reruns with the same config and seed are byte-identical.
@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -34,6 +36,10 @@ SCENARIOS = ("transforms", "cgo", "gauge", "carleman", "stationary-phase",
              "relations")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -50,22 +56,25 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {', '.join(SCENARIOS)}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.n_sys < 1 or self.n_sys > 3:
+        if not _is_int(self.n_sys) or self.n_sys < 1 or self.n_sys > 3:
             raise ConfigError("n_sys must be 1, 2, or 3")
+        if not all(_is_int(nx) and nx >= 9 for nx in self.nx_ladder):
+            raise ConfigError("nx_ladder entries must be integers >= 9")
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   and math.isfinite(t) and t > 0 for t in self.tau_ladder):
+            raise ConfigError("tau_ladder entries must be finite numbers > 0")
         for name, ladder in (("nx_ladder", self.nx_ladder),
                              ("tau_ladder", self.tau_ladder)):
             if len(ladder) == 0:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        if any(int(nx) < 9 for nx in self.nx_ladder):
-            raise ConfigError("nx_ladder entries must be >= 9")
         if self.basis not in ("hat", "fourier"):
             raise ConfigError("basis must be 'hat' or 'fourier'")
-        if self.basis_size < 1:
-            raise ConfigError("basis_size must be positive")
+        if not _is_int(self.basis_size) or self.basis_size < 1:
+            raise ConfigError("basis_size must be a positive integer")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -81,10 +90,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(extra))}")
     if "scenario" not in raw:
         raise ConfigError("config is missing the 'scenario' key")
-    for key in ("nx_ladder", "tau_ladder"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     try:
+        for key in ("nx_ladder", "tau_ladder"):
+            if key in raw:
+                raw[key] = tuple(raw[key])
         return ScenarioConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
@@ -99,21 +108,31 @@ class DecayFit:
     r_squared: float
 
 
-def fit_decay(samples) -> DecayFit:
-    """Fit a power law to (x, y) samples; needs >= 3 strictly positive pairs."""
-    pts = [(float(x), float(y)) for x, y in samples]
+def fit_power_law(samples) -> tuple[np.ndarray, float]:
+    """Least-squares power law y = exp(c) * x_1**e_1 * ... * x_K**e_K in log-log.
+
+    ``samples`` holds (x_1, ..., x_K, y) rows; needs >= 3 strictly
+    positive rows.  Returns the coefficients [e_1, ..., e_K, c] and R^2.
+    """
+    pts = [tuple(float(v) for v in row) for row in samples]
     if len(pts) < 3:
         raise LabError("power-law fit needs at least 3 samples")
-    if any(x <= 0 or y <= 0 for x, y in pts):
+    if any(v <= 0 for row in pts for v in row):
         raise LabError("power-law fit needs strictly positive samples")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    A = np.vstack([lx, np.ones_like(lx)]).T
+    logs = [np.log([row[k] for row in pts]) for k in range(len(pts[0]))]
+    ly = logs.pop()
+    A = np.vstack(logs + [np.ones_like(ly)]).T
     coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
     pred = A @ coef
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return coef, r2
+
+
+def fit_decay(samples) -> DecayFit:
+    """Fit a power law to (x, y) samples; needs >= 3 strictly positive pairs."""
+    coef, r2 = fit_power_law(samples)
     return DecayFit(slope=float(coef[0]), intercept=float(coef[1]), r_squared=r2)
 
 
@@ -337,8 +356,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="reserved; scenarios run single-process")
     p_run.set_defaults(fn=_cmd_run)
     p_fit = sub.add_parser("fit", help="fit a power law to a CSV column pair")
     p_fit.add_argument("table")

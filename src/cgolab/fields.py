@@ -22,28 +22,31 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Complex N-vector per node, data shape (nx, ny, N)."""
+class _Field:
+    """Complex samples per grid node; subclasses fix the trailing rank."""
 
     grid: Grid2D
     data: np.ndarray
 
+    _rank = 0  # trailing system axes
+
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
         if d.ndim == 2:
-            d = d[:, :, None]
-        if d.ndim != 3 or d.shape[:2] != self.grid.shape:
-            raise GridError(f"bad vector field shape {d.shape}")
+            d = d.reshape(d.shape + (1,) * self._rank)
+        if (d.ndim != 2 + self._rank or d.shape[:2] != self.grid.shape
+                or len(set(d.shape[2:])) > 1):
+            raise GridError(f"bad {type(self).__name__} shape {d.shape}")
         if not np.all(np.isfinite(d)):
-            raise GridError("vector field has non-finite entries")
+            raise GridError(f"{type(self).__name__} has non-finite entries")
         object.__setattr__(self, "data", _freeze(d))
 
     @property
     def n_sys(self) -> int:
         return self.data.shape[2]
 
-    def with_data(self, data: np.ndarray) -> "VectorField":
-        return VectorField(self.grid, data)
+    def with_data(self, data: np.ndarray):
+        return type(self)(self.grid, data)
 
     def __add__(self, other):
         return self.with_data(self.data + other.data)
@@ -56,7 +59,7 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "VectorField":
+    def conj(self):
         return self.with_data(np.conj(self.data))
 
     def max_abs(self) -> float:
@@ -64,78 +67,43 @@ class VectorField:
 
     def l2(self) -> float:
         """Discrete L2 norm over the domain (trapezoid-weighted)."""
-        w = self.grid.quad_weights()[:, :, None]
+        w = self.grid.quad_weights()
+        w = w.reshape(w.shape + (1,) * self._rank)
         return float(np.sqrt(np.sum(w * np.abs(self.data) ** 2)))
 
 
-@dataclass(frozen=True)
-class MatrixField:
+class VectorField(_Field):
+    """Complex N-vector per node, data shape (nx, ny, N)."""
+
+    _rank = 1
+
+
+class MatrixField(_Field):
     """Complex NxN matrix per node, data shape (nx, ny, N, N)."""
 
-    grid: Grid2D
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=complex)
-        if d.ndim == 2:
-            d = d[:, :, None, None]
-        if d.ndim != 4 or d.shape[:2] != self.grid.shape or d.shape[2] != d.shape[3]:
-            raise GridError(f"bad matrix field shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise GridError("matrix field has non-finite entries")
-        object.__setattr__(self, "data", _freeze(d))
-
-    @property
-    def n_sys(self) -> int:
-        return self.data.shape[2]
-
-    def with_data(self, data: np.ndarray) -> "MatrixField":
-        return MatrixField(self.grid, data)
-
-    def __add__(self, other):
-        return self.with_data(self.data + other.data)
-
-    def __sub__(self, other):
-        return self.with_data(self.data - other.data)
-
-    def __mul__(self, scalar):
-        return self.with_data(self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "MatrixField":
-        return self.with_data(np.conj(self.data))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data)))
-
-    def l2(self) -> float:
-        w = self.grid.quad_weights()[:, :, None, None]
-        return float(np.sqrt(np.sum(w * np.abs(self.data) ** 2)))
+    _rank = 2
 
     def matvec(self, v: VectorField) -> VectorField:
         """Pointwise matrix-vector product."""
         _check_same(self, v)
-        return VectorField(self.grid, np.einsum("xyab,xyb->xya", self.data, v.data))
+        return VectorField(self.grid, pointwise(self.data, v.data))
 
     def matmat(self, other: "MatrixField") -> "MatrixField":
         """Pointwise matrix-matrix product."""
         _check_same(self, other)
-        return MatrixField(self.grid,
-                           np.einsum("xyab,xybc->xyac", self.data, other.data))
+        return MatrixField(self.grid, pointwise(self.data, other.data))
+
+
+def pointwise(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pointwise m @ v for matrix samples m and vector or matrix samples v."""
+    if v.ndim == 3:
+        return np.einsum("xyab,xyb->xya", m, v)
+    return np.einsum("xyab,xybc->xyac", m, v)
 
 
 def _check_same(a, b) -> None:
     if a.grid != b.grid or a.n_sys != b.n_sys:
         raise GridError("fields live on different grids or system sizes")
-
-
-def zeros_vector(grid: Grid2D, n_sys: int = 1) -> VectorField:
-    return VectorField(grid, np.zeros((grid.nx, grid.ny, n_sys), dtype=complex))
-
-
-def zeros_matrix(grid: Grid2D, n_sys: int = 1) -> MatrixField:
-    return MatrixField(grid, np.zeros((grid.nx, grid.ny, n_sys, n_sys), dtype=complex))
 
 
 def constant_matrix(grid: Grid2D, mat) -> MatrixField:
@@ -148,13 +116,13 @@ def identity_matrix(grid: Grid2D, n_sys: int) -> MatrixField:
     return constant_matrix(grid, np.eye(n_sys))
 
 
-def scalar_field(grid: Grid2D, values: np.ndarray) -> VectorField:
-    """Wrap a (nx, ny) array of samples as a 1-component vector field."""
-    return VectorField(grid, np.asarray(values, dtype=complex)[:, :, None])
+def as_data(g) -> np.ndarray:
+    """Complex samples of a field, or of a raw array."""
+    return np.asarray(getattr(g, "data", g), dtype=complex)
 
 
 def same_kind(template, grid: Grid2D, data: np.ndarray):
-    """Build a field of the same kind as ``template`` from raw data."""
-    if isinstance(template, MatrixField):
-        return MatrixField(grid, data)
-    return VectorField(grid, data)
+    """Wrap raw ``data`` as a field of the kind of ``template``; arrays stay raw."""
+    if isinstance(template, _Field):
+        return type(template)(grid, data)
+    return data

@@ -81,12 +81,6 @@ class Grid2D:
         X, Y = self.meshgrid()
         return X + 1j * Y
 
-    def interior_slice(self, margin: int = 1):
-        """Slicing tuple selecting nodes at least `margin` nodes from the boundary."""
-        if 2 * margin >= min(self.nx, self.ny):
-            raise GridError("margin swallows the whole grid")
-        return (slice(margin, self.nx - margin), slice(margin, self.ny - margin))
-
     def cell_area(self) -> float:
         return self.h_x * self.h_y
 
@@ -258,11 +252,6 @@ def plateau_cutoff(grid: Grid2D, center: complex, r_flat: float,
     cx, cy = center.real, center.imag
     return CutoffFunction(grid, v,
                           (cx - r_supp, cx + r_supp, cy - r_supp, cy + r_supp))
-
-
-def zero_cutoff(grid: Grid2D) -> CutoffFunction:
-    return CutoffFunction(grid, np.zeros(grid.shape),
-                          (grid.x_min, grid.x_max, grid.y_min, grid.y_max))
 
 
 def grid_to_json(obj, path) -> None:

@@ -7,18 +7,17 @@ would be contaminated by numerically differentiating eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridError, LabError, OverflowGuardError
-from .grid import Grid2D, BoundaryPartition, GAMMA_TILDE, remark_partition
-from .fields import MatrixField, VectorField, identity_matrix
-from .calculus import (wirtinger_dz, wirtinger_dzbar, dz_array, dzbar_array,
-                       laplacian_array, normal_derivative)
+from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
+from .fields import MatrixField, VectorField, pointwise
+from .calculus import dz_array, dzbar_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
 from .forward import CoefficientTriple, cauchy_data, cauchy_distance
-from .weights import HolomorphicWeight, CarlemanConvexWeight
+from .weights import HolomorphicWeight, CarlemanConvexWeight, weight_catalog
 
 
 class SineWindow1D:
@@ -78,25 +77,6 @@ class ProfileX2:
         return self.window.d2(Y)
 
 
-class ProfileSeparable:
-    """Product profile wx(x) * wy(y); compact support in both directions."""
-
-    def __init__(self, wx: SineWindow1D, wy: SineWindow1D):
-        self.wx, self.wy = wx, wy
-
-    def value(self, X, Y):
-        return self.wx.val(X) * self.wy.val(Y)
-
-    def dx(self, X, Y):
-        return self.wx.d1(X) * self.wy.val(Y)
-
-    def dy(self, X, Y):
-        return self.wx.val(X) * self.wy.d1(Y)
-
-    def lap(self, X, Y):
-        return self.wx.d2(X) * self.wy.val(Y) + self.wx.val(X) * self.wy.d2(Y)
-
-
 @dataclass(frozen=True)
 class GaugeSpec:
     """Scalar conjugation profile and strength for the gauge family."""
@@ -127,9 +107,7 @@ class GaugeSpec:
         return self.profile.dx(X, Y) ** 2 + self.profile.dy(X, Y) ** 2
 
     def with_strength(self, s: float) -> "GaugeSpec":
-        return GaugeSpec(s=s, profile=self.profile,
-                         flat_on_gamma_tilde=self.flat_on_gamma_tilde,
-                         zero_band=self.zero_band)
+        return replace(self, s=s)
 
 
 def remark_gauge(s: float, a: float = 0.125, b: float = 0.875,
@@ -169,12 +147,12 @@ class RelationResidual:
     norms: dict
 
 
-def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
-                    partition: BoundaryPartition) -> RelationResidual:
-    """Residuals of
-    2 dz(A1-A2) + B2 (A1-A2) + (B1-B2) A1 - (Q1-Q2)   and
-    2 dzbar(B1-B2) + A2 (B1-B2) + (A1-A2) B1 - (Q1-Q2),
-    plus the max coefficient gap on the observed arcs.
+def _relation_terms(t1: CoefficientTriple, t2: CoefficientTriple):
+    """Differences and the terms of the two first-order relations.
+
+    Returns (dA, dB, dQ) and, per relation, its leading part and its
+    cross term:  (2 dz dA + B2 dA, dB A1)  and  (2 dzbar dB + A2 dB, dA B1).
+    Each relation reads  lead + cross - dQ = 0.
     """
     if t1.grid != t2.grid or t1.n_sys != t2.n_sys:
         raise GridError("triples live on different grids")
@@ -182,18 +160,27 @@ def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
     dA = t1.a_coef.data - t2.a_coef.data
     dB = t1.b_coef.data - t2.b_coef.data
     dQ = t1.q_coef.data - t2.q_coef.data
+    first = (2 * dz_array(dA, grid) + pointwise(t2.b_coef.data, dA),
+             pointwise(dB, t1.a_coef.data))
+    second = (2 * dzbar_array(dB, grid) + pointwise(t2.a_coef.data, dB),
+              pointwise(dA, t1.b_coef.data))
+    return (dA, dB, dQ), first, second
 
-    def mm(a, b):
-        return np.einsum("xyab,xybc->xyac", a, b)
 
-    r1 = 2 * dz_array(dA, grid) + mm(t2.b_coef.data, dA) + mm(dB, t1.a_coef.data) - dQ
-    r2 = 2 * dzbar_array(dB, grid) + mm(t2.a_coef.data, dB) + mm(dA, t1.b_coef.data) - dQ
-
+def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
+                    partition: BoundaryPartition) -> RelationResidual:
+    """Residuals of
+    2 dz(A1-A2) + B2 (A1-A2) + (B1-B2) A1 - (Q1-Q2)   and
+    2 dzbar(B1-B2) + A2 (B1-B2) + (A1-A2) B1 - (Q1-Q2),
+    plus the max coefficient gap on the observed arcs.
+    """
+    (dA, dB, dQ), (lead1, cross1), (lead2, cross2) = _relation_terms(t1, t2)
     ii, jj, _, _ = partition.nodes(GAMMA_TILDE)
     gap = float(np.max(np.max(np.abs(dA[ii, jj]), axis=(1, 2))
                        + np.max(np.abs(dB[ii, jj]), axis=(1, 2)))) if len(ii) else 0.0
 
-    f1, f2 = MatrixField(grid, r1), MatrixField(grid, r2)
+    f1 = MatrixField(t1.grid, lead1 + cross1 - dQ)
+    f2 = MatrixField(t1.grid, lead2 + cross2 - dQ)
     norms = {"r_a1_l2": f1.l2(), "r_a1_max": f1.max_abs(),
              "r_a2_l2": f2.l2(), "r_a2_max": f2.max_abs()}
     return RelationResidual(r_a1=f1, r_a2=f2, boundary_gap=gap, norms=norms)
@@ -331,20 +318,16 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
 
 
 def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
-    X, Y = grid.meshgrid()
     w = tf.sample(grid)
-    if kind == "first_order_dz":
+    if kind in ("first_order_dz", "first_order_dzbar"):
+        deriv = tf.dz if kind == "first_order_dz" else tf.dzbar
         lhs = np.sqrt(tau) * _weighted_l2(w, wexp, grid)
-        rhs = _weighted_l2(tf.dz(grid), wexp, grid)
-        return lhs, rhs
-    if kind == "first_order_dzbar":
-        lhs = np.sqrt(tau) * _weighted_l2(w, wexp, grid)
-        rhs = _weighted_l2(tf.dzbar(grid), wexp, grid)
+        rhs = _weighted_l2(deriv(grid), wexp, grid)
         return lhs, rhs
     if kind == "system_zero_order":
         b1, b2 = b_pair
-        f = (2 * tf.dz(grid) + np.einsum("xyab,xybc->xyac", b2.data, w)
-             - np.einsum("xyab,xybc->xyac", w, b1.data))
+        f = (2 * tf.dz(grid) + pointwise(b2.data, w)
+             - pointwise(w, b1.data))
         lhs = np.sqrt(tau) * _weighted_l2(w, wexp, grid)
         rhs = _weighted_l2(f, wexp, grid)
         return lhs, rhs
@@ -352,9 +335,9 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
         if partition is None or coefs is None:
             raise LabError("full_operator probe needs a partition and coefficients")
         lap = tf.lap(grid)
-        lu = (lap + 2 * np.einsum("xyab,xyb->xya", coefs.a_coef.data, tf.dz(grid))
-              + 2 * np.einsum("xyab,xyb->xya", coefs.b_coef.data, tf.dzbar(grid))
-              + np.einsum("xyab,xyb->xya", coefs.q_coef.data, w))
+        lu = (lap + 2 * pointwise(coefs.a_coef.data, tf.dz(grid))
+              + 2 * pointwise(coefs.b_coef.data, tf.dzbar(grid))
+              + pointwise(coefs.q_coef.data, w))
         dphi = weight.dPhi(grid.nodes_z())
         gx = tf.sample(grid, 1, 0)
         gy = tf.sample(grid, 0, 1)
@@ -367,7 +350,6 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
         lhs = (tau * _weighted_l2(w, wexp, grid) ** 2 + h1
                + tau ** 2 * _weighted_l2(np.abs(dphi)[:, :, None] * w, wexp, grid) ** 2)
         rhs = _weighted_l2(lu, wexp, grid) ** 2
-        from .grid import GAMMA_0
         uf = VectorField(grid, w)
         for label in (GAMMA_0, GAMMA_TILDE):
             if label not in partition.labels.values():
@@ -393,8 +375,6 @@ def full_operator_setup(grid: Grid2D):
     hidden arc.  The real part then peaks on an observed arc, which is
     what lets the observed-flux term control the left side.
     """
-    from .grid import GAMMA_0
-    from .weights import weight_catalog
     part = BoundaryPartition(grid, {"left": GAMMA_0, "bottom": GAMMA_TILDE,
                                     "right": GAMMA_TILDE, "top": GAMMA_TILDE})
     w = weight_catalog("quadratic", {"c": 0.5j}, partition=part)
@@ -411,39 +391,29 @@ def corollary_pipeline(case: str, t1: CoefficientTriple,
     Given the case's shared coefficient, evaluates the equations the two
     relations collapse to; this is residual logic, not a uniqueness proof.
     """
-    if t1.grid != t2.grid or t1.n_sys != t2.n_sys:
-        raise GridError("triples live on different grids")
-    grid = t1.grid
-    dA = t1.a_coef.data - t2.a_coef.data
-    dB = t1.b_coef.data - t2.b_coef.data
-    dQ = t1.q_coef.data - t2.q_coef.data
-
-    def mm(a, b):
-        return np.einsum("xyab,xybc->xyac", a, b)
+    (dA, dB, dQ), (lead1, cross1), (lead2, cross2) = _relation_terms(t1, t2)
 
     def summarize(name, r):
-        f = MatrixField(grid, r)
+        f = MatrixField(t1.grid, r)
         return name, {"l2": f.l2(), "max": f.max_abs()}
 
     tol = 1e-12
     if case == "Q_known":
         if np.max(np.abs(dQ)) > tol:
             raise LabError("Q coefficients differ; Q_known case rejected")
-        r1 = 2 * dz_array(dA, grid) + mm(t2.b_coef.data, dA) + mm(dB, t1.a_coef.data)
-        r2 = 2 * dzbar_array(dB, grid) + mm(t2.a_coef.data, dB) + mm(dA, t1.b_coef.data)
-        res = dict([summarize("coupled_first", r1), summarize("coupled_second", r2)])
+        res = dict([summarize("coupled_first", lead1 + cross1),
+                    summarize("coupled_second", lead2 + cross2)])
     elif case == "B_known":
         if np.max(np.abs(dB)) > tol:
             raise LabError("B coefficients differ; B_known case rejected")
-        r13 = 2 * dz_array(dA, grid) + mm(t2.b_coef.data, dA) - mm(dA, t1.b_coef.data)
-        sub = mm(dA, t1.b_coef.data) - dQ
-        res = dict([summarize("case_reduced", r13), summarize("substitution", sub)])
+        # with dB = 0: first minus second relation, and the second alone
+        res = dict([summarize("case_reduced", lead1 - cross2),
+                    summarize("substitution", cross2 - dQ)])
     elif case == "A_known":
         if np.max(np.abs(dA)) > tol:
             raise LabError("A coefficients differ; A_known case rejected")
-        r = 2 * dzbar_array(dB, grid) + mm(t2.a_coef.data, dB) - mm(dB, t1.a_coef.data)
-        sub = mm(dB, t1.a_coef.data) - dQ
-        res = dict([summarize("case_reduced", r), summarize("substitution", sub)])
+        res = dict([summarize("case_reduced", lead2 - cross1),
+                    summarize("substitution", cross1 - dQ)])
     else:
         raise LabError(f"unknown case {case!r}")
     return {"case": case, "residuals": res}

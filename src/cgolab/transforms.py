@@ -13,7 +13,7 @@ round-off and keeps nx = 257 grids affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -21,7 +21,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import GridError, ConvergenceError, DivergenceError, SingularSystemError
 from .grid import Grid2D, CutoffFunction
-from .fields import VectorField, MatrixField, same_kind
+from .fields import VectorField, MatrixField, as_data, pointwise, same_kind
 from .weights import HolomorphicWeight
 
 
@@ -32,7 +32,9 @@ def _kernel_table(grid: Grid2D) -> np.ndarray:
     D = dx[:, None] * grid.h_x + 1j * dy[None, :] * grid.h_y
     with np.errstate(divide="ignore", invalid="ignore"):
         K = 1.0 / D
-    K[grid.nx - 1, grid.ny - 1] = 0.0  # self cell: analytic value 0
+    # self cell: closed-form polar/odd-symmetry integration of 1/(zeta - z)
+    # over the centered singular cell gives exactly 0
+    K[grid.nx - 1, grid.ny - 1] = 0.0
     return K[::-1, ::-1].copy()
 
 
@@ -41,16 +43,10 @@ class TransformPlan:
     """Precomputed quadrature data for the solid Cauchy transforms."""
 
     grid: Grid2D
-    quadrature: str = "tensor-midpoint-desingularized"
-    self_cell_constant: complex = 0.0 + 0.0j
     _kernel: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # closed-form polar/odd-symmetry integration of 1/(zeta - z) over the
-        # centered singular cell gives exactly 0
-        if abs(self.self_cell_constant) > 1e-12:
-            raise GridError("self-cell constant must match the closed form 0")
         object.__setattr__(self, "_kernel", _kernel_table(self.grid))
         object.__setattr__(self, "_weights", self.grid.quad_weights())
 
@@ -67,22 +63,16 @@ def _apply_kernel(plan: TransformPlan, samples: np.ndarray) -> np.ndarray:
 
 def dzbar_inv(g, plan: TransformPlan):
     """Solid Cauchy transform inverting d/dzbar on the rectangle."""
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
+    gd = as_data(g)
     if gd.shape[:2] != plan.grid.shape:
         raise GridError("sample shape does not match the transform plan")
-    out = _apply_kernel(plan, gd)
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, plan.grid, out)
-    return out
+    return same_kind(g, plan.grid, _apply_kernel(plan, gd))
 
 
 def dz_inv(g, plan: TransformPlan):
     """Conjugate-kernel transform inverting d/dz; dz_inv(g) = conj(dzbar_inv(conj g))."""
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
-    out = np.conj(_apply_kernel(plan, np.conj(gd)))
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, plan.grid, out)
-    return out
+    out = np.conj(_apply_kernel(plan, np.conj(as_data(g))))
+    return same_kind(g, plan.grid, out)
 
 
 def _inv_for_side(side: str):
@@ -91,13 +81,6 @@ def _inv_for_side(side: str):
     if side == "zbar":
         return dzbar_inv
     raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
-
-
-def _b_apply(b_data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise B @ v for vector (nx,ny,N) or matrix (nx,ny,N,N) arguments."""
-    if v.ndim == 3:
-        return np.einsum("xyab,xyb->xya", b_data, v)
-    return np.einsum("xyab,xybc->xyac", b_data, v)
 
 
 def ones_cutoff(grid: Grid2D) -> CutoffFunction:
@@ -121,12 +104,12 @@ class VekuaOperator:
         """One application of the series map  v -> (1/2) inv(e B v)."""
         inv = _inv_for_side(self.side)
         e = self.cutoff.values.reshape(self.cutoff.values.shape + (1,) * (v.ndim - 2))
-        return 0.5 * inv(e * _b_apply(self.b_coef.data, v), self.plan)
+        return 0.5 * inv(e * pointwise(self.b_coef.data, v), self.plan)
 
     def full_map(self, v: np.ndarray) -> np.ndarray:
         """v -> (1/2) inv(B v), without the cutoff."""
         inv = _inv_for_side(self.side)
-        return 0.5 * inv(_b_apply(self.b_coef.data, v), self.plan)
+        return 0.5 * inv(pointwise(self.b_coef.data, v), self.plan)
 
 
 def make_vekua_operator(b_coef: MatrixField, side: str, plan: TransformPlan,
@@ -154,8 +137,7 @@ def make_vekua_operator(b_coef: MatrixField, side: str, plan: TransformPlan,
             continue
         w2 = op.series_map(w1)
         est = max(est, float(np.linalg.norm(w2) / n1))
-    return VekuaOperator(b_coef=b_coef, side=side, cutoff=cutoff, plan=plan,
-                         series_cap=series_cap, contraction_estimate=est)
+    return replace(op, contraction_estimate=est)
 
 
 def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | VectorField | MatrixField:
@@ -166,9 +148,8 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | Vecto
     if not op.contraction_estimate < 1.0:
         raise DivergenceError(
             f"series map contraction estimate {op.contraction_estimate} >= 1")
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
     inv = _inv_for_side(op.side)
-    term = 0.5 * inv(gd, op.plan)
+    term = 0.5 * inv(as_data(g), op.plan)
     total = term.copy()
     prev_norm = np.linalg.norm(term)
     bad = 0
@@ -184,16 +165,13 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | Vecto
         else:
             bad = 0
         prev_norm = nrm
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, op.plan.grid, total)
-    return total
+    return same_kind(g, op.plan.grid, total)
 
 
 def series_term_ratios(op: VekuaOperator, g, terms: int) -> list[float]:
     """Successive term-norm ratios of the Neumann series, for (tot) smallness probes."""
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
     inv = _inv_for_side(op.side)
-    term = 0.5 * inv(gd, op.plan)
+    term = 0.5 * inv(as_data(g), op.plan)
     norms = [np.linalg.norm(term)]
     for _ in range(1, terms):
         term = -op.series_map(term)
@@ -209,13 +187,12 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     integral equation.  The residual contract is on that discrete
     operator.
     """
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
+    gd = as_data(g)
     inv = _inv_for_side(op.side)
     rhs = 0.5 * inv(gd, op.plan)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        out = np.zeros_like(gd)
-        return same_kind(g, op.plan.grid, out) if isinstance(g, (VectorField, MatrixField)) else out
+        return same_kind(g, op.plan.grid, np.zeros_like(gd))
 
     w = None
     if op.contraction_estimate < 0.8:
@@ -257,9 +234,7 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     if res > tol:
         raise ConvergenceError("Vekua solve missed the residual tolerance",
                                residual=res)
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, op.plan.grid, w)
-    return w
+    return same_kind(g, op.plan.grid, w)
 
 
 def apply_t_b(op: VekuaOperator, g, terms: int = 40, tol: float = 1e-8):
@@ -268,17 +243,27 @@ def apply_t_b(op: VekuaOperator, g, terms: int = 40, tol: float = 1e-8):
     S_B is the cutoff Neumann-series operator; the correction term is
     resolved with the direct Vekua solve.  Tolerances match vekua_solve.
     """
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
-    s = np.asarray(neumann_series_apply(op, gd, terms))
+    s = neumann_series_apply(op, as_data(g), terms)
     one_minus_e = 1.0 - op.cutoff.values
-    one_minus_e = one_minus_e.reshape(one_minus_e.shape + (1,) * (gd.ndim - 2))
-    corr_src = one_minus_e * _b_apply(op.b_coef.data, s)
-    corr = np.asarray(vekua_solve(op, corr_src, tol=tol)) \
+    one_minus_e = one_minus_e.reshape(one_minus_e.shape + (1,) * (s.ndim - 2))
+    corr_src = one_minus_e * pointwise(op.b_coef.data, s)
+    corr = vekua_solve(op, corr_src, tol=tol) \
         if np.linalg.norm(corr_src) > 0 else np.zeros_like(s)
-    out = s - corr
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, op.plan.grid, out)
-    return out
+    return same_kind(g, op.plan.grid, s - corr)
+
+
+def _phase_pair(weight: HolomorphicWeight, tau: float, grid: Grid2D, ndim: int,
+                side: str):
+    """(conj_in, conj_out) = (e^{-2 i tau psi}, e^{2 i tau psi}) on 'zbar', swapped on 'z'."""
+    if tau == 0:
+        raise GridError("tau must be nonzero")
+    osc = np.exp(2j * tau * weight.psi(grid.nodes_z()))
+    osc = osc.reshape(osc.shape + (1,) * (ndim - 2))
+    if side == "zbar":
+        return np.conj(osc), osc
+    if side == "z":
+        return osc, np.conj(osc)
+    raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
 
 
 def r_tau(g, weight: HolomorphicWeight, tau: float, plan: TransformPlan,
@@ -289,21 +274,10 @@ def r_tau(g, weight: HolomorphicWeight, tau: float, plan: TransformPlan,
     R~_tau g   = (1/2) e^{-2 i tau psi} dz_inv(g e^{2 i tau psi}),
     using Phi - conj(Phi) = 2 i psi.
     """
-    if tau == 0:
-        raise GridError("tau must be nonzero")
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
-    psi = weight.psi(plan.grid.nodes_z())
-    osc = np.exp(2j * tau * psi)
-    osc = osc.reshape(osc.shape + (1,) * (gd.ndim - 2))
-    if side == "zbar":
-        out = 0.5 * osc * dzbar_inv(gd * np.conj(osc), plan)
-    elif side == "z":
-        out = 0.5 * np.conj(osc) * dz_inv(gd * osc, plan)
-    else:
-        raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, plan.grid, out)
-    return out
+    gd = as_data(g)
+    conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
+    out = 0.5 * conj_out * _inv_for_side(side)(gd * conj_in, plan)
+    return same_kind(g, plan.grid, out)
 
 
 def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
@@ -314,36 +288,13 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
 
     side 'zbar' solves (2 d_zbar + 2 tau d_zbar conj(Phi) + B) w = g,
     side 'z'    solves (2 d_z    + 2 tau d_z Phi        + B) w = g.
-    With B identically zero this reduces to r_tau.
+    Both are the composite inverse T_B under the phase conjugation of
+    r_tau; with B identically zero this reduces to r_tau.
     """
-    if tau == 0:
-        raise GridError("tau must be nonzero")
-    gd = np.asarray(getattr(g, "data", g), dtype=complex)
-    grid = plan.grid
     if np.count_nonzero(b_coef.data) == 0:
-        out = np.asarray(r_tau(gd, weight, tau, plan, side=side))
-        return same_kind(g, grid, out) if isinstance(g, (VectorField, MatrixField)) else out
-
+        return r_tau(g, weight, tau, plan, side=side)
+    gd = as_data(g)
+    conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
     op = make_vekua_operator(b_coef, side, plan, cutoff=cutoff)
-    psi = weight.psi(grid.nodes_z())
-    osc = np.exp(2j * tau * psi)
-    osc = osc.reshape(osc.shape + (1,) * (gd.ndim - 2))
-    if side == "zbar":
-        conj_in, conj_out = np.conj(osc), osc
-    else:
-        conj_in, conj_out = osc, np.conj(osc)
-
-    # frak-series part, conjugated:  S_{B,tau} g = conj_out * S_B(conj_in * g)
-    s_tau = conj_out * np.asarray(neumann_series_apply(op, conj_in * gd, terms))
-    # correction: conj_out * T_B(conj_in * (1-e) B S_{B,tau} g)
-    one_minus_e = (1.0 - op.cutoff.values)
-    one_minus_e = one_minus_e.reshape(one_minus_e.shape + (1,) * (gd.ndim - 2))
-    corr_src = conj_in * (one_minus_e * _b_apply(b_coef.data, s_tau))
-    if np.linalg.norm(corr_src) > 0:
-        corr = conj_out * np.asarray(vekua_solve(op, corr_src, tol=tol))
-    else:
-        corr = np.zeros_like(s_tau)
-    out = s_tau - corr
-    if isinstance(g, (VectorField, MatrixField)):
-        return same_kind(g, grid, out)
-    return out
+    out = conj_out * apply_t_b(op, conj_in * gd, terms, tol)
+    return same_kind(g, plan.grid, out)

@@ -250,11 +250,10 @@ def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoi
 
 def resolution_nodes_per_period(w: HolomorphicWeight, grid: Grid2D, tau: float) -> float:
     """Grid nodes per oscillation period of exp(2 i tau psi), worst case."""
-    Z = grid.nodes_z()
-    grad = 2.0 * np.max(np.abs(w.dPhi(Z)))  # |grad psi| = |dPhi| -> phase grad 2 tau |dPhi|
-    if tau == 0 or grad == 0:
+    dphi = np.max(np.abs(w.dPhi(grid.nodes_z())))  # |grad psi| = |dPhi|
+    if tau == 0 or dphi == 0:
         return np.inf
-    wavelength = 2 * np.pi / (2 * abs(tau) * np.max(np.abs(w.dPhi(Z))))
+    wavelength = 2 * np.pi / (2 * abs(tau) * dphi)  # phase gradient 2 tau |dPhi|
     return wavelength / max(grid.h_x, grid.h_y)
 
 

@@ -130,13 +130,8 @@ def test_criterion_5_cgo_identity_and_factorization():
         amp = L.build_amplitude(t, L.TransformPlan(grid))
         for tau in (4.0, 8.0, 16.0):
             rec = L.cgo_residual(L.build_cgo_solution(amp, w, tau), t)
-            rows.append((tau, nx, rec["residual_weighted"]))
-    lt = np.log([r[0] for r in rows])
-    lh = np.log([1.0 / (r[1] - 1) for r in rows])
-    lr = np.log([r[2] for r in rows])
-    A = np.vstack([lt, lh, np.ones_like(lt)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, lr, rcond=None)
-    r2 = 1.0 - np.sum((lr - A @ coef) ** 2) / np.sum((lr - lr.mean()) ** 2)
+            rows.append((tau, 1.0 / (nx - 1), rec["residual_weighted"]))
+    coef, r2 = L.fit_power_law(rows)
 
     errs = [L.factorization_check(make_triple(6, 2, L.Grid2D(nx=nx, ny=nx)))
             ["discrepancy_1"] for nx in (65, 129, 257)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cgolab import ConfigError, LabError
-from cgolab.cli import ScenarioConfig, load_config, fit_decay, run, main
+from cgolab.cli import ScenarioConfig, load_config, fit_decay, fit_power_law, run, main
 
 
 def write_config(tmp_path, **kw):
@@ -29,6 +29,37 @@ def test_config_validation_errors(tmp_path):
         load_config(write_config(tmp_path, scenario="transforms", bogus=1))
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("text", [
+    '{"scenario": "transforms", "nx_ladder": [17.7, 33]}',
+    '{"scenario": "transforms", "nx_ladder": [true, 33]}',
+    '{"scenario": "transforms", "nx_ladder": 33}',
+    '{"scenario": "cgo", "tau_ladder": [-2, 1, 2]}',
+    '{"scenario": "cgo", "tau_ladder": [0, 1, 2]}',
+    '{"scenario": "cgo", "tau_ladder": [1, Infinity]}',
+    '{"scenario": "cgo", "tau_ladder": ["1", "2"]}',
+    '{"scenario": "gauge", "n_sys": "2"}',
+    '{"scenario": "gauge", "n_sys": true}',
+    '{"scenario": "gauge", "basis_size": 2.5}',
+])
+def test_invalid_config_exits_2_with_one_line(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_power_law_recovers_two_exponents():
+    rows = [(tau, h, 2.5 * tau ** 0.7 * h ** 3.0)
+            for tau in (4.0, 8.0, 16.0) for h in (1 / 32, 1 / 64, 1 / 128)]
+    coef, r2 = fit_power_law(rows)
+    assert coef[0] == pytest.approx(0.7, abs=1e-12)
+    assert coef[1] == pytest.approx(3.0, abs=1e-12)
+    assert np.exp(coef[2]) == pytest.approx(2.5)
+    assert r2 == pytest.approx(1.0)
 
 
 def test_fit_decay_recovers_power_law():

@@ -7,17 +7,18 @@ from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
                     series_term_ratios, apply_t_b, r_tau, r_tau_b,
                     constant_matrix, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, DivergenceError,
-                    GridError, LabError)
+                    GridError)
 from cgolab.calculus import dzbar_array, dz_array
 
 from conftest import make_triple, refinement_orders, inset_slice
 
 
-def test_plan_self_cell_constant_is_zero(grid33):
-    plan = TransformPlan(grid33)
-    assert plan.self_cell_constant == 0.0
-    with pytest.raises(LabError):
-        TransformPlan(grid33, self_cell_constant=1e-3)
+def test_kernel_table_self_cell_is_exactly_zero(grid33):
+    """The singular cell integrates to 0 in closed form; only it is dropped."""
+    K = TransformPlan(grid33)._kernel
+    centre = (grid33.nx - 1, grid33.ny - 1)
+    assert K[centre] == 0.0
+    assert np.count_nonzero(K == 0.0) == 1
 
 
 def test_round_trip_small_grid(grid33, plan33):
