@@ -183,10 +183,20 @@ def _sides(coefs: CoefficientTriple, piece: str):
     raise LabError(f"unknown piece {piece!r}")
 
 
+def _first_order_part(coefs: CoefficientTriple, piece: str) -> np.ndarray:
+    """Q - S = 2 dz A + B A for 'holo', 2 dzbar B + A B for 'anti'; cached on the triple."""
+    key = ("first_order_part", piece)
+    if key not in coefs._derived:
+        (m, d), (m_other, _) = _sides(coefs, piece)
+        part = 2 * d(m.data, coefs.grid) + m_other.matmat(m).data
+        part.flags.writeable = False
+        coefs._derived[key] = part
+    return coefs._derived[key]
+
+
 def zero_order_remainder(coefs: CoefficientTriple, piece: str = "holo") -> np.ndarray:
     """Q - 2 dz A - B A for the holomorphic branch, Q - 2 dzbar B - A B mirrored."""
-    (m, d), (m_other, _) = _sides(coefs, piece)
-    return coefs.q_coef.data - 2 * d(m.data, coefs.grid) - m_other.matmat(m).data
+    return coefs.q_coef.data - _first_order_part(coefs, piece)
 
 
 def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
@@ -221,9 +231,8 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     dw = d_flat(w, grid)
     first = (2 * pointwise(m_osc.data, d_osc(w, grid) + sol.tau * dphi * w)
              + 2 * pointwise(m_flat.data, dw) + 4 * sol.tau * dphi * dw)
-    S = zero_order_remainder(coefs, piece)
     defect = (laplacian_array(w, grid) + first
-              + pointwise(coefs.q_coef.data - S, w))
+              + pointwise(_first_order_part(coefs, piece), w))
 
     sl = np.s_[margin:-margin, margin:-margin]
     num = float(np.linalg.norm(defect[sl]))

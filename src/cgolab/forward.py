@@ -9,7 +9,7 @@ factored once per coefficient triple.  No symmetry is assumed anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,11 +23,16 @@ from .calculus import normal_derivative, trace_boundary
 
 @dataclass(frozen=True)
 class CoefficientTriple:
-    """The (A, B, Q) matrix coefficients of one elliptic operator."""
+    """The (A, B, Q) matrix coefficients of one elliptic operator.
+
+    ``_derived`` caches fields computed from the coefficients alone.
+    """
 
     a_coef: MatrixField
     b_coef: MatrixField
     q_coef: MatrixField
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not (self.a_coef.grid == self.b_coef.grid == self.q_coef.grid):

@@ -8,6 +8,7 @@ from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
                     constant_matrix, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, DivergenceError,
                     GridError)
+from cgolab import transforms
 from cgolab.calculus import dzbar_array, dz_array
 
 from conftest import make_triple, refinement_orders, inset_slice
@@ -15,10 +16,40 @@ from conftest import make_triple, refinement_orders, inset_slice
 
 def test_kernel_table_self_cell_is_exactly_zero(grid33):
     """The singular cell integrates to 0 in closed form; only it is dropped."""
-    K = TransformPlan(grid33)._kernel
-    centre = (grid33.nx - 1, grid33.ny - 1)
-    assert K[centre] == 0.0
-    assert np.count_nonzero(K == 0.0) == 1
+    K = transforms._kernel_table(grid33)
+    assert K[0, 0] == 0.0  # zero offset sits at the origin of the circular table
+    # every other offset of the grid holds a nonzero entry, the padding none
+    assert np.count_nonzero(K) == (2 * grid33.nx - 1) * (2 * grid33.ny - 1) - 1
+
+
+def _brute_force_transform(g, grid, conj_kernel=False):
+    """-(1/pi) sum_{s != t} w_s g_s / (zeta_s - z_t), as an explicit double sum."""
+    z = grid.nodes_z().ravel()
+    w = grid.quad_weights().ravel()
+    diff = z[None, :] - z[:, None]  # [t, s] = zeta_s - z_t
+    if conj_kernel:
+        diff = np.conj(diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.where(diff == 0, 0.0, 1.0 / diff)
+    gs = g.reshape(z.size, -1)
+    return (-(1.0 / np.pi) * K @ (w[:, None] * gs)).reshape(g.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_transforms_match_brute_force_sum(n, wrap):
+    # non-square, so each axis gets its own circular embedding
+    grid = Grid2D(nx=11, ny=14)
+    plan = TransformPlan(grid)
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((11, 14, n)) + 1j * rng.standard_normal((11, 14, n))
+    arg = VectorField(grid, g) if wrap else g
+    for inv, conj_kernel in ((dzbar_inv, False), (dz_inv, True)):
+        out = inv(arg, plan)
+        assert isinstance(out, VectorField) == wrap
+        got = out.data if wrap else out
+        ref = _brute_force_transform(g, grid, conj_kernel)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_round_trip_small_grid(grid33, plan33):
@@ -83,6 +114,29 @@ def test_series_divergence_detected(grid33, plan33):
     g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
     with pytest.raises(DivergenceError):
         neumann_series_apply(op, g, 10)
+
+
+@pytest.mark.parametrize("case", ["constant", "system", "bump"])
+def test_contraction_estimate_costs_four_transforms(grid33, plan33, monkeypatch,
+                                                    case):
+    calls = []
+    apply_kernel = transforms._apply_kernel
+
+    def counted(plan, samples):
+        calls.append(samples.shape)
+        return apply_kernel(plan, samples)
+
+    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    cutoff = None
+    if case == "system":
+        b = random_trig_spec(np.random.default_rng(6), (2, 2), 0.4).matrix_field(grid33)
+    else:
+        b = constant_matrix(grid33, [[2.0]])
+        if case == "bump":
+            cutoff = bump_cutoff(grid33, 0.5 + 0.5j, 0.25)
+    op = make_vekua_operator(b, "zbar", plan33, cutoff=cutoff)
+    assert len(calls) == 4
+    assert 0.0 < op.contraction_estimate < 1.0
 
 
 def test_term_ratios_shrink_with_cutoff_support(grid33, plan33):
