@@ -29,11 +29,16 @@ from .calculus import dzbar_array
 from .forward import CoefficientTriple
 from .harness import (remark_gauge, gauge_transform, check_relations,
                       gauge_equivalence_experiment, carleman_probe,
-                      random_h01_spec, full_operator_setup)
+                      random_h01_spec, full_operator_setup, refinement_orders)
 from .cgo import build_amplitude, build_cgo_solution, cgo_residual
 
-SCENARIOS = ("transforms", "cgo", "gauge", "carleman", "stationary-phase",
-             "relations")
+# fewest (nx_ladder, tau_ladder) rungs each scenario's criteria can judge:
+# an order needs two grids, the slope fit three taus, the (tau, h) fit two
+# of each, and a Carleman probe compares two halves of its tau ladder
+_MIN_RUNGS = {"transforms": (2, 1), "cgo": (2, 2), "gauge": (2, 1),
+              "carleman": (1, 2), "stationary-phase": (1, 3),
+              "relations": (2, 1)}
+SCENARIOS = tuple(_MIN_RUNGS)
 
 
 def _is_int(v) -> bool:
@@ -65,10 +70,12 @@ class ScenarioConfig:
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
                    and math.isfinite(t) and t > 0 for t in self.tau_ladder):
             raise ConfigError("tau_ladder entries must be finite numbers > 0")
-        for name, ladder in (("nx_ladder", self.nx_ladder),
-                             ("tau_ladder", self.tau_ladder)):
-            if len(ladder) == 0:
-                raise ConfigError(f"{name} must be nonempty")
+        for name, ladder, least in zip(("nx_ladder", "tau_ladder"),
+                                       (self.nx_ladder, self.tau_ladder),
+                                       _MIN_RUNGS[self.scenario]):
+            if len(ladder) < least:
+                raise ConfigError(f"scenario {self.scenario} needs at least "
+                                  f"{least} {name} entries")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
         if self.basis not in ("hat", "fourier"):
@@ -142,11 +149,6 @@ def _triple(cfg: ScenarioConfig, grid: Grid2D) -> CoefficientTriple:
                              sq.matrix_field(grid))
 
 
-def _orders(errs):
-    return [float(np.log2(a / b)) if (a > 0 and b > 0) else float("inf")
-            for a, b in zip(errs[:-1], errs[1:])]
-
-
 def _run_transforms(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     rng = np.random.default_rng(cfg.seed)
     spec = random_trig_spec(rng, (), amplitude=1.0)
@@ -160,9 +162,9 @@ def _run_transforms(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
         err = float(np.max(np.abs((back - g)[m:-m, m:-m])))
         errs.append(err)
         rows.append({"nx": int(nx), "roundtrip_error": err})
-    orders = _orders(errs)
+    orders = refinement_orders(errs)
     metrics = {"errors": errs, "orders": orders}
-    criteria = {"roundtrip_order_ge_1.8": bool(orders and min(orders) >= 1.8)}
+    criteria = {"roundtrip_order_ge_1.8": bool(min(orders) >= 1.8)}
     return metrics, criteria, rows
 
 
@@ -179,28 +181,23 @@ def _run_cgo(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
             rec = cgo_residual(sol, coefs)
             rec.pop("piece")
             rows.append(rec)
-    fit_h = fit_decay([(1.0 / (r["nx"] - 1), r["residual_weighted"])
-                       for r in rows])
-    metrics = {"records": rows, "h_slope": fit_h.slope,
-               "r_squared": fit_h.r_squared}
-    criteria = {"power_law_r2_ge_0.95": bool(fit_h.r_squared >= 0.95)}
+    # residual ~ C tau^e_tau h^e_h: both tau and h vary across the rows
+    coef, r2 = fit_power_law([(r["tau"], 1.0 / (r["nx"] - 1),
+                               r["residual_weighted"]) for r in rows])
+    metrics = {"records": rows, "tau_exponent": float(coef[0]),
+               "h_exponent": float(coef[1]), "r_squared": r2}
+    criteria = {"power_law_r2_ge_0.95": bool(r2 >= 0.95)}
     return metrics, criteria, rows
 
 
 def _run_gauge(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
-    gauge = remark_gauge(cfg.gauge_strength)
-    sa, sb, sq = random_coefficient_specs(cfg.seed, cfg.n_sys, cfg.amplitude)
-
-    def make_triple(grid):
-        return CoefficientTriple(sa.matrix_field(grid), sb.matrix_field(grid),
-                                 sq.matrix_field(grid))
-
-    rep = gauge_equivalence_experiment(make_triple, gauge, cfg.nx_ladder,
-                                       m=cfg.basis_size, basis=cfg.basis)
+    rep = gauge_equivalence_experiment(lambda grid: _triple(cfg, grid),
+                                       remark_gauge(cfg.gauge_strength),
+                                       cfg.nx_ladder, m=cfg.basis_size,
+                                       basis=cfg.basis)
     rows = [{"nx": nx, "cauchy_distance": d}
             for nx, d in zip(rep["nx_ladder"], rep["distances"])]
-    criteria = {"distance_order_ge_1.5": bool(rep["orders"]
-                                              and min(rep["orders"]) >= 1.5),
+    criteria = {"distance_order_ge_1.5": bool(min(rep["orders"]) >= 1.5),
                 "coefficient_gap_ge_0.5": bool(rep["coefficient_gap"] >= 0.5)}
     return rep, criteria, rows
 
@@ -270,9 +267,9 @@ def _run_relations(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
         gaps.append(res.boundary_gap)
         rows.append({"nx": int(nx), "residual_l2": l2s[-1],
                      "boundary_gap": gaps[-1]})
-    orders = _orders(l2s)
+    orders = refinement_orders(l2s)
     metrics = {"residuals": l2s, "orders": orders, "boundary_gaps": gaps}
-    criteria = {"residual_order_ge_1.8": bool(orders and min(orders) >= 1.8),
+    criteria = {"residual_order_ge_1.8": bool(min(orders) >= 1.8),
                 "boundary_gap_zero": bool(max(gaps) == 0.0)}
     return metrics, criteria, rows
 
@@ -295,15 +292,21 @@ def write_table(path: Path, rows: list) -> None:
                              for k, v in row.items()})
 
 
-def run(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
-    metrics, criteria, rows = _RUNNERS[cfg.scenario](cfg)
+def _write_report(out: Path, cfg: ScenarioConfig, **fields) -> dict:
+    """Write report.json (schema 1, sorted keys) of one run of ``cfg``."""
     report = {"schema": 1, "scenario": cfg.scenario, "inputs": asdict(cfg),
-              "metrics": metrics, "criteria": criteria,
-              "passed": bool(all(criteria.values()))}
-    out = Path(out_dir)
+              **fields}
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n")
+    return report
+
+
+def run(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
+    metrics, criteria, rows = _RUNNERS[cfg.scenario](cfg)
+    out = Path(out_dir)
+    report = _write_report(out, cfg, metrics=metrics, criteria=criteria,
+                           passed=bool(all(criteria.values())))
     write_table(out / "table.csv", rows)
     return report
 
@@ -324,7 +327,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run(cfg, args.out)
+    try:
+        report = run(cfg, args.out)
+    except LabError as exc:
+        _write_report(Path(args.out), cfg, error=str(exc), passed=False)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, ok in sorted(report["criteria"].items()):
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
     return 0 if report["passed"] else 1

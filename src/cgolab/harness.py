@@ -192,6 +192,15 @@ def coefficient_gap(t1: CoefficientTriple, t2: CoefficientTriple) -> float:
                (t1.q_coef - t2.q_coef).max_abs())
 
 
+def refinement_orders(errs) -> list:
+    """Observed orders log2(e_k / e_{k+1}) along a ladder that halves h.
+
+    A rung whose error is not positive (exact to round-off) gives inf.
+    """
+    return [float(np.log2(a / b)) if (a > 0 and b > 0) else float("inf")
+            for a, b in zip(errs[:-1], errs[1:])]
+
+
 def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
                                  m: int = 4, basis: str = "fourier",
                                  make_partition=remark_partition) -> dict:
@@ -214,10 +223,9 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
         c2 = cauchy_data(t2, part, m, basis=basis)
         distances.append(cauchy_distance(c1, c2))
         gaps.append(coefficient_gap(t1, t2))
-    orders = [float(np.log2(a / b)) if b > 0 else float("inf")
-              for a, b in zip(distances[:-1], distances[1:])]
     return {"nx_ladder": list(nx_ladder), "distances": distances,
-            "orders": orders, "coefficient_gap": max(gaps)}
+            "orders": refinement_orders(distances),
+            "coefficient_gap": max(gaps)}
 
 
 def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,

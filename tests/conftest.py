@@ -10,10 +10,6 @@ def make_triple(seed, n_sys, grid, amplitude=0.3):
                              sq.matrix_field(grid))
 
 
-def refinement_orders(errs):
-    return [float(np.log2(a / b)) for a, b in zip(errs[:-1], errs[1:])]
-
-
 def inset_slice(grid, frac=0.05):
     m = int(np.ceil(frac * (grid.nx - 1)))
     return np.s_[m:-m, m:-m]

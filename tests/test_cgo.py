@@ -6,8 +6,9 @@ from cgolab import (Grid2D, TransformPlan, VectorField, build_amplitude,
                     zero_order_remainder, gauge_conjugated_cgo,
                     holomorphic_seed, weight_catalog, remark_gauge,
                     LabError, OverflowGuardError)
+from cgolab.harness import refinement_orders
 
-from conftest import make_triple, refinement_orders
+from conftest import make_triple
 
 
 def test_amplitude_integral_residual_contract(grid33, plan33):

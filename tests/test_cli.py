@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgolab import ConfigError, LabError
-from cgolab.cli import ScenarioConfig, load_config, fit_decay, fit_power_law, run, main
+from cgolab.cli import (SCENARIOS, ScenarioConfig, load_config, fit_decay,
+                        fit_power_law, run, main)
 
 
 def write_config(tmp_path, **kw):
@@ -42,6 +45,13 @@ def test_config_validation_errors(tmp_path):
     '{"scenario": "gauge", "n_sys": "2"}',
     '{"scenario": "gauge", "n_sys": true}',
     '{"scenario": "gauge", "basis_size": 2.5}',
+    '{"scenario": "transforms", "nx_ladder": [33]}',
+    '{"scenario": "relations", "nx_ladder": [33]}',
+    '{"scenario": "gauge", "nx_ladder": [33]}',
+    '{"scenario": "cgo", "nx_ladder": [33]}',
+    '{"scenario": "cgo", "tau_ladder": [4]}',
+    '{"scenario": "carleman", "tau_ladder": [8]}',
+    '{"scenario": "stationary-phase", "tau_ladder": [8, 16]}',
 ])
 def test_invalid_config_exits_2_with_one_line(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -106,6 +116,30 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert "PASS" in out
     bad = write_config(tmp_path, scenario="transforms", nx_ladder=[33, 17])
     assert main(["run", str(bad), "--out", str(tmp_path / "o2")]) == 2
+
+
+def test_numerical_failure_writes_report_and_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="cgo", nx_ladder=[17, 33],
+                       tau_ladder=[10000, 20000])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["error"] == err[len("error: "):].strip()
+    assert report["inputs"]["tau_ladder"] == [10000, 20000]
+
+
+def test_run_all_scenarios_script_fast(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_all_scenarios.py"),
+                           "--fast", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == \
+        [[name, "ok"] for name in SCENARIOS]
 
 
 def test_main_fit_subcommand(tmp_path, capsys):

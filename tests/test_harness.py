@@ -8,8 +8,9 @@ from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
                     random_h01_spec, CarlemanConvexWeight, full_operator_setup,
                     SineWindow1D, ProfileX2, GaugeSpec, LabError,
                     random_trig_spec)
+from cgolab.harness import refinement_orders
 
-from conftest import make_triple, refinement_orders
+from conftest import make_triple
 
 
 def test_window_is_compactly_supported_and_smooth():

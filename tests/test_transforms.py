@@ -10,8 +10,9 @@ from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
                     GridError)
 from cgolab import transforms
 from cgolab.calculus import dzbar_array, dz_array
+from cgolab.harness import refinement_orders
 
-from conftest import make_triple, refinement_orders, inset_slice
+from conftest import make_triple, inset_slice
 
 
 def test_kernel_table_self_cell_is_exactly_zero(grid33):
