@@ -330,6 +330,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         report = run(cfg, args.out)
     except LabError as exc:
+        # the directory holds the failed run only, not an earlier table
+        (Path(args.out) / "table.csv").unlink(missing_ok=True)
         _write_report(Path(args.out), cfg, error=str(exc), passed=False)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -338,16 +340,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    with open(args.table, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or args.x not in reader.fieldnames \
-                or args.y not in reader.fieldnames:
-            print(f"columns {args.x!r}/{args.y!r} not found", file=sys.stderr)
-            return 2
-        samples = [(float(row[args.x]), float(row[args.y])) for row in reader]
+def _read_pairs(path: str, x: str, y: str) -> list:
+    """(x, y) float pairs from two columns of a CSV table."""
     try:
-        fit = fit_decay(samples)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or x not in reader.fieldnames \
+                    or y not in reader.fieldnames:
+                raise LabError(f"columns {x!r}/{y!r} not found")
+            return [(float(row[x]), float(row[y])) for row in reader]
+    except OSError as exc:
+        raise LabError(f"cannot read table: {exc}") from exc
+    except (ValueError, TypeError) as exc:  # a non-numeric or missing cell
+        raise LabError(f"bad cell in {path}: {exc}") from exc
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    try:
+        fit = fit_decay(_read_pairs(args.table, args.x, args.y))
     except LabError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2

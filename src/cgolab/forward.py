@@ -1,9 +1,15 @@
 """Sparse direct solver for the N-system and partial Cauchy data assembly.
 
-The operator  lap(u) + 2 A dz(u) + 2 B dzbar(u) + Q u  is assembled as a
-complex block-sparse matrix (5-point Laplacian, centered first
-derivatives), Dirichlet rows are replaced by identity, and the system is
-factored once per coefficient triple.  No symmetry is assumed anywhere.
+The operator  lap(u) + 2 A dz(u) + 2 B dzbar(u) + Q u  is discretized with
+the 5-point Laplacian and centered first derivatives.  Only the interior
+unknowns form the square system K; the interior-to-boundary coupling C
+moves Dirichlet data to the right-hand side, rhs - C u_B.  K is complex and
+not symmetric, but its sparsity pattern is, so it is factored once per
+coefficient triple by SuperLU in symmetric mode (minimum degree on A'+A,
+static diagonal pivots).  Every solve checks its relative residual
+against 1e-8; if the check or the static factorization fails, K is
+factored again with COLAMD and partial pivoting and the solve repeated.
+``cauchy_data`` solves all its boundary profiles as one block.
 """
 
 from __future__ import annotations
@@ -76,112 +82,131 @@ def complex_to_real_form(a_coef: MatrixField, b_coef: MatrixField) -> RealFormCo
                                 MatrixField(a_coef.grid, br))
 
 
-def _scalar_stencils(grid: Grid2D):
-    """Interior-row sparse Lap, Dx, Dy; boundary rows are left empty."""
-    nx, ny = grid.nx, grid.ny
-    n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    inter = idx[1:-1, 1:-1].ravel()
+def _stencil_blocks(coefs: CoefficientTriple):
+    """(offset, NxN coupling block per interior node) of the 5-point operator.
 
-    def shifted(di, dj):
-        return idx[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
-
+    dz = d_x - i d_y and dzbar = d_x + i d_y are twice the Wirtinger
+    derivatives, so the blocks discretize lap + 2 A d/dz + 2 B d/dzbar + Q.
+    """
+    grid = coefs.grid
+    inner = np.s_[1:-1, 1:-1]
+    a, b = coefs.a_coef.data[inner], coefs.b_coef.data[inner]
+    eye = np.eye(coefs.n_sys)
     hx2, hy2 = grid.h_x ** 2, grid.h_y ** 2
-
-    def build(entries):
-        rows, cols, vals = [], [], []
-        for (di, dj), v in entries:
-            rows.append(inter)
-            cols.append(shifted(di, dj))
-            vals.append(np.full(inter.size, v, dtype=complex))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-
-    lap = build([((0, 0), -2 / hx2 - 2 / hy2), ((1, 0), 1 / hx2),
-                 ((-1, 0), 1 / hx2), ((0, 1), 1 / hy2), ((0, -1), 1 / hy2)])
-    dx = build([((1, 0), 0.5 / grid.h_x), ((-1, 0), -0.5 / grid.h_x)])
-    dy = build([((0, 1), 0.5 / grid.h_y), ((0, -1), -0.5 / grid.h_y)])
-    return lap, dx, dy, idx
-
-
-def _block_diag_of(field_data: np.ndarray) -> sp.csr_matrix:
-    """Sparse block-diagonal matrix of per-node NxN blocks."""
-    nx, ny, n, _ = field_data.shape
-    m = nx * ny
-    blocks = field_data.reshape(m, n, n)
-    rows = (np.arange(m)[:, None, None] * n + np.arange(n)[None, :, None])
-    cols = (np.arange(m)[:, None, None] * n + np.arange(n)[None, None, :])
-    return sp.csr_matrix((blocks.ravel(),
-                          (np.broadcast_to(rows, blocks.shape).ravel(),
-                           np.broadcast_to(cols, blocks.shape).ravel())),
-                         shape=(m * n, m * n))
+    yield (0, 0), (-2 / hx2 - 2 / hy2) * eye + coefs.q_coef.data[inner]
+    for (di, dj), lap, d_x, d_y in (((1, 0), 1 / hx2, 0.5 / grid.h_x, 0.0),
+                                    ((-1, 0), 1 / hx2, -0.5 / grid.h_x, 0.0),
+                                    ((0, 1), 1 / hy2, 0.0, 0.5 / grid.h_y),
+                                    ((0, -1), 1 / hy2, 0.0, -0.5 / grid.h_y)):
+        yield (di, dj), lap * eye + a * (d_x - 1j * d_y) + b * (d_x + 1j * d_y)
 
 
 class OperatorFactorization:
-    """One assembled and LU-factored elliptic system, reusable across solves."""
+    """One assembled and LU-factored elliptic system, reusable across solves.
+
+    ``pivoting`` names the factorization in use: "static" (symmetric mode,
+    diagonal pivots) or "partial" (the fallback after a failed residual
+    check or a failed static factorization).
+    """
 
     def __init__(self, coefs: CoefficientTriple):
         grid = coefs.grid
-        n = coefs.n_sys
-        lap, dx, dy, idx = _scalar_stencils(grid)
-        eye_n = sp.identity(n, format="csr", dtype=complex)
-        dz = dx - 1j * dy       # 2 * d/dz
-        dzbar = dx + 1j * dy    # 2 * d/dzbar
-        M = (sp.kron(lap, eye_n)
-             + _block_diag_of(coefs.a_coef.data) @ sp.kron(dz, eye_n)
-             + _block_diag_of(coefs.b_coef.data) @ sp.kron(dzbar, eye_n))
-        # Q only on interior rows; boundary rows become identity
-        q = coefs.q_coef.data.copy()
-        q[0, :] = q[-1, :] = 0.0
-        q[:, 0] = q[:, -1] = 0.0
-        M = (M + _block_diag_of(q)).tolil()
+        nx, ny, n = grid.nx, grid.ny, coefs.n_sys
+        ii, jj, _, _ = BoundaryPartition(grid).nodes()
+        n_int = (nx - 2) * (ny - 2)
+        # unknown numbers: interior nodes row-major, boundary nodes in the
+        # canonical boundary order; -1 marks the other kind
+        interior = np.full(grid.shape, -1)
+        interior[1:-1, 1:-1] = np.arange(n_int).reshape(nx - 2, ny - 2)
+        boundary = np.full(grid.shape, -1)
+        boundary[ii, jj] = np.arange(len(ii))
+        comp = np.arange(n)
+        rows = np.arange(n_int)[:, None, None] * n + comp[:, None]
+        k_parts, c_parts = [], []
+        for (di, dj), block in _stencil_blocks(coefs):
+            block = block.reshape(n_int, n, n)
+            for number, parts in ((interior, k_parts), (boundary, c_parts)):
+                col = number[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
+                on = col >= 0
+                parts.append(np.broadcast_arrays(
+                    block[on], rows[on], col[on][:, None, None] * n + comp))
 
-        bmask = np.zeros(grid.shape, dtype=bool)
-        bmask[0, :] = bmask[-1, :] = True
-        bmask[:, 0] = bmask[:, -1] = True
-        bnodes = idx[bmask]
-        for p in bnodes:
-            for a in range(n):
-                r = p * n + a
-                M.rows[r] = [r]
-                M.data[r] = [1.0 + 0.0j]
+        def matrix(parts, n_cols, fmt):
+            vals, r, c = (np.concatenate([a.ravel() for a in p])
+                          for p in zip(*parts))
+            return sp.coo_matrix((vals, (r, c)),
+                                 shape=(n_int * n, n_cols * n)).asformat(fmt)
+
         self.grid = grid
         self.n_sys = n
-        self._idx = idx
-        self._bmask = bmask
-        M = M.tocsc()
-        self._matrix = M
+        self._boundary_nodes = (ii, jj)
+        # K couples interior unknowns; C carries Dirichlet data to the rhs
+        self._matrix = matrix(k_parts, n_int, "csc")
+        self._coupling = matrix(c_parts, len(ii), "csr")
         try:
-            self._lu = splu(M)
+            self._lu = splu(self._matrix, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
+            self._pivoting = "static"
+        except RuntimeError:
+            self._factor_partial()
+
+    @property
+    def pivoting(self) -> str:
+        return self._pivoting
+
+    def _factor_partial(self) -> None:
+        try:
+            self._lu = splu(self._matrix)
         except RuntimeError as exc:
             raise SingularSystemError(
                 "factorization failed (near interior eigenvalue?); "
                 f"try shifting Q: {exc}") from exc
+        self._pivoting = "partial"
+
+    def _residuals(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Relative residual of each column; inf where x is not finite."""
+        res = np.linalg.norm(self._matrix @ x - b, axis=0)
+        res = res / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        return np.where(np.isfinite(x).all(axis=0), res, np.inf)
+
+    def _solve_block(self, boundary: np.ndarray,
+                     rhs: np.ndarray | None) -> np.ndarray:
+        """Solutions for k data sets at once, shape (nx, ny, N, k).
+
+        ``boundary`` has shape (n_boundary_nodes, N, k) in canonical
+        boundary order; ``rhs`` holds interior sources, (nx, ny, N, k).
+        """
+        grid, n = self.grid, self.n_sys
+        k = boundary.shape[-1]
+        b = -(self._coupling @ boundary.reshape(self._coupling.shape[1], k))
+        if rhs is not None:
+            b += rhs[1:-1, 1:-1].reshape(b.shape)
+        x = self._lu.solve(b)
+        worst = self._residuals(x, b).max(initial=0.0)
+        if worst > 1e-8 and self._pivoting == "static":
+            self._factor_partial()
+            x = self._lu.solve(b)
+            worst = self._residuals(x, b).max(initial=0.0)
+        if not worst <= 1e-8:
+            raise SingularSystemError(
+                "discrete system numerically singular; try shifting Q")
+        u = np.empty((grid.nx, grid.ny, n, k), dtype=complex)
+        u[1:-1, 1:-1] = x.reshape(grid.nx - 2, grid.ny - 2, n, k)
+        u[self._boundary_nodes] = boundary
+        return u
 
     def solve(self, boundary_values: np.ndarray | None,
               rhs: VectorField | None) -> VectorField:
-        grid, n = self.grid, self.n_sys
-        b = np.zeros((grid.nx * grid.ny, n), dtype=complex)
-        if rhs is not None:
-            interior = ~self._bmask
-            b[self._idx[interior]] = rhs.data[interior]
-        if boundary_values is not None:
-            bv = np.asarray(boundary_values, dtype=complex)
-            if bv.ndim == 1:
-                bv = bv[:, None]
-            flat = np.zeros((grid.nx * grid.ny, n), dtype=complex)
-            part = BoundaryPartition(grid)
-            ii, jj, _, _ = part.nodes()
-            flat[self._idx[ii, jj]] = bv
-            b[self._idx[self._bmask]] = flat[self._idx[self._bmask]]
-        x = self._lu.solve(b.ravel())
-        res = np.linalg.norm(self._matrix @ x - b.ravel())
-        scale = max(np.linalg.norm(b), 1e-300)
-        if not np.all(np.isfinite(x)) or res / scale > 1e-8:
-            raise SingularSystemError(
-                "discrete system numerically singular; try shifting Q")
-        return VectorField(grid, x.reshape(grid.nx, grid.ny, n))
+        nb = len(self._boundary_nodes[0])
+        bv = np.asarray(0.0 if boundary_values is None else boundary_values,
+                        dtype=complex)
+        if bv.ndim == 1:  # one profile for every component
+            bv = bv[:, None]
+        bv = np.broadcast_to(bv, (nb, self.n_sys))
+        src = None if rhs is None else rhs.data[..., None]
+        return VectorField(self.grid,
+                           self._solve_block(bv[..., None], src)[..., 0])
 
 
 def solve_dirichlet(coefs: CoefficientTriple,
@@ -243,7 +268,9 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     """First m sine profiles per observed arc arclength, zero elsewhere.
 
     Grid-independent boundary data; profile k lives on observed arc
-    (k mod n_arcs) with mode (k // n_arcs) + 1.
+    (k mod n_arcs) with mode (k // n_arcs) + 1.  A mode at or past
+    (nodes on its edge - 1) samples to zero or aliases to a lower mode,
+    so it is refused.
     """
     grid = partition.grid
     full = BoundaryPartition(grid)
@@ -254,6 +281,10 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     for k in range(m):
         edge = arcs[k % len(arcs)]
         mode = k // len(arcs) + 1
+        nodes = grid.nx if edge in ("bottom", "top") else grid.ny
+        if mode >= nodes - 1:
+            raise GridError(f"Fourier profile {k} needs mode {mode}, but the "
+                            f"{edge} edge has only {nodes} nodes")
         v = np.zeros(len(fi))
         for p, (a, b) in enumerate(zip(fi, fj)):
             on = {"bottom": b == 0, "top": b == grid.ny - 1,
@@ -331,19 +362,18 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
     profiles = {"hat": hat_profiles, "fourier": fourier_profiles}[basis](
         partition, basis_size)
     n = coefs.n_sys
-    fac = OperatorFactorization(coefs)
-    dir_traces, neu_traces = [], []
     comps = range(n) if components == "all" else (0,)
-    for k, prof in enumerate(profiles):
-        for c in comps:
-            bv = np.zeros((len(prof), n), dtype=complex)
-            bv[:, c] = prof
-            try:
-                u = fac.solve(bv, None)
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"basis element {k}: {exc}") from exc
-            dir_traces.append(trace_boundary(u, partition, GAMMA_TILDE))
-            neu_traces.append(neumann_trace(u, partition, GAMMA_TILDE))
+    # one column of boundary data per entry, profile-major
+    entries = [(prof, c) for prof in profiles for c in comps]
+    fac = OperatorFactorization(coefs)
+    boundary = np.zeros((len(fac._boundary_nodes[0]), n, len(entries)),
+                        dtype=complex)
+    for j, (prof, c) in enumerate(entries):
+        boundary[:, c, j] = prof
+    u = fac._solve_block(boundary, None)
+    fields = [VectorField(fac.grid, u[..., j]) for j in range(len(entries))]
+    dir_traces = [trace_boundary(f, partition, GAMMA_TILDE) for f in fields]
+    neu_traces = [neumann_trace(f, partition, GAMMA_TILDE) for f in fields]
     return PartialCauchyData(partition=partition,
                              basis_id=f"{basis}:{basis_size}:{components}",
                              dirichlet=dir_traces, neumann=neu_traces)

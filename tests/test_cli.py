@@ -119,9 +119,15 @@ def test_main_run_exit_codes(tmp_path, capsys):
 
 
 def test_numerical_failure_writes_report_and_exits_1(tmp_path, capsys):
+    # an earlier passing run leaves its table in the same directory
+    ok = write_config(tmp_path, scenario="transforms", nx_ladder=[17, 33])
+    assert main(["run", str(ok), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "table.csv").exists()
+    capsys.readouterr()
     cfg = write_config(tmp_path, scenario="cgo", nx_ladder=[17, 33],
                        tau_ladder=[10000, 20000])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -150,6 +156,29 @@ def test_main_fit_subcommand(tmp_path, capsys):
     assert code == 0
     assert "slope -2.0" in capsys.readouterr().out
     assert main(["fit", str(table), "--x", "tau", "--y", "nope"]) == 2
+
+
+def test_gauge_basis_past_grid_resolution_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="gauge", nx_ladder=[17, 33],
+                       basis_size=100)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Fourier profile") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("missing.csv", None),
+    ("t.csv", "tau,residual\n2,0.5\na,0.125\n8,0.03\n"),
+    ("t.csv", "tau,residual\n2,0.5\n4\n8,0.03\n"),
+    ("t.csv", "tau,other\n2,0.5\n4,0.125\n8,0.03\n"),
+])
+def test_fit_bad_input_exits_2_with_one_line(tmp_path, capsys, name, text):
+    table = tmp_path / name
+    if text is not None:
+        table.write_text(text)
+    assert main(["fit", str(table), "--x", "tau", "--y", "residual"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fit error: ") and err.count("\n") == 1, err
 
 
 def test_console_script_entry_point(tmp_path):

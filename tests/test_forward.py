@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+import cgolab.forward
+from cgolab.grid import EDGES
 from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
-                    remark_partition, GAMMA_TILDE, OperatorFactorization,
-                    solve_dirichlet, cauchy_data, cauchy_distance,
-                    hat_profiles, fourier_profiles, PartialCauchyData,
-                    RealFormCoefficients, real_form_to_complex,
-                    complex_to_real_form, CoefficientTriple,
-                    random_trig_spec, GridError, neumann_trace)
+                    remark_partition, GAMMA_TILDE, GAMMA_0,
+                    OperatorFactorization, solve_dirichlet, cauchy_data,
+                    cauchy_distance, hat_profiles, fourier_profiles,
+                    PartialCauchyData, RealFormCoefficients,
+                    real_form_to_complex, complex_to_real_form,
+                    CoefficientTriple, random_trig_spec, GridError,
+                    SingularSystemError, neumann_trace, trace_boundary)
 
 from conftest import make_triple
 
@@ -60,6 +64,120 @@ def test_solver_linearity(grid33):
     assert np.max(np.abs(u12.data - 2.0 * u1.data + 0.5j * u2.data)) < 1e-10
 
 
+def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch):
+    t = make_triple(13, 2, grid33)
+    _, bv, rhs = manufactured(grid33, t)
+    want = OperatorFactorization(t)
+    assert want.pivoting == "static"
+    u_want = want.solve(bv, rhs).data
+    splu, calls = cgolab.forward.splu, []
+
+    def perturbed_first(a, **kw):
+        # the first factor is of a scaled matrix: its solves miss the
+        # residual check by 1e-6 relative
+        calls.append(kw)
+        return splu(a * (1 + 1e-6) if len(calls) == 1 else a, **kw)
+
+    monkeypatch.setattr(cgolab.forward, "splu", perturbed_first)
+    fac = OperatorFactorization(t)
+    assert fac.pivoting == "static"
+    u = fac.solve(bv, rhs).data
+    assert fac.pivoting == "partial" and calls[1] == {}
+    assert np.max(np.abs(u - u_want)) <= 1e-10 * np.max(np.abs(u_want))
+
+    def failing_static(a, **kw):
+        if kw:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(a)
+
+    monkeypatch.setattr(cgolab.forward, "splu", failing_static)
+    assert OperatorFactorization(t).pivoting == "partial"
+
+
+def zero_column_triple(grid):
+    """N=1 triple whose operator has an exactly zero column at the centre node.
+
+    On a grid with power-of-two spacing every entry below is exact: the four
+    neighbours' first-order terms cancel their Laplacian weight toward the
+    centre, and Q cancels the centre's own.
+    """
+    a = np.zeros(grid.shape + (1, 1), dtype=complex)
+    b = np.zeros_like(a)
+    q = np.zeros_like(a)
+    c = grid.nx // 2
+    s = 1 / grid.h_x
+    for (i, j), av, bv in (((c - 1, c), -s, -s), ((c + 1, c), s, s),
+                           ((c, c - 1), -1j * s, 1j * s),
+                           ((c, c + 1), 1j * s, -1j * s)):
+        a[i, j], b[i, j] = av, bv
+    q[c, c] = 2 / grid.h_x ** 2 + 2 / grid.h_y ** 2
+    return CoefficientTriple(MatrixField(grid, a), MatrixField(grid, b),
+                             MatrixField(grid, q))
+
+
+def test_singular_system_raises():
+    grid = Grid2D(nx=17, ny=17)
+    ii, _, _, _ = BoundaryPartition(grid).nodes()
+    with pytest.raises(SingularSystemError):
+        solve_dirichlet(zero_column_triple(grid), np.ones(len(ii)))
+
+
+system = st.tuples(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
+                   st.integers(0, 2 ** 16))
+
+
+def random_data(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system, st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
+       st.sampled_from(["hat", "fourier"]), st.sampled_from(["first", "all"]),
+       st.integers(1, 4))
+def test_block_solve_equals_column_solves(sys_, observed, basis, components, m):
+    nx, ny, n, seed = sys_
+    grid = Grid2D(nx=nx, ny=ny)
+    t = make_triple(seed, n, grid)
+    part = BoundaryPartition(grid, {e: GAMMA_TILDE if o else GAMMA_0
+                                    for e, o in zip(EDGES, observed)})
+    try:
+        profiles = {"hat": hat_profiles, "fourier": fourier_profiles}[basis](part, m)
+    except GridError:
+        reject()  # more hats than a short observed arc holds
+    cd = cauchy_data(t, part, m, basis=basis, components=components)
+    fac = OperatorFactorization(t)
+    comps = range(n) if components == "all" else (0,)
+    cols = [(p, c) for p in profiles for c in comps]
+    assert len(cd) == len(cols)
+    for (p, c), d, nt in zip(cols, cd.dirichlet, cd.neumann):
+        bv = np.zeros((len(p), n), dtype=complex)
+        bv[:, c] = p
+        u = fac.solve(bv, None)
+        for got, want in ((d, trace_boundary(u, part, GAMMA_TILDE)),
+                          (nt, neumann_trace(u, part, GAMMA_TILDE))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(system, st.complex_numbers(max_magnitude=10),
+       st.complex_numbers(max_magnitude=10))
+def test_solver_is_linear_and_zero_data_gives_zero(sys_, alpha, beta):
+    nx, ny, n, seed = sys_
+    grid = Grid2D(nx=nx, ny=ny)
+    fac = OperatorFactorization(make_triple(seed, n, grid))
+    rng = np.random.default_rng(seed)
+    nb = len(BoundaryPartition(grid).nodes()[0])
+    b1, b2 = random_data(rng, (nb, n)), random_data(rng, (nb, n))
+    r1, r2 = (VectorField(grid, random_data(rng, (nx, ny, n))) for _ in "12")
+    u1, u2 = fac.solve(b1, r1).data, fac.solve(b2, r2).data
+    mix = fac.solve(alpha * b1 + beta * b2,
+                    VectorField(grid, alpha * r1.data + beta * r2.data)).data
+    scale = max(abs(alpha), abs(beta), 1e-3) * max(np.abs(u1).max(), np.abs(u2).max())
+    assert np.max(np.abs(mix - alpha * u1 - beta * u2)) <= 1e-12 * scale
+    assert not fac.solve(np.zeros((nb, n)), None).data.any()
+    assert not fac.solve(None, None).data.any()
+
+
 def test_real_form_round_trip(grid33):
     rng = np.random.default_rng(3)
     ar = MatrixField(grid33, rng.standard_normal((33, 33, 2, 2)) + 0j)
@@ -97,6 +215,19 @@ def test_fourier_profiles_are_grid_resamplable():
     nb = len(fb[0]) // 2
     for a, b in zip(fa, fb):
         assert np.allclose(a[:na], b[:nb][::2], atol=1e-12)
+
+
+def test_fourier_profiles_refuse_modes_past_the_grid():
+    part = remark_partition(Grid2D(nx=17, ny=17))
+    assert len(fourier_profiles(part, 30)) == 30  # modes up to 15
+    with pytest.raises(GridError):
+        fourier_profiles(part, 31)  # mode 16 samples to zero on 17 nodes
+    grid = Grid2D(nx=17, ny=9)
+    side = BoundaryPartition(grid, {e: GAMMA_TILDE if e == "left" else GAMMA_0
+                                    for e in EDGES})
+    assert len(fourier_profiles(side, 7)) == 7
+    with pytest.raises(GridError):
+        fourier_profiles(side, 8)
 
 
 def test_cauchy_data_round_trip_and_distance(tmp_path, grid33):
