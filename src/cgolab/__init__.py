@@ -10,23 +10,19 @@ from .errors import (LabError, GridError, ConvergenceError, DivergenceError,
                      SingularSystemError, OverflowGuardError, ConfigError)
 from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,
                    bump_cutoff, plateau_cutoff, GAMMA_TILDE, GAMMA_0)
-from .fields import VectorField, MatrixField, constant_matrix, identity_matrix
-from .calculus import (wirtinger_dz, wirtinger_dzbar, laplacian,
-                       trace_boundary, normal_derivative)
+from .fields import VectorField, MatrixField, constant_matrix
+from .calculus import trace_boundary, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, random_coefficient_specs
 from .weights import (HolomorphicWeight, CriticalPoint, CarlemanConvexWeight,
-                      weight_catalog, weight_from_json_dict, find_critical_points,
+                      weight_catalog, find_critical_points,
                       oscillatory_integral, stationary_phase_leading,
                       resolution_nodes_per_period)
 from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
                          make_vekua_operator, neumann_series_apply,
-                         series_term_ratios, vekua_solve, apply_t_b,
-                         r_tau, r_tau_b, ones_cutoff)
-from .forward import (CoefficientTriple, RealFormCoefficients,
-                      real_form_to_complex, complex_to_real_form,
-                      OperatorFactorization, solve_dirichlet, neumann_trace,
-                      hat_profiles, fourier_profiles, PartialCauchyData,
-                      cauchy_data, cauchy_distance)
+                         vekua_solve, apply_t_b, r_tau, r_tau_b, ones_cutoff)
+from .forward import (CoefficientTriple, OperatorFactorization,
+                      solve_dirichlet, hat_profiles, fourier_profiles,
+                      PartialCauchyData, cauchy_data, cauchy_distance)
 from .harness import (GaugeSpec, SineWindow1D, ProfileX2,
                       remark_gauge, gauge_transform, RelationResidual,
                       check_relations, coefficient_gap,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GridError
 from .grid import BoundaryPartition
-from .fields import VectorField, same_kind
+from .fields import VectorField
 
 
 def _diff(data: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -54,21 +54,6 @@ def dzbar_array(data: np.ndarray, grid) -> np.ndarray:
 
 def laplacian_array(data: np.ndarray, grid) -> np.ndarray:
     return _diff2(data, grid.h_x, 0) + _diff2(data, grid.h_y, 1)
-
-
-def wirtinger_dz(f):
-    """d/dz of a VectorField or MatrixField; linear, returns the same kind."""
-    return same_kind(f, f.grid, dz_array(np.asarray(f.data), f.grid))
-
-
-def wirtinger_dzbar(f):
-    """d/dzbar of a VectorField or MatrixField."""
-    return same_kind(f, f.grid, dzbar_array(np.asarray(f.data), f.grid))
-
-
-def laplacian(f):
-    """5-point Laplacian of a VectorField or MatrixField."""
-    return same_kind(f, f.grid, laplacian_array(np.asarray(f.data), f.grid))
 
 
 def trace_boundary(f: VectorField, part: BoundaryPartition, label: str) -> np.ndarray:

@@ -30,6 +30,10 @@ from .transforms import TransformPlan, make_vekua_operator, vekua_solve
 from .harness import GaugeSpec, gauge_transform
 
 _EXP_GUARD = 300.0
+# residual tolerance of the two amplitude solves
+_AMPLITUDE_TOL = 1e-9
+# relative defect a seed may show under the annihilating stencil
+_SEED_TOL = 1e-5
 
 
 def holomorphic_seed(grid: Grid2D, n_sys: int, kind: str = "affine") -> VectorField:
@@ -95,8 +99,7 @@ def _stencil_residual(w: VectorField, deriv, m: MatrixField) -> float:
 
 def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
                     seed: VectorField | None = None,
-                    seed_tilde: VectorField | None = None,
-                    tol: float = 1e-9, seed_tol: float = 1e-5) -> CgoAmplitude:
+                    seed_tilde: VectorField | None = None) -> CgoAmplitude:
     """Solve both amplitude equations through the Vekua integral form.
 
     The defaults take the affine holomorphic seed and its conjugate.
@@ -106,15 +109,17 @@ def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
         seed = holomorphic_seed(grid, n)
     if seed_tilde is None:
         seed_tilde = seed.conj()
-    _check_seed(seed, dzbar_array, "holomorphic", seed_tol)
-    _check_seed(seed_tilde, dz_array, "antiholomorphic", seed_tol)
+    _check_seed(seed, dzbar_array, "holomorphic", _SEED_TOL)
+    _check_seed(seed_tilde, dz_array, "antiholomorphic", _SEED_TOL)
 
     op_a = make_vekua_operator(coefs.a_coef, "zbar", plan)
     op_b = make_vekua_operator(coefs.b_coef, "z", plan)
     # w0 = seed + v with (2 dzbar + A) v = -A seed, and mirrored
-    v = vekua_solve(op_a, coefs.a_coef.matvec(seed) * (-1.0), tol=tol)
+    v = vekua_solve(op_a, coefs.a_coef.matvec(seed) * (-1.0),
+                    tol=_AMPLITUDE_TOL)
     w0 = seed + v
-    vt = vekua_solve(op_b, coefs.b_coef.matvec(seed_tilde) * (-1.0), tol=tol)
+    vt = vekua_solve(op_b, coefs.b_coef.matvec(seed_tilde) * (-1.0),
+                     tol=_AMPLITUDE_TOL)
     w0t = seed_tilde + vt
 
     def integral_residual(w, s, op):
@@ -200,7 +205,7 @@ def zero_order_remainder(coefs: CoefficientTriple, piece: str = "holo") -> np.nd
 
 
 def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
-                 piece: str = "holo", margin: int | None = None) -> dict:
+                 piece: str = "holo") -> dict:
     """Weighted interior residual of one oscillating branch.
 
     Measures the conjugated defect  e^{-tau Phi} (L - S)(w0 e^{tau Phi})
@@ -209,18 +214,17 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
         lap w0 + 4 tau Phi' dzbar w0
         + 2 A (dz w0 + tau Phi' w0) + 2 B dzbar w0 + (Q - S) w0,
 
-    in relative L2 over the margin-trimmed interior.  Applying the
-    stencils to the oscillating product instead would bury the identity
-    under truncation error growing like tau^4.  residual_raw is the
-    max-norm of the same defect.
+    in relative L2 over the interior inset by 5% of the side.  Applying
+    the stencils to the oscillating product instead would bury the
+    identity under truncation error growing like tau^4.  residual_raw is
+    the max-norm of the same defect.
     """
     grid = coefs.grid
     if grid != sol.u.grid:
         raise LabError("solution and coefficients live on different grids")
-    if margin is None:
-        # fixed physical inset: the transform quadrature is first-order
-        # accurate in a shrinking collar at the boundary
-        margin = int(np.ceil(0.05 * (grid.nx - 1)))
+    # fixed physical inset: the transform quadrature is first-order
+    # accurate in a shrinking collar at the boundary
+    margin = int(np.ceil(0.05 * (grid.nx - 1)))
     (m_osc, d_osc), (m_flat, d_flat) = _sides(coefs, piece)
     # the holo branch carries exp(tau Phi), the anti branch exp(tau conj(Phi))
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
@@ -247,21 +251,19 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     return rec
 
 
-def factorization_check(coefs: CoefficientTriple, test: VectorField | None = None,
-                        seed: int = 7, margin: int = 6) -> dict:
+def factorization_check(coefs: CoefficientTriple) -> dict:
     """Compare L v against both first-order factorizations on a smooth probe.
 
     factored_1: (2 dz + B)(2 dzbar + A) v + (Q - 2 dz A - B A) v
     factored_2: (2 dzbar + A)(2 dz + B) v + (Q - 2 dzbar B - A B) v
 
     The composition of one-sided closures pollutes a band near the
-    boundary, hence the trimmed max norms.
+    boundary, hence the max norms trimmed by 6 nodes.  The probe is a
+    seeded random trigonometric field.
     """
     grid, n = coefs.grid, coefs.n_sys
-    if test is None:
-        rng = np.random.default_rng(seed)
-        test = random_trig_spec(rng, (n,), amplitude=1.0).vector_field(grid)
-    v = test.data
+    rng = np.random.default_rng(7)
+    v = random_trig_spec(rng, (n,), amplitude=1.0).vector_field(grid).data
     direct = _apply_operator(v, coefs)
     f1 = (_first_order(_first_order(v, dzbar_array, coefs.a_coef, grid),
                        dz_array, coefs.b_coef, grid)
@@ -269,7 +271,7 @@ def factorization_check(coefs: CoefficientTriple, test: VectorField | None = Non
     f2 = (_first_order(_first_order(v, dz_array, coefs.b_coef, grid),
                        dzbar_array, coefs.a_coef, grid)
           + pointwise(zero_order_remainder(coefs, "anti"), v))
-    sl = np.s_[margin:-margin, margin:-margin]
+    sl = np.s_[6:-6, 6:-6]
     scale = max(float(np.max(np.abs(direct[sl]))), 1e-30)
     return {"nx": grid.nx,
             "discrepancy_1": float(np.max(np.abs((f1 - direct)[sl]))),

@@ -45,6 +45,11 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_finite_real(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -67,8 +72,7 @@ class ScenarioConfig:
             raise ConfigError("n_sys must be 1, 2, or 3")
         if not all(_is_int(nx) and nx >= 9 for nx in self.nx_ladder):
             raise ConfigError("nx_ladder entries must be integers >= 9")
-        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                   and math.isfinite(t) and t > 0 for t in self.tau_ladder):
+        if not all(_is_finite_real(t) and t > 0 for t in self.tau_ladder):
             raise ConfigError("tau_ladder entries must be finite numbers > 0")
         for name, ladder, least in zip(("nx_ladder", "tau_ladder"),
                                        (self.nx_ladder, self.tau_ladder),
@@ -82,6 +86,9 @@ class ScenarioConfig:
             raise ConfigError("basis must be 'hat' or 'fourier'")
         if not _is_int(self.basis_size) or self.basis_size < 1:
             raise ConfigError("basis_size must be a positive integer")
+        for name in ("amplitude", "gauge_strength"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

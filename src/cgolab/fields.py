@@ -112,10 +112,6 @@ def constant_matrix(grid: Grid2D, mat) -> MatrixField:
     return MatrixField(grid, np.broadcast_to(mat, (grid.nx, grid.ny, n, n)).copy())
 
 
-def identity_matrix(grid: Grid2D, n_sys: int) -> MatrixField:
-    return constant_matrix(grid, np.eye(n_sys))
-
-
 def as_data(g) -> np.ndarray:
     """Complex samples of a field, or of a raw array."""
     return np.asarray(getattr(g, "data", g), dtype=complex)

@@ -14,7 +14,6 @@ factored again with COLAMD and partial pivoting and the solve repeated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import GridError, SingularSystemError
-from .grid import Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices
+from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices
 from .fields import VectorField, MatrixField
 from .calculus import normal_derivative, trace_boundary
 
@@ -53,33 +52,6 @@ class CoefficientTriple:
     @property
     def n_sys(self) -> int:
         return self.a_coef.n_sys
-
-
-@dataclass(frozen=True)
-class RealFormCoefficients:
-    """First-order coefficients of the real form  lap + A*d_x1 + B*d_x2 + Q."""
-
-    a_real: MatrixField
-    b_real: MatrixField
-
-    def __post_init__(self):
-        if self.a_real.grid != self.b_real.grid or self.a_real.n_sys != self.b_real.n_sys:
-            raise GridError("real-form coefficient fields mismatch")
-
-
-def real_form_to_complex(rf: RealFormCoefficients) -> tuple[MatrixField, MatrixField]:
-    """Map (A_real, B_real) to the Wirtinger pair (A_real + i B_real, A_real - i B_real)."""
-    a = rf.a_real.data + 1j * rf.b_real.data
-    b = rf.a_real.data - 1j * rf.b_real.data
-    return (MatrixField(rf.a_real.grid, a), MatrixField(rf.a_real.grid, b))
-
-
-def complex_to_real_form(a_coef: MatrixField, b_coef: MatrixField) -> RealFormCoefficients:
-    """Round trip of real_form_to_complex."""
-    ar = 0.5 * (a_coef.data + b_coef.data)
-    br = (a_coef.data - b_coef.data) / 2j
-    return RealFormCoefficients(MatrixField(a_coef.grid, ar),
-                                MatrixField(a_coef.grid, br))
 
 
 def _stencil_blocks(coefs: CoefficientTriple):
@@ -224,11 +196,6 @@ def solve_dirichlet(coefs: CoefficientTriple,
     return fac.solve(boundary_values, rhs)
 
 
-def neumann_trace(u: VectorField, partition: BoundaryPartition, label: str) -> np.ndarray:
-    """2nd-order one-sided outward normal derivative on the labeled arcs."""
-    return normal_derivative(u, partition, label)
-
-
 def hat_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     """First m piecewise-linear hats on the observed arcs, zero on the rest.
 
@@ -273,8 +240,9 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     so it is refused.
     """
     grid = partition.grid
-    full = BoundaryPartition(grid)
-    fi, fj, _, _ = full.nodes()
+    # start of each edge in the canonical boundary order
+    sizes = [len(_edge_indices(grid, e)[0]) for e in EDGES]
+    starts = dict(zip(EDGES, np.cumsum([0] + sizes)))
     X, Y = grid.meshgrid()
     arcs = partition.arcs(GAMMA_TILDE)
     out = []
@@ -285,18 +253,13 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
         if mode >= nodes - 1:
             raise GridError(f"Fourier profile {k} needs mode {mode}, but the "
                             f"{edge} edge has only {nodes} nodes")
-        v = np.zeros(len(fi))
-        for p, (a, b) in enumerate(zip(fi, fj)):
-            on = {"bottom": b == 0, "top": b == grid.ny - 1,
-                  "left": a == 0, "right": a == grid.nx - 1}[edge]
-            if edge in ("left", "right"):
-                on = on and 0 < b < grid.ny - 1
-            if on:
-                if edge in ("bottom", "top"):
-                    t = (X[a, b] - grid.x_min) / (grid.x_max - grid.x_min)
-                else:
-                    t = (Y[a, b] - grid.y_min) / (grid.y_max - grid.y_min)
-                v[p] = np.sin(mode * np.pi * t)
+        i, j = _edge_indices(grid, edge)
+        if edge in ("bottom", "top"):
+            t = (X[i, j] - grid.x_min) / (grid.x_max - grid.x_min)
+        else:
+            t = (Y[i, j] - grid.y_min) / (grid.y_max - grid.y_min)
+        v = np.zeros(sum(sizes))
+        v[starts[edge]:starts[edge] + len(i)] = np.sin(mode * np.pi * t)
         out.append(v)
     return out
 
@@ -312,40 +275,6 @@ class PartialCauchyData:
 
     def __len__(self) -> int:
         return len(self.dirichlet)
-
-    def to_json_dict(self) -> dict:
-        def enc(arrs):
-            return [[[v.real, v.imag] for v in a.ravel()] for a in arrs]
-        return {
-            "partition": self.partition.to_json_dict(),
-            "basis_id": self.basis_id,
-            "n_sys": (self.dirichlet[0].shape[1] if self.dirichlet else 0),
-            "dirichlet": enc(self.dirichlet),
-            "neumann": enc(self.neumann),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PartialCauchyData":
-        part = BoundaryPartition.from_json_dict(d["partition"])
-        n = d["n_sys"]
-
-        def dec(entries):
-            out = []
-            for a in entries:
-                arr = np.array([complex(re, im) for re, im in a])
-                out.append(arr.reshape(-1, n))
-            return out
-        return cls(partition=part, basis_id=d["basis_id"],
-                   dirichlet=dec(d["dirichlet"]), neumann=dec(d["neumann"]))
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "PartialCauchyData":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
 
 
 def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
@@ -373,7 +302,7 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
     u = fac._solve_block(boundary, None)
     fields = [VectorField(fac.grid, u[..., j]) for j in range(len(entries))]
     dir_traces = [trace_boundary(f, partition, GAMMA_TILDE) for f in fields]
-    neu_traces = [neumann_trace(f, partition, GAMMA_TILDE) for f in fields]
+    neu_traces = [normal_derivative(f, partition, GAMMA_TILDE) for f in fields]
     return PartialCauchyData(partition=partition,
                              basis_id=f"{basis}:{basis_size}:{components}",
                              dirichlet=dir_traces, neumann=neu_traces)

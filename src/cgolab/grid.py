@@ -11,7 +11,6 @@ corners.  Every boundary node therefore belongs to exactly one edge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,19 +92,6 @@ class Grid2D:
         w[:, -1] *= 0.5
         return w * self.cell_area()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "corners": [self.x_min, self.x_max, self.y_min, self.y_max],
-            "nx": self.nx,
-            "ny": self.ny,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Grid2D":
-        x0, x1, y0, y1 = d["corners"]
-        return cls(nx=int(d["nx"]), ny=int(d["ny"]),
-                   x_min=x0, x_max=x1, y_min=y0, y_max=y1)
-
 
 def _edge_indices(grid: Grid2D, edge: str) -> tuple[np.ndarray, np.ndarray]:
     nx, ny = grid.nx, grid.ny
@@ -169,17 +155,6 @@ class BoundaryPartition:
             w[-1] *= 0.5
             ws.append(w)
         return np.concatenate(ws)
-
-    def to_json_dict(self) -> dict:
-        d = self.grid.to_json_dict()
-        d["arcs"] = [{"edge": e, "label": self.labels[e]} for e in EDGES]
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BoundaryPartition":
-        grid = Grid2D.from_json_dict(d)
-        labels = {a["edge"]: a["label"] for a in d["arcs"]}
-        return cls(grid=grid, labels=labels)
 
 
 def remark_partition(grid: Grid2D) -> BoundaryPartition:
@@ -253,15 +228,3 @@ def plateau_cutoff(grid: Grid2D, center: complex, r_flat: float,
     return CutoffFunction(grid, v,
                           (cx - r_supp, cx + r_supp, cy - r_supp, cy + r_supp))
 
-
-def grid_to_json(obj, path) -> None:
-    with open(path, "w") as f:
-        json.dump(obj.to_json_dict(), f, indent=2, sort_keys=True)
-
-
-def grid_from_json(path):
-    with open(path) as f:
-        d = json.load(f)
-    if "arcs" in d:
-        return BoundaryPartition.from_json_dict(d)
-    return Grid2D.from_json_dict(d)

@@ -202,21 +202,20 @@ def refinement_orders(errs) -> list:
 
 
 def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
-                                 m: int = 4, basis: str = "fourier",
-                                 make_partition=remark_partition) -> dict:
+                                 m: int = 4, basis: str = "fourier") -> dict:
     """Cauchy-data distance of a triple vs its gauge transform on a grid ladder.
 
     ``make_triple(grid)`` must sample one fixed continuum triple on any
-    grid.  The continuum claim is equality of the data; discretely the
-    distance must vanish under refinement while the coefficient gap stays
-    put.
+    grid.  The data are observed on the remark partition.  The continuum
+    claim is equality of the data; discretely the distance must vanish
+    under refinement while the coefficient gap stays put.
     """
     if not gauge.flat_on_gamma_tilde:
         raise LabError("gauge must be flat on the observed arcs")
     distances, gaps = [], []
     for nx in nx_ladder:
         grid = Grid2D(nx=nx, ny=nx)
-        part = make_partition(grid)
+        part = remark_partition(grid)
         t1 = make_triple(grid)
         t2 = gauge_transform(t1, gauge)
         c1 = cauchy_data(t1, part, m, basis=basis)
@@ -230,11 +229,14 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
 
 def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
                          basis: str = "fourier", n_samples: int = 20,
-                         seed: int = 0, amplitude: float = 3.0,
-                         make_partition=remark_partition) -> dict:
-    """Distances for a seeded family of non-gauge Q perturbations vs the gauge pair."""
+                         seed: int = 0) -> dict:
+    """Distances for a seeded family of non-gauge Q perturbations vs the gauge pair.
+
+    Each perturbation is a random trig field of amplitude 3 added to Q; the
+    data are observed on the remark partition.
+    """
     grid = Grid2D(nx=nx, ny=nx)
-    part = make_partition(grid)
+    part = remark_partition(grid)
     t1 = make_triple(grid)
     c1 = cauchy_data(t1, part, m, basis=basis)
     gauge_dist = cauchy_distance(
@@ -243,7 +245,7 @@ def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
     n = t1.n_sys
     off = []
     for _ in range(n_samples):
-        spec = random_trig_spec(rng, (n, n), amplitude=amplitude)
+        spec = random_trig_spec(rng, (n, n), amplitude=3.0)
         q = MatrixField(grid, t1.q_coef.data + spec.sample(grid))
         t2 = CoefficientTriple(t1.a_coef, t1.b_coef, q)
         off.append(cauchy_distance(c1, cauchy_data(t2, part, m, basis=basis)))

@@ -92,12 +92,11 @@ def _decay_weights() -> np.ndarray:
 
 
 def random_trig_spec(rng: np.random.Generator, value_shape: tuple = (),
-                     amplitude: float = 1.0, complex_valued: bool = True) -> TrigSpec:
+                     amplitude: float = 1.0) -> TrigSpec:
     """Seeded random trig polynomial with smoothly decaying mode amplitudes."""
     shape = (N_MODES, N_MODES) + value_shape
     c = rng.standard_normal(shape)
-    if complex_valued:
-        c = c + 1j * rng.standard_normal(shape)
+    c = c + 1j * rng.standard_normal(shape)
     c = c * _decay_weights().reshape(N_MODES, N_MODES + 0, *([1] * len(value_shape)))
     scale = amplitude / max(np.abs(c).sum(), 1e-30)
     return TrigSpec(np.asarray(c * scale, dtype=complex))

@@ -29,6 +29,10 @@ from .weights import HolomorphicWeight
 
 # power-iteration steps (one transform each) behind the contraction estimate
 _ESTIMATE_STEPS = 4
+# most Neumann-series terms vekua_solve sums before falling back to GMRES
+_SERIES_CAP = 80
+# terms of the cutoff Neumann series inside the composite inverse T_B
+_CUTOFF_TERMS = 40
 
 
 def _kernel_table(grid: Grid2D) -> np.ndarray:
@@ -110,7 +114,6 @@ class VekuaOperator:
     side: str
     cutoff: CutoffFunction
     plan: TransformPlan
-    series_cap: int = 80
     contraction_estimate: float = float("nan")
 
     def series_map(self, v: np.ndarray) -> np.ndarray:
@@ -126,19 +129,17 @@ class VekuaOperator:
 
 
 def make_vekua_operator(b_coef: MatrixField, side: str, plan: TransformPlan,
-                        cutoff: CutoffFunction | None = None,
-                        series_cap: int = 80, seed: int = 0) -> VekuaOperator:
+                        cutoff: CutoffFunction | None = None) -> VekuaOperator:
     """Build the operator and measure its contraction surrogate.
 
     The estimate is the largest growth ratio seen over a fixed 4-step
     power iteration of the series map (1/2) d_side^{-1} (e B .), started
-    from one random field drawn with ``seed``.
+    from one random field drawn with seed 0.
     """
     if cutoff is None:
         cutoff = ones_cutoff(b_coef.grid)
-    op = VekuaOperator(b_coef=b_coef, side=side, cutoff=cutoff, plan=plan,
-                       series_cap=series_cap)
-    rng = np.random.default_rng(seed)
+    op = VekuaOperator(b_coef=b_coef, side=side, cutoff=cutoff, plan=plan)
+    rng = np.random.default_rng(0)
     shape = b_coef.grid.shape + (b_coef.n_sys,)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     nv = np.linalg.norm(v)
@@ -181,17 +182,6 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | Vecto
     return same_kind(g, op.plan.grid, total)
 
 
-def series_term_ratios(op: VekuaOperator, g, terms: int) -> list[float]:
-    """Successive term-norm ratios of the Neumann series, for (tot) smallness probes."""
-    inv = _inv_for_side(op.side)
-    term = 0.5 * inv(as_data(g), op.plan)
-    norms = [np.linalg.norm(term)]
-    for _ in range(1, terms):
-        term = -op.series_map(term)
-        norms.append(np.linalg.norm(term))
-    return [float(b / a) for a, b in zip(norms[:-1], norms[1:]) if a > 0]
-
-
 def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     """Solve (2 d_side + B) w = g through the integral form w + (1/2)inv(B w) = (1/2)inv(g).
 
@@ -211,7 +201,7 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     if op.contraction_estimate < 0.8:
         w = rhs.copy()
         term = rhs
-        for _ in range(op.series_cap):
+        for _ in range(_SERIES_CAP):
             term = -op.full_map(term)
             w += term
             if np.linalg.norm(term) < 0.1 * tol * rhs_norm:
@@ -246,17 +236,17 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     return same_kind(g, op.plan.grid, w)
 
 
-def apply_t_b(op: VekuaOperator, g, terms: int = 40, tol: float = 1e-8):
+def apply_t_b(op: VekuaOperator, g):
     """Composite inverse  T_B g = S_B g - T_B((1-e) B S_B g).
 
     S_B is the cutoff Neumann-series operator; the correction term is
-    resolved with the direct Vekua solve.  Tolerances match vekua_solve.
+    resolved with the direct Vekua solve at its default tolerance.
     """
-    s = neumann_series_apply(op, as_data(g), terms)
+    s = neumann_series_apply(op, as_data(g), _CUTOFF_TERMS)
     one_minus_e = 1.0 - op.cutoff.values
     one_minus_e = one_minus_e.reshape(one_minus_e.shape + (1,) * (s.ndim - 2))
     corr_src = one_minus_e * pointwise(op.b_coef.data, s)
-    corr = vekua_solve(op, corr_src, tol=tol) \
+    corr = vekua_solve(op, corr_src) \
         if np.linalg.norm(corr_src) > 0 else np.zeros_like(s)
     return same_kind(g, op.plan.grid, s - corr)
 
@@ -291,8 +281,7 @@ def r_tau(g, weight: HolomorphicWeight, tau: float, plan: TransformPlan,
 
 def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
             plan: TransformPlan, side: str = "zbar",
-            cutoff: CutoffFunction | None = None, terms: int = 40,
-            tol: float = 1e-8):
+            cutoff: CutoffFunction | None = None):
     """Conjugated Vekua inverses R_{tau,B} / R~_{tau,B}.
 
     side 'zbar' solves (2 d_zbar + 2 tau d_zbar conj(Phi) + B) w = g,
@@ -305,5 +294,5 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
     gd = as_data(g)
     conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
     op = make_vekua_operator(b_coef, side, plan, cutoff=cutoff)
-    out = conj_out * apply_t_b(op, conj_in * gd, terms, tol)
+    out = conj_out * apply_t_b(op, conj_in * gd)
     return same_kind(g, plan.grid, out)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GridError, ConvergenceError, LabError
 from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
@@ -91,15 +90,6 @@ class HolomorphicWeight:
             return [complex(p["c"]) + r, complex(p["c"]) - r]
         raise LabError(f"unknown weight kind {self.kind!r}")
 
-    def to_json_dict(self) -> dict:
-        params = {}
-        for k, v in self.params.items():
-            if isinstance(v, complex):
-                params[k] = [v.real, v.imag]
-            else:
-                params[k] = v
-        return {"kind": self.kind, "params": params}
-
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -140,9 +130,6 @@ class CarlemanConvexWeight:
 
     def phi_c(self, X, Y):
         return np.exp(self.lam * self.psi_c(X, Y))
-
-    def min_grad_psi(self, grid: Grid2D) -> float:
-        return abs(self.scale) * float(np.hypot(self.gx, self.gy))
 
 
 def _domain_contains(grid: Grid2D, z: complex, pad: float = 0.0) -> bool:
@@ -195,13 +182,6 @@ def weight_catalog(kind: str, params: dict,
         np.min(np.abs(zt - p)) > 1e-8 for p in crit)
 
     return HolomorphicWeight(kind=kind, params=params, condition_flags=flags)
-
-
-def weight_from_json_dict(d: dict) -> HolomorphicWeight:
-    params = {}
-    for k, v in d["params"].items():
-        params[k] = complex(v[0], v[1]) if isinstance(v, list) else v
-    return weight_catalog(d["kind"], params)
 
 
 def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoint]:
@@ -272,12 +252,12 @@ def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> c
 
 
 def stationary_phase_leading(g, w: HolomorphicWeight, point: CriticalPoint,
-                             tau: float, grid: Grid2D | None = None) -> complex:
+                             tau: float) -> complex:
     """Leading stationary-phase term of the phase integral at one critical point.
 
     (2 pi / (2 tau)) |det psi''|^{-1/2} e^{i pi sigma / 4} g(z~) e^{2 i tau psi(z~)}
     with sigma the Hessian signature (0 for the harmonic saddles of the
-    catalog).  ``g`` may be a callable of z or a field sampled on ``grid``.
+    catalog).  ``g`` is the amplitude as a callable of z.
     """
     det = float(np.linalg.det(point.hessian))
     if abs(det) < 1e-12:
@@ -285,20 +265,6 @@ def stationary_phase_leading(g, w: HolomorphicWeight, point: CriticalPoint,
     eigs = np.linalg.eigvalsh(point.hessian)
     sigma = int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
-    z = point.location
-    if callable(g):
-        g0 = complex(g(z))
-    else:
-        if grid is None:
-            raise LabError("grid required to interpolate a sampled g")
-        gd = np.asarray(getattr(g, "data", g))
-        if gd.ndim == 3:
-            gd = gd[:, :, 0]
-        interp_r = RegularGridInterpolator((grid.xs(), grid.ys()), gd.real,
-                                           method="cubic")
-        interp_i = RegularGridInterpolator((grid.xs(), grid.ys()), gd.imag,
-                                           method="cubic")
-        g0 = complex(interp_r((z.real, z.imag)) + 1j * interp_i((z.real, z.imag)))
-
+    g0 = complex(g(point.location))
     pref = (2 * np.pi / (2 * tau)) * abs(det) ** -0.5
     return pref * np.exp(1j * np.pi * sigma / 4) * g0 * np.exp(2j * tau * point.psi_value)

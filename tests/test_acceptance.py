@@ -1,7 +1,7 @@
 """Desk-scale acceptance run: nine numbered checks, one verdict line each.
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the verdicts.
-Everything is seeded; total runtime stays within a few minutes.  A check
+Everything is seeded; the module runs in seconds.  A check
 that a ``lab run`` scenario also makes reads its criteria and figures
 from ``cli.run``, the one place where that criterion and its bound live.
 """

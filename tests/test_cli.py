@@ -1,13 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cgolab import ConfigError, LabError
+from cgolab import ConfigError, LabError, cli
 from cgolab.cli import (SCENARIOS, ScenarioConfig, load_config, fit_decay,
                         fit_power_law, run, main)
 
@@ -52,6 +58,13 @@ def test_config_validation_errors(tmp_path):
     '{"scenario": "cgo", "tau_ladder": [4]}',
     '{"scenario": "carleman", "tau_ladder": [8]}',
     '{"scenario": "stationary-phase", "tau_ladder": [8, 16]}',
+    '{"scenario": "cgo", "amplitude": "x"}',
+    '{"scenario": "gauge", "gauge_strength": "x"}',
+    '{"scenario": "gauge", "gauge_strength": null}',
+    '{"scenario": "cgo", "amplitude": NaN}',
+    '{"scenario": "gauge", "gauge_strength": Infinity}',
+    '{"scenario": "cgo", "amplitude": true}',
+    '{"scenario": "cgo", "amplitude": [1]}',
 ])
 def test_invalid_config_exits_2_with_one_line(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -60,6 +73,86 @@ def test_invalid_config_exits_2_with_one_line(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def _increasing(elements):
+    # three rungs satisfy the fewest-rungs rule of every scenario
+    return st.lists(elements, min_size=3, max_size=4,
+                    unique=True).map(lambda xs: tuple(sorted(xs)))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TAU = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+configs = st.builds(
+    ScenarioConfig, scenario=st.sampled_from(SCENARIOS),
+    seed=st.integers(0, 2 ** 64), n_sys=st.integers(1, 3),
+    nx_ladder=_increasing(st.integers(9, 513)), tau_ladder=_increasing(_TAU),
+    basis_size=st.integers(1, 64), basis=st.sampled_from(["hat", "fourier"]),
+    amplitude=_FINITE, gauge_strength=_FINITE)
+
+# JSON values that are no number of any kind
+_NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                         st.lists(st.integers(), max_size=2),
+                         st.just({"a": 1}))
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _bad_ladder(bad_entry):
+    """A ladder with one bad entry, a ladder out of order, or a scalar."""
+    return st.one_of(
+        st.tuples(st.lists(st.integers(9, 99), min_size=2, max_size=3),
+                  bad_entry).map(lambda p: p[0] + [p[1]]),
+        st.lists(st.integers(9, 99), min_size=2, max_size=3, unique=True)
+        .map(lambda xs: sorted(xs, reverse=True)),
+        st.one_of(st.integers(), st.none(), _FINITE))
+
+
+_INVALID = {
+    "scenario": st.one_of(st.text().filter(lambda s: s not in SCENARIOS),
+                          st.integers(), st.none()),
+    "seed": st.one_of(st.integers(max_value=-1), st.floats(), _NOT_NUMBERS),
+    "n_sys": st.one_of(st.integers().filter(lambda n: not 1 <= n <= 3),
+                       st.floats(), _NOT_NUMBERS),
+    "nx_ladder": _bad_ladder(st.one_of(st.integers(max_value=8), st.floats(),
+                                       _NOT_NUMBERS)),
+    "tau_ladder": _bad_ladder(st.one_of(st.floats(max_value=0.0), _NON_FINITE,
+                                        _NOT_NUMBERS)),
+    "basis": st.one_of(st.text().filter(lambda s: s not in ("hat", "fourier")),
+                       st.integers(), st.none()),
+    "basis_size": st.one_of(st.integers(max_value=0), st.floats(), _NOT_NUMBERS),
+    "amplitude": st.one_of(_NON_FINITE, _NOT_NUMBERS),
+    "gauge_strength": st.one_of(_NON_FINITE, _NOT_NUMBERS),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs)
+def test_config_round_trips_through_json(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(asdict(cfg)))
+        assert load_config(path) == cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs, st.sampled_from(sorted(_INVALID)).flatmap(
+    lambda key: st.tuples(st.just(key), _INVALID[key])))
+def test_one_invalid_field_exits_2_with_one_line(cfg, bad):
+    key, value = bad
+    # a config that slips through runs this stub, not a whole scenario
+    accepted = {"criteria": {}, "passed": True}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**asdict(cfg), key: value}))
+        err = io.StringIO()
+        with redirect_stderr(err), \
+                mock.patch.object(cli, "run", lambda cfg, out: accepted):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 2, (key, value)
+        assert err.getvalue().startswith("config error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert not (Path(tmp) / "out").exists()
 
 
 def test_fit_power_law_recovers_two_exponents():
@@ -146,6 +239,18 @@ def test_run_all_scenarios_script_fast(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert [line.split() for line in proc.stdout.splitlines()] == \
         [[name, "ok"] for name in SCENARIOS]
+
+
+def test_import_does_not_load_scipy_interpolate():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cgolab, sys; "
+         "print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_main_fit_subcommand(tmp_path, capsys):

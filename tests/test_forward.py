@@ -8,10 +8,8 @@ from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
                     remark_partition, GAMMA_TILDE, GAMMA_0,
                     OperatorFactorization, solve_dirichlet, cauchy_data,
                     cauchy_distance, hat_profiles, fourier_profiles,
-                    PartialCauchyData, RealFormCoefficients,
-                    real_form_to_complex, complex_to_real_form,
                     CoefficientTriple, random_trig_spec, GridError,
-                    SingularSystemError, neumann_trace, trace_boundary)
+                    SingularSystemError, normal_derivative, trace_boundary)
 
 from conftest import make_triple
 
@@ -154,7 +152,7 @@ def test_block_solve_equals_column_solves(sys_, observed, basis, components, m):
         bv[:, c] = p
         u = fac.solve(bv, None)
         for got, want in ((d, trace_boundary(u, part, GAMMA_TILDE)),
-                          (nt, neumann_trace(u, part, GAMMA_TILDE))):
+                          (nt, normal_derivative(u, part, GAMMA_TILDE))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -176,19 +174,6 @@ def test_solver_is_linear_and_zero_data_gives_zero(sys_, alpha, beta):
     assert np.max(np.abs(mix - alpha * u1 - beta * u2)) <= 1e-12 * scale
     assert not fac.solve(np.zeros((nb, n)), None).data.any()
     assert not fac.solve(None, None).data.any()
-
-
-def test_real_form_round_trip(grid33):
-    rng = np.random.default_rng(3)
-    ar = MatrixField(grid33, rng.standard_normal((33, 33, 2, 2)) + 0j)
-    br = MatrixField(grid33, rng.standard_normal((33, 33, 2, 2)) + 0j)
-    a, b = real_form_to_complex(RealFormCoefficients(ar, br))
-    back = complex_to_real_form(a, b)
-    assert np.allclose(back.a_real.data, ar.data, atol=1e-13)
-    assert np.allclose(back.b_real.data, br.data, atol=1e-13)
-    # the real-form operator A dx1 + B dx2 equals 2 Re-combined Wirtinger pair
-    assert np.allclose(a.data + b.data, 2 * ar.data)
-    assert np.allclose(a.data - b.data, 2j * br.data)
 
 
 def test_hat_profiles_count_and_bounds(grid33):
@@ -217,6 +202,45 @@ def test_fourier_profiles_are_grid_resamplable():
         assert np.allclose(a[:na], b[:nb][::2], atol=1e-12)
 
 
+def fourier_reference(partition, m):
+    """Node-by-node construction of the sine profiles, in boundary order."""
+    grid = partition.grid
+    fi, fj, _, _ = BoundaryPartition(grid).nodes()
+    X, Y = grid.meshgrid()
+    arcs = partition.arcs(GAMMA_TILDE)
+    out = []
+    for k in range(m):
+        edge = arcs[k % len(arcs)]
+        mode = k // len(arcs) + 1
+        v = np.zeros(len(fi))
+        for p, (a, b) in enumerate(zip(fi, fj)):
+            on = {"bottom": b == 0, "top": b == grid.ny - 1,
+                  "left": a == 0 and 0 < b < grid.ny - 1,
+                  "right": a == grid.nx - 1 and 0 < b < grid.ny - 1}[edge]
+            if on:
+                if edge in ("bottom", "top"):
+                    t = (X[a, b] - grid.x_min) / (grid.x_max - grid.x_min)
+                else:
+                    t = (Y[a, b] - grid.y_min) / (grid.y_max - grid.y_min)
+                v[p] = np.sin(mode * np.pi * t)
+        out.append(v)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(9, 65), st.integers(9, 65),
+       st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
+       st.integers(1, 3))
+def test_fourier_profiles_match_node_by_node_reference(nx, ny, observed, per_arc):
+    grid = Grid2D(nx=nx, ny=ny, x_min=-0.5, x_max=1.5)
+    part = BoundaryPartition(grid, {e: GAMMA_TILDE if o else GAMMA_0
+                                    for e, o in zip(EDGES, observed)})
+    m = per_arc * sum(observed)
+    got, want = fourier_profiles(part, m), fourier_reference(part, m)
+    assert len(got) == len(want) == m
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_fourier_profiles_refuse_modes_past_the_grid():
     part = remark_partition(Grid2D(nx=17, ny=17))
     assert len(fourier_profiles(part, 30)) == 30  # modes up to 15
@@ -230,14 +254,13 @@ def test_fourier_profiles_refuse_modes_past_the_grid():
         fourier_profiles(side, 8)
 
 
-def test_cauchy_data_round_trip_and_distance(tmp_path, grid33):
+def test_cauchy_data_round_trip_and_distance(grid33):
+    # assembling the same data twice gives distance exactly zero
     t = make_triple(3, 1, grid33)
     part = remark_partition(grid33)
     cd = cauchy_data(t, part, 3)
     assert len(cd) == 3
-    path = tmp_path / "cd.json"
-    cd.save(path)
-    back = PartialCauchyData.load(path)
+    back = cauchy_data(t, part, 3)
     assert cauchy_distance(cd, back) == 0.0
 
 
@@ -264,6 +287,6 @@ def test_neumann_trace_of_coordinate(grid33):
     X, _ = grid33.meshgrid()
     _, Y = grid33.meshgrid()
     f = VectorField(grid33, Y[:, :, None].astype(complex))
-    dn = neumann_trace(f, part, GAMMA_TILDE)
+    dn = normal_derivative(f, part, GAMMA_TILDE)
     ii, jj, normals, _ = part.nodes(GAMMA_TILDE)
     assert np.allclose(dn[:, 0], normals[:, 1], atol=1e-11)

@@ -1,13 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from cgolab import (Grid2D, BoundaryPartition, GridError, remark_partition,
                     GAMMA_TILDE, GAMMA_0, VectorField, MatrixField,
-                    identity_matrix, constant_matrix, bump_cutoff,
-                    plateau_cutoff)
-from cgolab.grid import EDGES, grid_to_json, grid_from_json
+                    constant_matrix, bump_cutoff, plateau_cutoff)
 
 
 def test_grid_rejects_tiny_resolutions():
@@ -46,15 +42,6 @@ def test_remark_partition_labels():
     assert part.labels["top"] == GAMMA_TILDE
     assert part.labels["left"] == GAMMA_0
     assert part.labels["right"] == GAMMA_0
-
-
-def test_partition_json_round_trip(tmp_path):
-    part = remark_partition(Grid2D(nx=9, ny=17))
-    p = tmp_path / "part.json"
-    grid_to_json(part, p)
-    back = grid_from_json(p)
-    assert back.labels == part.labels
-    assert back.grid == part.grid
 
 
 def test_arc_weights_integrate_arc_length():
@@ -96,7 +83,7 @@ def test_matvec_matches_einsum(grid33):
 def test_identity_matrix_acts_trivially(grid33):
     rng = np.random.default_rng(1)
     v = VectorField(grid33, rng.standard_normal((33, 33, 3)) + 0j)
-    assert np.allclose(identity_matrix(grid33, 3).matvec(v).data, v.data)
+    assert np.allclose(constant_matrix(grid33, np.eye(3)).matvec(v).data, v.data)
 
 
 def test_l2_of_constant_scalar(grid33):

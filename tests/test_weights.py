@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from cgolab import (Grid2D, weight_catalog, weight_from_json_dict,
-                    find_critical_points, oscillatory_integral,
-                    stationary_phase_leading, resolution_nodes_per_period,
-                    CarlemanConvexWeight, LabError, remark_partition,
-                    random_trig_spec, bump_cutoff)
+from cgolab import (Grid2D, weight_catalog, find_critical_points,
+                    oscillatory_integral, stationary_phase_leading,
+                    resolution_nodes_per_period, CarlemanConvexWeight,
+                    LabError, random_trig_spec, bump_cutoff)
 
 
 def test_catalog_kinds_and_flags():
@@ -55,21 +54,15 @@ def test_hessian_is_harmonic_saddle():
     assert eigs[0] < 0 < eigs[1]  # signature zero
 
 
-def test_weight_json_round_trip():
-    w = weight_catalog("cubic", {"c": 0.5 + 0.25j, "m": 0.02})
-    back = weight_from_json_dict(w.to_json_dict())
-    z = np.asarray(0.3 + 0.7j)
-    assert complex(back.Phi(z)) == complex(w.Phi(z))
-    assert back.kind == w.kind
-
-
 def test_carleman_weight_invariants():
     with pytest.raises(LabError):
         CarlemanConvexWeight(gx=1.0, gy=0.0, lam=0.5)
     with pytest.raises(LabError):
         CarlemanConvexWeight(gx=0.0, gy=0.0, lam=2.0)
     cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
-    assert cw.min_grad_psi(Grid2D(nx=9, ny=9)) > 0
+    # psi_c is linear, so its gradient is the pair of unit differences
+    p0 = cw.psi_c(0.0, 0.0)
+    assert np.hypot(cw.psi_c(1.0, 0.0) - p0, cw.psi_c(0.0, 1.0) - p0) > 0
 
 
 def test_resolution_warns_when_underresolved():
@@ -107,17 +100,3 @@ def test_stationary_phase_against_fine_quadrature():
         rels.append(abs(full - lead) / abs(full))
     assert rels[0] < 0.2
     assert rels[1] < rels[0]
-
-
-def test_stationary_phase_interpolates_sampled_amplitude():
-    grid = Grid2D(nx=129, ny=129)
-    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    pt = find_critical_points(w, grid)[0]
-    spec = random_trig_spec(np.random.default_rng(9), (), 1.0)
-    g = spec.sample(grid)
-    a = stationary_phase_leading(g, w, pt, 8.0, grid=grid)
-    b = stationary_phase_leading(
-        lambda z: complex(spec.eval(np.asarray([[z.real]]),
-                                    np.asarray([[z.imag]]))[0, 0]),
-        w, pt, 8.0)
-    assert abs(a - b) / abs(b) < 1e-6
