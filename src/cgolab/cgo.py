@@ -214,7 +214,8 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
         lap w0 + 4 tau Phi' dzbar w0
         + 2 A (dz w0 + tau Phi' w0) + 2 B dzbar w0 + (Q - S) w0,
 
-    in relative L2 over the interior inset by 5% of the side.  Applying
+    in relative L2 over grid.interior(), which drops the boundary collar
+    where the transform quadrature is first-order accurate.  Applying
     the stencils to the oscillating product instead would bury the
     identity under truncation error growing like tau^4.  residual_raw is
     the max-norm of the same defect.
@@ -222,9 +223,6 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     grid = coefs.grid
     if grid != sol.u.grid:
         raise LabError("solution and coefficients live on different grids")
-    # fixed physical inset: the transform quadrature is first-order
-    # accurate in a shrinking collar at the boundary
-    margin = int(np.ceil(0.05 * (grid.nx - 1)))
     (m_osc, d_osc), (m_flat, d_flat) = _sides(coefs, piece)
     # the holo branch carries exp(tau Phi), the anti branch exp(tau conj(Phi))
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
@@ -238,7 +236,7 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     defect = (laplacian_array(w, grid) + first
               + pointwise(_first_order_part(coefs, piece), w))
 
-    sl = np.s_[margin:-margin, margin:-margin]
+    sl = grid.interior()
     num = float(np.linalg.norm(defect[sl]))
     den = float(np.linalg.norm(w[sl]))
     if den == 0.0:

@@ -92,6 +92,15 @@ class Grid2D:
         w[:, -1] *= 0.5
         return w * self.cell_area()
 
+    def interior(self) -> tuple[slice, slice]:
+        """Index window without the boundary collar: 5% of each side, at least 3 nodes.
+
+        The transform quadrature loses an order in that collar, so
+        interior error measures read this window.
+        """
+        mx, my = (max(3, int(np.ceil(0.05 * (n - 1)))) for n in self.shape)
+        return np.s_[mx:-mx, my:-my]
+
 
 def _edge_indices(grid: Grid2D, edge: str) -> tuple[np.ndarray, np.ndarray]:
     nx, ny = grid.nx, grid.ny

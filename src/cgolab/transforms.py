@@ -31,8 +31,12 @@ from .weights import HolomorphicWeight
 _ESTIMATE_STEPS = 4
 # most Neumann-series terms vekua_solve sums before falling back to GMRES
 _SERIES_CAP = 80
-# terms of the cutoff Neumann series inside the composite inverse T_B
+# most terms of the cutoff Neumann series inside the composite inverse T_B
 _CUTOFF_TERMS = 40
+# the cutoff series stops once a term's norm is below this factor times eps
+# times the norm of its running sum: one addition moves an entry only by a
+# term above about eps / 2 of that entry, so further terms are round-off
+_CUTOFF_STOP = 1e-3
 
 
 def _kernel_table(grid: Grid2D) -> np.ndarray:
@@ -157,7 +161,10 @@ def make_vekua_operator(b_coef: MatrixField, side: str, plan: TransformPlan,
 def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | VectorField | MatrixField:
     """Partial sum of (1/2) sum_j (-1)^j ((1/2) d_side^{-1} e B)^j d_side^{-1} g.
 
-    Raises DivergenceError when three consecutive term-norm ratios are >= 1.
+    Stops after the first term with norm <= 1e-3 eps times the norm of the
+    running sum, or after `terms` terms, whichever comes first; `terms` is
+    a cap.  Zero g costs one transform.  Raises DivergenceError when three
+    consecutive term-norm ratios are >= 1.
     """
     if not op.contraction_estimate < 1.0:
         raise DivergenceError(
@@ -166,8 +173,11 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | Vecto
     term = 0.5 * inv(as_data(g), op.plan)
     total = term.copy()
     prev_norm = np.linalg.norm(term)
+    stop = _CUTOFF_STOP * np.finfo(float).eps
     bad = 0
     for _ in range(1, terms):
+        if prev_norm <= stop * np.linalg.norm(total):
+            break
         term = -op.series_map(term)
         total += term
         nrm = np.linalg.norm(term)

@@ -38,7 +38,8 @@ def test_laplacian_of_harmonic_cubic():
 def test_wirtinger_composition_gives_quarter_laplacian():
     grid = Grid2D(nx=65, ny=65)
     X, Y = grid.meshgrid()
-    f = VectorField(grid, np.exp(X) * np.cos(Y)[..., None] * np.ones((1, 1, 1)))
+    f = VectorField(grid, (np.exp(X) * np.cos(Y))[..., None])
+    assert f.data.shape == (65, 65, 1)
     lap = laplacian_array(f.data, grid)
     comp = dz_array(dzbar_array(f.data, grid), grid)
     sl = np.s_[4:-4, 4:-4]

@@ -233,12 +233,19 @@ def test_run_all_scenarios_script_fast(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_all_scenarios.py"),
-                           "--fast", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert [line.split() for line in proc.stdout.splitlines()] == \
+
+    def script(*args):
+        proc = subprocess.run([sys.executable, str(root / "scripts" / "run_all_scenarios.py"),
+                               "--fast", *args], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return [line.split() for line in proc.stdout.splitlines()]
+
+    assert script("--out", str(tmp_path / "one")) == \
         [[name, "ok"] for name in SCENARIOS]
+    # a seed range prints a scenario x seed pass matrix
+    assert script("--out", str(tmp_path / "sweep"), "--seed", "0-1") == \
+        [["scenario", "0", "1"]] + [[name, "ok", "ok"] for name in SCENARIOS]
+    assert (tmp_path / "sweep" / "seed1" / "cgo" / "report.json").is_file()
 
 
 def test_import_does_not_load_scipy_interpolate():

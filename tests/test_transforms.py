@@ -171,6 +171,38 @@ def test_composite_t_b_matches_direct_solve(grid33, plan33):
     assert np.max(np.abs(tb.data - direct.data)) < 1e-9
 
 
+@pytest.mark.parametrize("case", ["field", "zero"])
+def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
+    # the plateau-cutoff operator of test_composite_t_b_matches_direct_solve
+    cut = plateau_cutoff(grid33, 0.5 + 0.5j, 0.3, 0.45)
+    rng = np.random.default_rng(2)
+    b = random_trig_spec(rng, (1, 1), 0.5).matrix_field(grid33)
+    op = make_vekua_operator(b, "zbar", plan33, cutoff=cut)
+    g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33).data
+    if case == "zero":
+        g = np.zeros_like(g)
+    term = 0.5 * dzbar_inv(g, plan33)
+    reference = term.copy()
+    for _ in range(1, transforms._CUTOFF_TERMS):
+        term = -op.series_map(term)
+        reference += term
+
+    calls = []
+    apply_kernel = transforms._apply_kernel
+
+    def counted(plan, samples):
+        calls.append(samples.shape)
+        return apply_kernel(plan, samples)
+
+    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    total = neumann_series_apply(op, g, transforms._CUTOFF_TERMS)
+    if case == "zero":
+        assert len(calls) == 1
+    else:
+        assert len(calls) < transforms._CUTOFF_TERMS
+    assert np.array_equal(total, reference)
+
+
 def test_r_tau_rejects_zero_tau(grid33, plan33):
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
