@@ -23,7 +23,8 @@ from .errors import ConfigError, LabError
 from .grid import Grid2D, remark_partition
 from .synthetic import random_coefficient_specs, random_trig_spec
 from .weights import (weight_catalog, find_critical_points, oscillatory_integral,
-                      stationary_phase_leading, CarlemanConvexWeight)
+                      stationary_phase_leading, resolution_nodes_per_period,
+                      CarlemanConvexWeight)
 from .transforms import TransformPlan, dzbar_inv
 from .calculus import dzbar_array
 from .forward import CoefficientTriple
@@ -254,7 +255,9 @@ def _run_stationary_phase(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
         full = oscillatory_integral(spec.sample(grid), w, float(tau), grid)
         lead = stationary_phase_leading(g, w, point, float(tau))
         rel = abs(full - lead) / max(abs(full), 1e-300)
-        rows.append({"tau": float(tau), "relative_error": float(rel)})
+        rows.append({"tau": float(tau), "relative_error": float(rel),
+                     "nodes_per_period":
+                         float(resolution_nodes_per_period(w, grid, float(tau)))})
     fit = fit_decay([(r["tau"], r["relative_error"]) for r in rows])
     metrics = {"records": rows, "slope": fit.slope, "r_squared": fit.r_squared}
     criteria = {"error_slope_le_-0.8": bool(fit.slope <= -0.8)}

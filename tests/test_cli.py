@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgolab import ConfigError, LabError, cli
+from cgolab import ConfigError, Grid2D, LabError, cli, weight_catalog
+from cgolab.weights import resolution_nodes_per_period
 from cgolab.cli import (SCENARIOS, ScenarioConfig, load_config, fit_decay,
                         fit_power_law, run, main)
 
@@ -190,6 +191,21 @@ def test_run_transforms_scenario(tmp_path):
     table = (tmp_path / "out" / "table.csv").read_text().splitlines()
     assert table[0] == "nx,roundtrip_error"
     assert len(table) == 4
+
+
+def test_stationary_phase_rows_report_nodes_per_period(tmp_path):
+    cfg = ScenarioConfig(scenario="stationary-phase", nx_ladder=(129,),
+                         tau_ladder=(16.0, 32.0, 64.0))
+    with pytest.warns(UserWarning, match="fewer than 8 nodes"):
+        report = run(cfg, tmp_path / "out")
+    grid = Grid2D(nx=129, ny=129)
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    npp = [r["nodes_per_period"] for r in report["metrics"]["records"]]
+    assert npp == [resolution_nodes_per_period(w, grid, t) for t in cfg.tau_ladder]
+    assert npp[1] >= 8 > npp[2]  # the rung the warning is about
+    table = (tmp_path / "out" / "table.csv").read_text().splitlines()
+    assert table[0] == "tau,relative_error,nodes_per_period"
+    assert [float(line.split(",")[2]) for line in table[1:]] == npp
 
 
 def test_reruns_are_byte_identical(tmp_path):
