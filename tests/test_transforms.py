@@ -97,15 +97,21 @@ def test_vekua_solve_satisfies_equation(grid33, plan33):
 
 
 def _count_gmres(monkeypatch):
-    calls = []
-    gmres = transforms.gmres
+    """Each GMRES call records how many transforms were applied before it."""
+    kernel_calls, gmres_at = [], []
+    apply_kernel, gmres = transforms._apply_kernel, transforms.gmres
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_kernel(plan, samples):
+        kernel_calls.append(samples.shape)
+        return apply_kernel(plan, samples)
+
+    def counted_gmres(*args, **kwargs):
+        gmres_at.append(len(kernel_calls))
         return gmres(*args, **kwargs)
 
-    monkeypatch.setattr(transforms, "gmres", counted)
-    return calls
+    monkeypatch.setattr(transforms, "_apply_kernel", counted_kernel)
+    monkeypatch.setattr(transforms, "gmres", counted_gmres)
+    return gmres_at
 
 
 def test_series_and_direct_paths_agree(grid33, plan33, monkeypatch):
@@ -116,7 +122,7 @@ def test_series_and_direct_paths_agree(grid33, plan33, monkeypatch):
     g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33)
     w_series = neumann_series_apply(op, g, 60)
     w_direct = vekua_solve(op, g)
-    assert len(gmres_calls) == 0  # the direct solve stayed on its series
+    assert gmres_calls == []  # the direct solve stayed on its series
     # partial sum converges to the same discrete fixed point
     assert np.max(np.abs(w_series.data - w_direct.data)) < 1e-9
 
@@ -137,14 +143,15 @@ def test_strong_b_takes_gmres_and_meets_contract(grid33, plan33, monkeypatch):
     rng = np.random.default_rng(1)
     g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33)
     w = vekua_solve(op, g)
-    assert len(gmres_calls) == 1
+    # one call, right after the right-hand side and the first growing term
+    assert gmres_calls == [2]
     rhs = 0.5 * dzbar_inv(g.data, plan33)
     res = w.data + op.full_map(w.data) - rhs
     assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-8
 
 
 def test_series_rides_out_transient_growth(grid33, plan33):
-    # term ratios run 0.95, 1.11, 1.06, 0.95, then fall to about 0.4: two
+    # term ratios run 0.95, 1.11, 1.05, 0.95, then fall to about 0.4: two
     # growing terms of a non-normal map, not divergence
     b = constant_matrix(grid33, [[8.5]])
     op = make_vekua_operator(b, "zbar", plan33)
