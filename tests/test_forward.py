@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, reject, settings, strategies as st
 
 import cgolab.forward
@@ -9,7 +10,8 @@ from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
                     OperatorFactorization, solve_dirichlet, cauchy_data,
                     cauchy_distance, hat_profiles, fourier_profiles,
                     CoefficientTriple, random_trig_spec, GridError,
-                    SingularSystemError, normal_derivative, trace_boundary)
+                    SingularSystemError, normal_derivative, trace_boundary,
+                    gauge_transform, remark_gauge)
 
 from conftest import make_triple
 
@@ -25,6 +27,10 @@ def manufactured(grid, t, seed=5):
                       + np.einsum("xyab,xyb->xya", t.q_coef.data, u_ex))
     ii, jj, _, _ = BoundaryPartition(grid).nodes()
     return u_ex, u_ex[ii, jj], rhs
+
+
+def random_data(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_manufactured_solution_small_grid(grid33):
@@ -62,6 +68,40 @@ def test_solver_linearity(grid33):
     assert np.max(np.abs(u12.data - 2.0 * u1.data + 0.5j * u2.data)) < 1e-10
 
 
+def bad_input(case, grid, n):
+    """(boundary values, rhs) that break one rule of the solve's input contract."""
+    nb = len(BoundaryPartition(grid).nodes()[0])
+    bv = np.ones((nb, n), dtype=complex)
+    if case == "short":
+        return bv[:-1], None
+    if case == "components":
+        return np.ones((nb, n + 1)), None
+    if case in ("nan", "inf"):
+        bv[3, 1] = np.nan if case == "nan" else np.inf
+        return bv, None
+    rhs_grid = Grid2D(nx=grid.nx + 2, ny=grid.ny) if case == "rhs_grid" else grid
+    n_rhs = n + 1 if case == "rhs_components" else n
+    return bv, VectorField(rhs_grid, np.ones(rhs_grid.shape + (n_rhs,), dtype=complex))
+
+
+@pytest.mark.parametrize("case", ["short", "components", "nan", "inf",
+                                  "rhs_grid", "rhs_components"])
+def test_solve_refuses_bad_input_before_any_work(grid33, monkeypatch, case):
+    t = make_triple(13, 2, grid33)
+    fac = OperatorFactorization(t)
+    bv, rhs = bad_input(case, grid33, 2)
+
+    def no_work(*args, **kw):
+        raise AssertionError("factored or iterated on bad input")
+
+    monkeypatch.setattr(cgolab.forward, "splu", no_work)
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_work)
+    with pytest.raises(GridError):
+        fac.solve(bv, rhs)
+    with pytest.raises(GridError):
+        solve_dirichlet(t, bv, rhs)
+
+
 def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch):
     t = make_triple(13, 2, grid33)
     _, bv, rhs = manufactured(grid33, t)
@@ -70,17 +110,23 @@ def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch
     u_want = want.solve(bv, rhs).data
     splu, calls = cgolab.forward.splu, []
 
-    def perturbed_first(a, **kw):
-        # the first factor is of a scaled matrix: its solves miss the
-        # residual check by 1e-6 relative
-        calls.append(kw)
-        return splu(a * (1 + 1e-6) if len(calls) == 1 else a, **kw)
+    def trace_fails_then_perturbed(a, **kw):
+        # the trace-part factor fails, so K itself is factored; its first
+        # factor is of a scaled matrix, whose solves miss the residual
+        # check by 1e-6 relative
+        calls.append((a.shape[0], kw))
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(a * (1 + 1e-6) if len(calls) == 2 else a, **kw)
 
-    monkeypatch.setattr(cgolab.forward, "splu", perturbed_first)
+    monkeypatch.setattr(cgolab.forward, "splu", trace_fails_then_perturbed)
     fac = OperatorFactorization(t)
     assert fac.pivoting == "static"
     u = fac.solve(bv, rhs).data
-    assert fac.pivoting == "partial" and calls[1] == {}
+    n_int = 31 * 31
+    assert [size for size, _ in calls] == [n_int, 2 * n_int, 2 * n_int]
+    assert fac.pivoting == "partial" and calls[2][1] == {}
+    assert fac.iterations == 0
     assert np.max(np.abs(u - u_want)) <= 1e-10 * np.max(np.abs(u_want))
 
     def failing_static(a, **kw):
@@ -90,6 +136,26 @@ def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch
 
     monkeypatch.setattr(cgolab.forward, "splu", failing_static)
     assert OperatorFactorization(t).pivoting == "partial"
+
+
+def test_block_missing_the_bound_factors_the_operator(grid33, monkeypatch):
+    t = make_triple(13, 2, grid33)
+    _, bv, rhs = manufactured(grid33, t)
+    u_want = OperatorFactorization(t).solve(bv, rhs).data
+
+    def stopped(*args, x0, **kw):
+        # GMRES that stops at once returns the trace part's solve, which
+        # misses the residual check on K
+        return x0, 1
+
+    fac = OperatorFactorization(t)
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", stopped)
+    u = fac.solve(bv, rhs).data
+    assert fac.pivoting == "static" and fac.iterations == 0
+    assert np.max(np.abs(u - u_want)) <= 1e-10 * np.max(np.abs(u_want))
+    # from now on K's own factor solves directly, without GMRES
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", None)
+    assert np.array_equal(fac.solve(bv, rhs).data, u)
 
 
 def zero_column_triple(grid):
@@ -120,12 +186,64 @@ def test_singular_system_raises():
         solve_dirichlet(zero_column_triple(grid), np.ones(len(ii)))
 
 
+def test_operator_is_factored_when_its_trace_part_is_singular():
+    # zero_column_triple's coefficients times I, plus the traceless
+    # Q = diag(1, -1): the trace part has an exactly zero column, K does not
+    grid = Grid2D(nx=17, ny=17)
+    one = zero_column_triple(grid)
+    a, b, q = (np.kron(c.data, np.eye(2))
+               for c in (one.a_coef, one.b_coef, one.q_coef))
+    t = CoefficientTriple(MatrixField(grid, a), MatrixField(grid, b),
+                          MatrixField(grid, q + np.diag([1.0, -1.0])))
+    fac = OperatorFactorization(t)
+    assert fac.pivoting == "static"
+    rng = np.random.default_rng(1)
+    f = VectorField(grid, random_data(rng, (17, 17, 2)))
+    x = fac.solve(None, f).data[1:-1, 1:-1].ravel()
+    rhs = f.data[1:-1, 1:-1].ravel()
+    assert fac.iterations == 0
+    assert np.linalg.norm(fac._matrix @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    want = scipy.sparse.linalg.splu(fac._matrix).solve(rhs)
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def gauge_pair(nx, n):
+    """The gauge scenario's triple at seed 0 and its remark_gauge(0.7) transform."""
+    grid = Grid2D(nx=nx, ny=nx)
+    t = make_triple(0, n, grid)
+    return grid, (t, gauge_transform(t, remark_gauge(0.7)))
+
+
+@pytest.mark.parametrize("nx", [33, 65, 129])
+def test_trace_part_preconditioner_needs_few_iterations(nx):
+    grid, pair = gauge_pair(nx, 3)
+    profiles = fourier_profiles(remark_partition(grid), 4)
+    for t in pair:
+        fac = OperatorFactorization(t)
+        for p in profiles:
+            bv = np.zeros((len(p), 3))
+            bv[:, 0] = p
+            fac.solve(bv, None)
+            assert 1 <= fac.iterations <= 8
+        assert fac.pivoting == "static"
+
+
+def test_single_component_solve_is_the_static_direct_solve():
+    grid, pair = gauge_pair(33, 1)
+    p = fourier_profiles(remark_partition(grid), 1)[0]
+    for t in pair:
+        fac = OperatorFactorization(t)
+        u = fac.solve(p, None).data
+        assert fac.iterations == 0
+        lu = scipy.sparse.linalg.splu(fac._matrix, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options=dict(SymmetricMode=True))
+        want = lu.solve(-(fac._coupling @ p.astype(complex)))
+        assert np.array_equal(u[1:-1, 1:-1].ravel(), want)
+
+
 system = st.tuples(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
                    st.integers(0, 2 ** 16))
-
-
-def random_data(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @settings(max_examples=30, deadline=None)
