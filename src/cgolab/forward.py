@@ -150,7 +150,7 @@ class OperatorFactorization:
                 self._lu = _static_splu(trace)
                 self._pivoting, self._trace_part = "static", True
             except RuntimeError:
-                pass
+                pass  # a singular trace part; K itself is factored below
         if not self._trace_part:
             self._factor_static()
 
