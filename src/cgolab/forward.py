@@ -7,19 +7,20 @@ moves Dirichlet data to the right-hand side, rhs - C u_B.
 
 Every component shares the principal part lap I_N; the components couple
 only through A, B and Q.  So for N > 1 only the scalar trace part of K is
-factored: the operator with coefficients tr(A)/N, tr(B)/N and tr(Q)/N,
-which has n_interior unknowns instead of n_interior * N and differs from
-K by lower-order terms.  Each solve starts from that factor's solve and
-runs GMRES on K preconditioned by it, to a relative residual of 1e-13.
-The step count does not grow with the grid (equivalent-operator
-preconditioning: Axelsson & Karatson, Numer. Algorithms 50, 2009); the
-gauge scenario's pair needs 4 steps at nx 33, 65 and 129 alike.  For
-N = 1 the trace part is K itself and the factor solves directly.
-Factors come from SuperLU in symmetric mode (minimum degree on A'+A,
-static diagonal pivots): K is not symmetric, but its sparsity pattern is.
+factored: the operator with coefficients tr(A)/N, tr(B)/N and tr(Q)/N on
+n_interior unknowns, which differs from K by lower-order terms.  A block
+of k right-hand sides is one GMRES on K with its columns stacked as one
+vector, preconditioned by that factor (one solve of N * k right-hand
+sides per step) and started from its solve, to a residual of 1e-13
+relative to the whole block.  The step count does not grow with the grid
+(equivalent-operator preconditioning: Axelsson & Karatson, Numer.
+Algorithms 50, 2009): 4 per gauge-scenario block at nx 33, 65 and 129.
+For N = 1 the trace part is K itself and the factor solves directly.
+SuperLU factors in symmetric mode (minimum degree on A'+A, static
+diagonal pivots): K is not symmetric, but its sparsity pattern is.
 
-Every solve checks its relative residual against 1e-8.  If the trace
-part cannot be factored or a solve misses the check, K itself is
+Every solve checks each column's relative residual against 1e-8.  If the
+trace part cannot be factored or a column misses the check, K itself is
 factored and solved directly; if its static factorization fails or
 misses the check, K is factored again with COLAMD and partial pivoting
 and the solve repeated.  ``cauchy_data`` solves all its boundary
@@ -40,8 +41,8 @@ from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices
 from .fields import VectorField, MatrixField
 from .calculus import normal_derivative, trace_boundary
 
-# GMRES on K, preconditioned by the trace-part factor, stops at this
-# relative residual or after _GMRES_RESTARTS cycles of _GMRES_RESTART steps
+# GMRES on K, preconditioned by the trace-part factor, stops at this residual
+# relative to the block or after _GMRES_RESTARTS cycles of _GMRES_RESTART steps
 _GMRES_RTOL = 1e-13
 _GMRES_RESTART = 10
 _GMRES_RESTARTS = 3
@@ -104,8 +105,8 @@ class OperatorFactorization:
     ``pivoting`` names the factorization in use: "static" (symmetric mode,
     diagonal pivots) or "partial" (K factored with partial pivoting after
     a failed residual check or a failed static factorization).
-    ``iterations`` is the largest GMRES iteration count over the columns
-    of the last block solve; 0 when K itself is factored.
+    ``iterations`` is the GMRES step count of the last block solve; 0 when
+    K itself is factored.
     """
 
     def __init__(self, coefs: CoefficientTriple):
@@ -119,35 +120,37 @@ class OperatorFactorization:
         interior[1:-1, 1:-1] = np.arange(n_int).reshape(nx - 2, ny - 2)
         boundary = np.full(grid.shape, -1)
         boundary[ii, jj] = np.arange(len(ii))
-        comp = np.arange(n)
-        rows = np.arange(n_int)[:, None, None] * n + comp[:, None]
-        k_parts, c_parts = [], []
-        for (di, dj), block in _stencil_blocks(coefs):
-            block = block.reshape(n_int, n, n)
-            for number, parts in ((interior, k_parts), (boundary, c_parts)):
-                col = number[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
-                on = col >= 0
-                parts.append(np.broadcast_arrays(
-                    block[on], rows[on], col[on][:, None, None] * n + comp))
+        offsets, blocks = zip(*_stencil_blocks(coefs))
+        blocks = np.stack(blocks, axis=2).reshape(-1, n, n)  # node-major
 
-        def matrix(parts, n_cols, fmt):
-            vals, r, c = (np.concatenate([a.ravel() for a in p])
-                          for p in zip(*parts))
-            return sp.coo_matrix((vals, (r, c)),
-                                 shape=(n_int * n, n_cols * n)).asformat(fmt)
+        def block_rows(number, n_cols):
+            """Per node, the blocks of its neighbours that ``number`` numbers."""
+            col = np.stack([number[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
+                            for di, dj in offsets], axis=1)
+            order = np.argsort(col, axis=1)  # ascending columns, -1 first
+            col = np.take_along_axis(col, order, axis=1)
+            on = col >= 0
+            pick = (np.arange(n_int)[:, None] * len(offsets) + order)[on]
+            indptr = np.concatenate(([0], np.cumsum(on.sum(axis=1))))
+            return sp.bsr_matrix((blocks[pick], col[on], indptr),
+                                 shape=(n_int * n, n_cols * n))
 
         self.grid = grid
         self.n_sys = n
         self._boundary_nodes = (ii, jj)
-        # K couples interior unknowns; C carries Dirichlet data to the rhs
-        self._matrix = matrix(k_parts, n_int, "csc")
-        self._coupling = matrix(c_parts, len(ii), "csr")
+        # K couples interior unknowns, C carries Dirichlet data to the rhs;
+        # the trace part is the mean of K's diagonal component blocks
+        k_blocks = block_rows(interior, n_int)
+        self._matrix = k_blocks.tocsr()
+        self._coupling = block_rows(boundary, len(ii)).tocsr()
+        self._trace = sp.csr_matrix(
+            (np.einsum("kii->k", k_blocks.data) / n, k_blocks.indices,
+             k_blocks.indptr), shape=(n_int, n_int))
         self._iterations = 0
         self._trace_part = False
         if n > 1:
-            trace = sum(self._matrix[c::n, c::n] for c in range(n)) / n
             try:
-                self._lu = _static_splu(trace)
+                self._lu = _static_splu(self._trace.tocsc())
                 self._pivoting, self._trace_part = "static", True
             except RuntimeError:
                 pass  # a singular trace part; K itself is factored below
@@ -166,14 +169,14 @@ class OperatorFactorization:
         """Factor K itself with static pivots, or partial ones on failure."""
         self._trace_part = False
         try:
-            self._lu = _static_splu(self._matrix)
+            self._lu = _static_splu(self._matrix.tocsc())
             self._pivoting = "static"
         except RuntimeError:
             self._factor_partial()
 
     def _factor_partial(self) -> None:
         try:
-            self._lu = splu(self._matrix)
+            self._lu = splu(self._matrix.tocsc())
         except RuntimeError as exc:
             raise SingularSystemError(
                 "factorization failed (near interior eigenvalue?); "
@@ -194,25 +197,25 @@ class OperatorFactorization:
         return self._lu.solve(v.reshape(rows, -1)).reshape(v.shape)
 
     def _solve_columns(self, b: np.ndarray) -> np.ndarray:
-        """Solve K x = b: directly with K's factor, or by GMRES on K."""
+        """Solve K x = b: directly with K's factor, or by one GMRES on K."""
         self._iterations = 0
         if not self._trace_part:
             return self._lu.solve(b)
-        x0 = self._precondition(b)
-        shape = (b.shape[0],) * 2
-        op = LinearOperator(shape, matvec=self._matrix.dot, dtype=complex)
-        prec = LinearOperator(shape, matvec=self._precondition, dtype=complex)
-        x = np.empty_like(b)
+        # the k columns stacked as one vector: one Krylov space, and one
+        # preconditioner solve per step, serve the whole block
+        shape = b.shape
+        op, prec = (LinearOperator((b.size,) * 2, dtype=complex,
+                                   matvec=lambda v, f=f: f(v.reshape(shape)).ravel())
+                    for f in (self._matrix.dot, self._precondition))
+        steps = []
         # a column that stops short of the tolerance is caught by the
         # residual check of _solve_block
-        for j in range(b.shape[1]):
-            steps = []
-            x[:, j], _ = scipy.sparse.linalg.gmres(
-                op, b[:, j], x0=x0[:, j], M=prec, rtol=_GMRES_RTOL, atol=0.0,
-                restart=_GMRES_RESTART, maxiter=_GMRES_RESTARTS,
-                callback=steps.append, callback_type="pr_norm")
-            self._iterations = max(self._iterations, len(steps))
-        return x
+        x, _ = scipy.sparse.linalg.gmres(
+            op, b.ravel(), x0=self._precondition(b).ravel(), M=prec,
+            rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+            maxiter=_GMRES_RESTARTS, callback=steps.append, callback_type="pr_norm")
+        self._iterations = len(steps)
+        return x.reshape(shape)
 
     def _solve_block(self, boundary: np.ndarray,
                      rhs: np.ndarray | None) -> np.ndarray:

@@ -54,17 +54,12 @@ class TrigSpec:
 
     coeffs: np.ndarray
 
-    @property
-    def value_shape(self) -> tuple:
-        return self.coeffs.shape[2:]
-
     def eval(self, X: np.ndarray, Y: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
         bx = _basis_1d(X[:, 0], dx)         # (M, nx)
         by = _basis_1d(Y[0, :], dy)         # (M, ny)
-        # tensor contraction: out[x, y, ...] = sum_{m,n} bx[m,x] by[n,y] c[m,n,...]
-        c = self.coeffs.reshape(N_MODES, N_MODES, -1)
-        out = np.einsum("mx,ny,mnv->xyv", bx, by, c)
-        return out.reshape(X.shape + self.value_shape)
+        # out[x, y, ...] = sum_m bx[m,x] sum_n by[n,y] c[m,n,...], one sum at a time
+        inner = np.tensordot(by, self.coeffs, axes=(0, 1))  # (ny, M, ...)
+        return np.tensordot(bx, inner, axes=(0, 1))
 
     def sample(self, grid: Grid2D, dx: int = 0, dy: int = 0) -> np.ndarray:
         X, Y = grid.meshgrid()

@@ -203,7 +203,7 @@ def test_operator_is_factored_when_its_trace_part_is_singular():
     rhs = f.data[1:-1, 1:-1].ravel()
     assert fac.iterations == 0
     assert np.linalg.norm(fac._matrix @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
-    want = scipy.sparse.linalg.splu(fac._matrix).solve(rhs)
+    want = scipy.sparse.linalg.splu(fac._matrix.tocsc()).solve(rhs)
     assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -235,11 +235,83 @@ def test_single_component_solve_is_the_static_direct_solve():
         fac = OperatorFactorization(t)
         u = fac.solve(p, None).data
         assert fac.iterations == 0
-        lu = scipy.sparse.linalg.splu(fac._matrix, permc_spec="MMD_AT_PLUS_A",
+        lu = scipy.sparse.linalg.splu(fac._matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0,
                                       options=dict(SymmetricMode=True))
         want = lu.solve(-(fac._coupling @ p.astype(complex)))
         assert np.array_equal(u[1:-1, 1:-1].ravel(), want)
+
+
+def test_block_gmres_solves_every_column_with_one_krylov_space(monkeypatch):
+    # one GMRES on the stacked block: its tolerance is relative to the whole
+    # block, yet columns 1e-6 and 1e-9 times smaller still converge
+    grid, (t, _) = gauge_pair(65, 3)
+    fac = OperatorFactorization(t)
+    profiles = fourier_profiles(remark_partition(grid), 3)
+    boundary = np.zeros((len(profiles[0]), 3, 3), dtype=complex)
+    for j, (p, scale) in enumerate(zip(profiles, (1.0, 1e-6, 1e-9))):
+        boundary[:, 0, j] = scale * p
+    u = fac._solve_block(boundary, None)
+    assert fac._trace_part and fac.pivoting == "static"
+    assert 1 <= fac.iterations <= 8
+    x = u[1:-1, 1:-1].reshape(-1, 3)
+    b = -(fac._coupling @ boundary.reshape(-1, 3))
+    res = np.linalg.norm(fac._matrix @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+    assert np.all(res <= 1e-12)
+    # one trace-part solve per step for the whole block, whatever its width
+    precondition, calls = fac._precondition, []
+    monkeypatch.setattr(fac, "_precondition",
+                        lambda v: calls.append(v.shape) or precondition(v))
+    for k in (1, 4, 12):
+        calls.clear()
+        wide = np.repeat(boundary[..., :1], k, axis=-1) * np.arange(1, k + 1)
+        fac._solve_block(wide, None)
+        assert fac._trace_part and 1 <= fac.iterations <= 8
+        assert len(calls) <= fac.iterations + 3
+
+
+def stencil_reference(t):
+    """K, C and the trace part built node by node from the stencil blocks."""
+    grid, n = t.grid, t.n_sys
+    ii, jj, _, _ = BoundaryPartition(grid).nodes()
+    bnum = {(a, b): k for k, (a, b) in enumerate(zip(ii, jj))}
+    inum = lambda a, b: (a - 1) * (grid.ny - 2) + b - 1
+    n_int = (grid.nx - 2) * (grid.ny - 2)
+    entries = {"K": [], "C": [], "trace": []}
+    for (di, dj), block in cgolab.forward._stencil_blocks(t):
+        for a in range(1, grid.nx - 1):
+            for b in range(1, grid.ny - 1):
+                blk, row = block[a - 1, b - 1], inum(a, b)
+                nb = (a + di, b + dj)
+                if nb in bnum:
+                    kind, col = "C", bnum[nb]
+                else:
+                    kind, col = "K", inum(*nb)
+                    entries["trace"].append(
+                        (row, col, sum(blk[c, c] for c in range(n)) / n))
+                for p in range(n):
+                    for q in range(n):
+                        entries[kind].append((row * n + p, col * n + q, blk[p, q]))
+    shapes = {"K": (n_int * n, n_int * n), "C": (n_int * n, len(ii) * n),
+              "trace": (n_int, n_int)}
+    out = {}
+    for kind, rows in entries.items():
+        r, c, v = zip(*rows)
+        out[kind] = scipy.sparse.csr_matrix((v, (r, c)), shape=shapes[kind])
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
+       st.integers(0, 2 ** 16))
+def test_assembly_equals_node_by_node_reference(nx, ny, n, seed):
+    t = make_triple(seed, n, Grid2D(nx=nx, ny=ny))
+    fac = OperatorFactorization(t)
+    want = stencil_reference(t)
+    for got, kind in ((fac._matrix, "K"), (fac._coupling, "C"),
+                      (fac._trace, "trace")):
+        assert got.shape == want[kind].shape
+        assert (got != want[kind]).nnz == 0
 
 
 system = st.tuples(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
