@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, BoundaryPartition, GridError, remark_partition,
                     GAMMA_TILDE, GAMMA_0, VectorField, MatrixField,
-                    constant_matrix, bump_cutoff, plateau_cutoff)
+                    constant_matrix, bump_cutoff, plateau_cutoff,
+                    random_trig_spec)
+from cgolab.synthetic import N_MODES, _basis_1d
 
 
 def test_grid_rejects_tiny_resolutions():
@@ -104,3 +107,22 @@ def test_bump_cutoff_peaks_at_center(grid33):
     cut = bump_cutoff(grid33, 0.5 + 0.5j, 0.3)
     assert abs(cut.values[16, 16] - 1.0) < 1e-12
     assert cut.values[0, 0] == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(9, 40), st.integers(9, 40), st.sampled_from([(), (2,), (3, 3)]),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 2 ** 16))
+def test_trig_spec_sample_matches_mode_by_mode_sum(nx, ny, shape, dx, dy, seed):
+    grid = Grid2D(nx=nx, ny=ny, x_min=-0.5, x_max=1.5)
+    spec = random_trig_spec(np.random.default_rng(seed), shape, 1.0)
+    X, Y = grid.meshgrid()
+    bx, by = _basis_1d(X[:, 0], dx), _basis_1d(Y[0, :], dy)
+    want = np.zeros(grid.shape + shape, dtype=complex)
+    for m in range(N_MODES):
+        for n in range(N_MODES):
+            want += np.multiply.outer(np.outer(bx[m], by[n]), spec.coeffs[m, n])
+    got = spec.sample(grid, dx, dy)
+    assert got.shape == want.shape
+    # 25 products summed in another order: a few eps of the largest term
+    scale = np.abs(bx).max() * np.abs(by).max() * np.abs(spec.coeffs).max()
+    assert np.max(np.abs(got - want)) <= 100 * np.finfo(float).eps * scale
