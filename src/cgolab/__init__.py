@@ -19,7 +19,7 @@ from .weights import (HolomorphicWeight, CriticalPoint, CarlemanConvexWeight,
                       resolution_nodes_per_period)
 from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
                          make_vekua_operator, neumann_series_apply,
-                         vekua_solve, apply_t_b, r_tau, r_tau_b, ones_cutoff)
+                         vekua_solve, r_tau, r_tau_b, ones_cutoff)
 from .forward import (CoefficientTriple, OperatorFactorization,
                       solve_dirichlet, hat_profiles, fourier_profiles,
                       PartialCauchyData, cauchy_data, cauchy_distance)

@@ -297,7 +297,7 @@ def write_table(path: Path, rows: list) -> None:
         writer = csv.DictWriter(fh, fieldnames=cols)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
                              for k, v in row.items()})
 
 

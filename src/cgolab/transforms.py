@@ -13,10 +13,13 @@ where the circular convolution equals the linear one, and keeps its
 spectrum; one apply is then one forward FFT over all components, a
 product, and one inverse FFT, which reproduces the sum to round-off.
 
-The Vekua inverses are Neumann series of v -> (1/2) d_side^{-1}(e B v).
-Building an operator applies no transform; each series is gated on the
-norm ratios of its own terms, so an early transient growth of the
-non-normal map is not mistaken for divergence.
+The Vekua inverse solves the integral form w + (1/2) d_side^{-1}(B w) =
+(1/2) d_side^{-1} g by its Neumann series, handing over to GMRES when the
+series contracts too slowly.  Building an operator applies no transform.
+The conjugated inverses R_{tau,B} are one such solve under a phase
+conjugation.  The cutoff series of v -> (1/2) d_side^{-1}(e B v) is kept
+to observe the smallness-of-support mechanism; it is gated on the norm
+ratios of its own terms.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .weights import HolomorphicWeight
 
 # most Neumann-series terms vekua_solve sums before falling back to GMRES
 _SERIES_CAP = 80
-# most terms of the cutoff Neumann series inside the composite inverse T_B
-_CUTOFF_TERMS = 40
 # the cutoff series stops once a term's norm is below this factor times eps
 # times the norm of its running sum: one addition moves an entry only by a
 # term above about eps / 2 of that entry, so further terms are round-off
@@ -240,21 +241,6 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     return same_kind(g, op.plan.grid, w)
 
 
-def apply_t_b(op: VekuaOperator, g):
-    """Composite inverse  T_B g = S_B g - T_B((1-e) B S_B g).
-
-    S_B is the cutoff Neumann-series operator; the correction term is
-    resolved with the direct Vekua solve at its default tolerance.
-    """
-    s = neumann_series_apply(op, as_data(g), _CUTOFF_TERMS)
-    one_minus_e = 1.0 - op.cutoff.values
-    one_minus_e = one_minus_e.reshape(one_minus_e.shape + (1,) * (s.ndim - 2))
-    corr_src = one_minus_e * pointwise(op.b_coef.data, s)
-    corr = vekua_solve(op, corr_src) \
-        if np.linalg.norm(corr_src) > 0 else np.zeros_like(s)
-    return same_kind(g, op.plan.grid, s - corr)
-
-
 def _phase_pair(weight: HolomorphicWeight, tau: float, grid: Grid2D, ndim: int,
                 side: str):
     """(conj_in, conj_out) = (e^{-2 i tau psi}, e^{2 i tau psi}) on 'zbar', swapped on 'z'."""
@@ -290,13 +276,20 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
 
     side 'zbar' solves (2 d_zbar + 2 tau d_zbar conj(Phi) + B) w = g,
     side 'z'    solves (2 d_z    + 2 tau d_z Phi        + B) w = g.
-    Both are the composite inverse T_B under the phase conjugation of
-    r_tau; with B identically zero this reduces to r_tau.
+    Both are one vekua_solve, at its default tolerance, under the phase
+    conjugation of r_tau; with B identically zero this reduces to r_tau.
+
+    `cutoff` is accepted and ignored.  The paper's composite
+    T_B g = S_B g - T_B((1 - e) B S_B g), with S_B the cutoff series,
+    solves the same discrete equation (I + K) w = (1/2) d_side^{-1} g as
+    vekua_solve for every cutoff e: (I + K) - (I + K_e) is
+    (1/2) d_side^{-1}((1 - e) B .), the second resolvent identity.  So
+    T_B does not depend on e.
     """
     if np.count_nonzero(b_coef.data) == 0:
         return r_tau(g, weight, tau, plan, side=side)
     gd = as_data(g)
     conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
-    op = make_vekua_operator(b_coef, side, plan, cutoff=cutoff)
-    out = conj_out * apply_t_b(op, conj_in * gd)
+    op = make_vekua_operator(b_coef, side, plan)
+    out = conj_out * vekua_solve(op, conj_in * gd)
     return same_kind(g, plan.grid, out)

@@ -77,12 +77,11 @@ def test_criterion_3_decay_along_tau_ladder():
     c = QUAD["c"]
     Z = grid.nodes_z()
     b = L.random_trig_spec(np.random.default_rng(3), (1, 1), 0.3).matrix_field(grid)
-    cut = L.plateau_cutoff(grid, c, 0.34, 0.45)
     bump = L.bump_cutoff(grid, c, 0.3).values
     g = L.VectorField(grid, ((Z - c) * bump)[:, :, None])
     vals = []
     for tau in (8.0, 16.0, 32.0, 64.0):
-        u = L.r_tau_b(g, w, tau, b, plan, side="z", cutoff=cut)
+        u = L.r_tau_b(g, w, tau, b, plan, side="z")
         # g/(2 tau dPhi) in closed form; the 0/0 at the critical point
         # resolves to bump/(4 tau)
         ref = (bump / (4.0 * tau))[:, :, None]

@@ -286,6 +286,17 @@ def test_main_fit_subcommand(tmp_path, capsys):
     assert main(["fit", str(table), "--x", "tau", "--y", "nope"]) == 2
 
 
+def test_fit_reads_the_carleman_table(tmp_path, capsys):
+    # numpy scalars in a table cell must be written as plain floats
+    cfg = ScenarioConfig(scenario="carleman", nx_ladder=(17, 33, 65),
+                         tau_ladder=(8.0, 16.0, 32.0, 64.0))
+    run(cfg, tmp_path / "out")
+    table = tmp_path / "out" / "table.csv"
+    assert "np." not in table.read_text()
+    assert main(["fit", str(table), "--x", "tau", "--y", "ratio"]) == 0, \
+        capsys.readouterr().err
+
+
 def test_gauge_basis_past_grid_resolution_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, scenario="gauge", nx_ladder=[17, 33],
                        basis_size=100)

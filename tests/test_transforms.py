@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
                     make_vekua_operator, vekua_solve, neumann_series_apply,
-                    apply_t_b, r_tau, r_tau_b,
+                    r_tau, r_tau_b,
                     constant_matrix, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, DivergenceError,
                     GridError)
@@ -157,7 +157,7 @@ def test_series_rides_out_transient_growth(grid33, plan33):
     op = make_vekua_operator(b, "zbar", plan33)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((33, 33, 1)) + 1j * rng.standard_normal((33, 33, 1))
-    series = neumann_series_apply(op, g, transforms._CUTOFF_TERMS)
+    series = neumann_series_apply(op, g, 40)
     direct = vekua_solve(op, g, tol=1e-12)
     assert np.linalg.norm(series - direct) <= 1e-12 * np.linalg.norm(direct)
 
@@ -204,20 +204,65 @@ def test_term_ratios_shrink_with_cutoff_support(grid33, plan33):
     assert sups[0] > sups[1] > sups[2]
 
 
-def test_composite_t_b_matches_direct_solve(grid33, plan33):
+def test_r_tau_b_is_phase_conjugated_vekua_solve(grid33, plan33):
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     cut = plateau_cutoff(grid33, 0.5 + 0.5j, 0.3, 0.45)
     rng = np.random.default_rng(2)
     b = random_trig_spec(rng, (1, 1), 0.5).matrix_field(grid33)
-    op = make_vekua_operator(b, "zbar", plan33, cutoff=cut)
     g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33)
-    tb = apply_t_b(op, g)
-    direct = vekua_solve(op, g)
-    assert np.max(np.abs(tb.data - direct.data)) < 1e-9
+    for side in ("zbar", "z"):
+        conj_in, conj_out = transforms._phase_pair(w, 4.0, grid33, 3, side)
+        op = make_vekua_operator(b, side, plan33)
+        direct = conj_out * vekua_solve(op, conj_in * g.data)
+        u = r_tau_b(g, w, 4.0, b, plan33, side=side)
+        assert np.array_equal(u.data, direct)
+        # T_B does not depend on the cutoff
+        u_cut = r_tau_b(g, w, 4.0, b, plan33, side=side, cutoff=cut)
+        assert np.array_equal(u_cut.data, u.data)
+
+
+def test_r_tau_b_meets_contract_where_cutoff_series_grew(grid33, plan33):
+    # the full-B series of this source grows for three terms (ratios 1.13,
+    # 1.59, 1.34), which the cutoff series refused as divergence
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    b = constant_matrix(grid33, [[12.0]])
+    g = np.random.default_rng(0).standard_normal((33, 33, 1))
+    u = r_tau_b(g, w, 4.0, b, plan33, side="zbar")
+    conj_in, _ = transforms._phase_pair(w, 4.0, grid33, 3, "zbar")
+    op = make_vekua_operator(b, "zbar", plan33)
+    v = conj_in * u
+    rhs = 0.5 * dzbar_inv(conj_in * g, plan33)
+    res = v + op.full_map(v) - rhs
+    assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-8
+
+
+def test_r_tau_b_transform_count(monkeypatch):
+    # criterion 3 inputs at tau 8, with the plateau cutoff that the
+    # rtau_ladder workload still passes: the phase-conjugated source is
+    # one transform, the Neumann series a few more, the residual check one
+    grid = Grid2D(nx=257, ny=257)
+    plan = TransformPlan(grid)
+    c = 0.5 + 0.5j
+    w = weight_catalog("quadratic", {"c": c})
+    b = random_trig_spec(np.random.default_rng(3), (1, 1), 0.3).matrix_field(grid)
+    bump = bump_cutoff(grid, c, 0.3).values
+    g = VectorField(grid, ((grid.nodes_z() - c) * bump)[:, :, None])
+    calls = []
+    apply_kernel = transforms._apply_kernel
+
+    def counted(plan, samples):
+        calls.append(samples.shape)
+        return apply_kernel(plan, samples)
+
+    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    r_tau_b(g, w, 8.0, b, plan, side="z",
+            cutoff=plateau_cutoff(grid, c, 0.34, 0.45))
+    assert 0 < len(calls) <= 8
 
 
 @pytest.mark.parametrize("case", ["field", "zero"])
 def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
-    # the plateau-cutoff operator of test_composite_t_b_matches_direct_solve
+    # a plateau cutoff around the quadratic weight's critical point
     cut = plateau_cutoff(grid33, 0.5 + 0.5j, 0.3, 0.45)
     rng = np.random.default_rng(2)
     b = random_trig_spec(rng, (1, 1), 0.5).matrix_field(grid33)
@@ -227,7 +272,7 @@ def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
         g = np.zeros_like(g)
     term = 0.5 * dzbar_inv(g, plan33)
     reference = term.copy()
-    for _ in range(1, transforms._CUTOFF_TERMS):
+    for _ in range(1, 40):
         term = -op.series_map(term)
         reference += term
 
@@ -239,11 +284,11 @@ def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
         return apply_kernel(plan, samples)
 
     monkeypatch.setattr(transforms, "_apply_kernel", counted)
-    total = neumann_series_apply(op, g, transforms._CUTOFF_TERMS)
+    total = neumann_series_apply(op, g, 40)
     if case == "zero":
         assert len(calls) == 1
     else:
-        assert len(calls) < transforms._CUTOFF_TERMS
+        assert len(calls) < 40
     assert np.array_equal(total, reference)
 
 
