@@ -96,20 +96,28 @@ def test_vekua_solve_satisfies_equation(grid33, plan33):
     assert np.max(np.abs(res[inset_slice(grid33)])) < 3e-2
 
 
+def _count_transforms(monkeypatch):
+    """From now on, record the sample shape of every transform applied."""
+    calls = []
+    apply_kernel = transforms._apply_kernel
+
+    def counted(plan, samples):
+        calls.append(samples.shape)
+        return apply_kernel(plan, samples)
+
+    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    return calls
+
+
 def _count_gmres(monkeypatch):
     """Each GMRES call records how many transforms were applied before it."""
-    kernel_calls, gmres_at = [], []
-    apply_kernel, gmres = transforms._apply_kernel, transforms.gmres
-
-    def counted_kernel(plan, samples):
-        kernel_calls.append(samples.shape)
-        return apply_kernel(plan, samples)
+    kernel_calls, gmres_at = _count_transforms(monkeypatch), []
+    gmres = transforms.gmres
 
     def counted_gmres(*args, **kwargs):
         gmres_at.append(len(kernel_calls))
         return gmres(*args, **kwargs)
 
-    monkeypatch.setattr(transforms, "_apply_kernel", counted_kernel)
     monkeypatch.setattr(transforms, "gmres", counted_gmres)
     return gmres_at
 
@@ -165,14 +173,7 @@ def test_series_rides_out_transient_growth(grid33, plan33):
 @pytest.mark.parametrize("case", ["constant", "system", "bump"])
 def test_building_an_operator_costs_no_transform(grid33, plan33, monkeypatch,
                                                  case):
-    calls = []
-    apply_kernel = transforms._apply_kernel
-
-    def counted(plan, samples):
-        calls.append(samples.shape)
-        return apply_kernel(plan, samples)
-
-    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    calls = _count_transforms(monkeypatch)
     cutoff = None
     if case == "system":
         b = random_trig_spec(np.random.default_rng(6), (2, 2), 0.4).matrix_field(grid33)
@@ -221,9 +222,9 @@ def test_r_tau_b_is_phase_conjugated_vekua_solve(grid33, plan33):
         assert np.array_equal(u_cut.data, u.data)
 
 
-def test_r_tau_b_meets_contract_where_cutoff_series_grew(grid33, plan33):
-    # the full-B series of this source grows for three terms (ratios 1.13,
-    # 1.59, 1.34), which the cutoff series refused as divergence
+def test_r_tau_b_meets_contract_through_transient_growth(grid33, plan33):
+    # the Neumann series of this source grows for three terms (ratios
+    # 1.13, 1.59, 1.34) before it contracts
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     b = constant_matrix(grid33, [[12.0]])
     g = np.random.default_rng(0).standard_normal((33, 33, 1))
@@ -247,14 +248,7 @@ def test_r_tau_b_transform_count(monkeypatch):
     b = random_trig_spec(np.random.default_rng(3), (1, 1), 0.3).matrix_field(grid)
     bump = bump_cutoff(grid, c, 0.3).values
     g = VectorField(grid, ((grid.nodes_z() - c) * bump)[:, :, None])
-    calls = []
-    apply_kernel = transforms._apply_kernel
-
-    def counted(plan, samples):
-        calls.append(samples.shape)
-        return apply_kernel(plan, samples)
-
-    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    calls = _count_transforms(monkeypatch)
     r_tau_b(g, w, 8.0, b, plan, side="z",
             cutoff=plateau_cutoff(grid, c, 0.34, 0.45))
     assert 0 < len(calls) <= 8
@@ -276,14 +270,7 @@ def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
         term = -op.series_map(term)
         reference += term
 
-    calls = []
-    apply_kernel = transforms._apply_kernel
-
-    def counted(plan, samples):
-        calls.append(samples.shape)
-        return apply_kernel(plan, samples)
-
-    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    calls = _count_transforms(monkeypatch)
     total = neumann_series_apply(op, g, 40)
     if case == "zero":
         assert len(calls) == 1
