@@ -8,14 +8,20 @@ integral fixed point
     w0 + (1/2) dzbar^{-1}(A w0) = seed,        seed holomorphic,
     w0~ + (1/2) dz^{-1}(B w0~) = seed~,        seed~ antiholomorphic,
 
-whose residual is measured on the discrete integral system itself; the
-stencil residual of the differential form is reported separately since
-it is bounded below by the differentiation error of the scheme.
+whose residual is measured on the discrete integral system itself, from
+the transform that each solve's residual check applied; the stencil
+residual of the differential form is reported separately since it is
+bounded below by the differentiation error of the scheme.  One amplitude
+pair serves every tau: the tau-independent terms of the defect are cached
+on it, the branches u and u~ are formed on first access, and a tau that
+is not a finite number > 0 is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .calculus import dz_array, dzbar_array, laplacian_array
 from .synthetic import random_trig_spec
 from .forward import CoefficientTriple
 from .weights import HolomorphicWeight
-from .transforms import TransformPlan, make_vekua_operator, vekua_solve
+from .transforms import TransformPlan, make_vekua_operator, _vekua_solve
 from .harness import GaugeSpec, gauge_transform
 
 _EXP_GUARD = 300.0
@@ -70,6 +76,7 @@ class CgoAmplitude:
     (worst of the two sides).  stencil_residual: relative interior
     residual of (2 dzbar + A) w0 and (2 dz + B) w0~ under the package
     difference stencils; it converges at the stencil order, not to zero.
+    ``_derived`` caches the tau-independent terms of cgo_residual.
     """
 
     w0: VectorField
@@ -78,6 +85,8 @@ class CgoAmplitude:
     seed_tilde: VectorField
     residual: float
     stencil_residual: float
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not self.residual <= 1e-6:
@@ -112,61 +121,65 @@ def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
     _check_seed(seed, dzbar_array, "holomorphic", _SEED_TOL)
     _check_seed(seed_tilde, dz_array, "antiholomorphic", _SEED_TOL)
 
-    op_a = make_vekua_operator(coefs.a_coef, "zbar", plan)
-    op_b = make_vekua_operator(coefs.b_coef, "z", plan)
-    # w0 = seed + v with (2 dzbar + A) v = -A seed, and mirrored
-    v = vekua_solve(op_a, coefs.a_coef.matvec(seed) * (-1.0),
-                    tol=_AMPLITUDE_TOL)
-    w0 = seed + v
-    vt = vekua_solve(op_b, coefs.b_coef.matvec(seed_tilde) * (-1.0),
-                     tol=_AMPLITUDE_TOL)
-    w0t = seed_tilde + vt
+    def solve(m: MatrixField, side: str, s: VectorField):
+        # w = s + v with (2 d_side + m) v = -m s; K s = -rhs bit for bit, so
+        # the solve's own K v gives w + K w - s = w + (K v - rhs) - s
+        op = make_vekua_operator(m, side, plan)
+        v, kv, rhs = _vekua_solve(op, m.matvec(s).data * (-1.0), _AMPLITUDE_TOL)
+        w = s.with_data(s.data + v)
+        res = np.linalg.norm(w.data + (kv - rhs) - s.data) / np.linalg.norm(s.data)
+        return w, float(res)
 
-    def integral_residual(w, s, op):
-        lhs = w.data + op.full_map(w.data)
-        return float(np.linalg.norm(lhs - s.data) / np.linalg.norm(s.data))
-
-    res = max(integral_residual(w0, seed, op_a),
-              integral_residual(w0t, seed_tilde, op_b))
+    # w0 solves (2 dzbar + A) w0 = 0, w0~ the mirrored system
+    w0, res_a = solve(coefs.a_coef, "zbar", seed)
+    w0t, res_b = solve(coefs.b_coef, "z", seed_tilde)
     sres = max(_stencil_residual(w0, dzbar_array, coefs.a_coef),
                _stencil_residual(w0t, dz_array, coefs.b_coef))
     return CgoAmplitude(w0=w0, w0_tilde=w0t, seed=seed, seed_tilde=seed_tilde,
-                        residual=res, stencil_residual=sres)
+                        residual=max(res_a, res_b), stencil_residual=sres)
 
 
 @dataclass(frozen=True)
 class CgoSolution:
     """One conjugated solution branch at a given tau.
 
-    ``u`` stores the rescaled branch w0 * exp(tau (Phi - phi_shift)) so
-    its modulus never exceeds |w0|; phi_shift = max phi records the
-    removed real constant.
+    ``u`` is the rescaled branch w0 * exp(tau (Phi - phi_shift)), so its
+    modulus never exceeds |w0|, and ``u_tilde`` is w0~ * exp(tau
+    (conj(Phi) - phi_shift)); both are computed on first access.
+    phi_shift = max phi records the removed real constant.
     """
 
     amplitude: CgoAmplitude
     weight: HolomorphicWeight
     tau: float
-    u: VectorField
-    u_tilde: VectorField
     phi_shift: float
+
+    def _branch(self, w: VectorField, conj: bool) -> VectorField:
+        Phi = self.weight.Phi(w.grid.nodes_z())
+        osc = np.exp(self.tau * ((np.conj(Phi) if conj else Phi) - self.phi_shift))
+        return w.with_data(w.data * osc[:, :, None])
+
+    @cached_property
+    def u(self) -> VectorField:
+        return self._branch(self.amplitude.w0, conj=False)
+
+    @cached_property
+    def u_tilde(self) -> VectorField:
+        return self._branch(self.amplitude.w0_tilde, conj=True)
 
 
 def build_cgo_solution(amplitude: CgoAmplitude, weight: HolomorphicWeight,
                        tau: float) -> CgoSolution:
-    grid = amplitude.w0.grid
-    Z = grid.nodes_z()
-    Phi = weight.Phi(Z)
+    if isinstance(tau, bool) or not (isinstance(tau, numbers.Real)
+                                     and np.isfinite(tau) and tau > 0):
+        raise LabError(f"tau must be a finite number > 0, got {tau!r}")
+    Phi = weight.Phi(amplitude.w0.grid.nodes_z())
     shift = float(Phi.real.max())
     if tau * (shift - float(Phi.real.min())) > _EXP_GUARD:
         raise OverflowGuardError(
             "tau * phase range exceeds the floating guard; rescale the weight "
             "or lower tau")
-    osc = np.exp(tau * (Phi - shift))[:, :, None]
-    osc_t = np.exp(tau * (np.conj(Phi) - shift))[:, :, None]
     return CgoSolution(amplitude=amplitude, weight=weight, tau=float(tau),
-                       u=amplitude.w0.with_data(amplitude.w0.data * osc),
-                       u_tilde=amplitude.w0_tilde.with_data(
-                           amplitude.w0_tilde.data * osc_t),
                        phi_shift=shift)
 
 
@@ -218,23 +231,31 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     where the transform quadrature is first-order accurate.  Applying
     the stencils to the oscillating product instead would bury the
     identity under truncation error growing like tau^4.  residual_raw is
-    the max-norm of the same defect.
+    the max-norm of the same defect.  The tau-independent terms are cached
+    on the amplitude per piece and coefficient triple (by identity).
     """
     grid = coefs.grid
-    if grid != sol.u.grid:
+    amp = sol.amplitude
+    if grid != amp.w0.grid:
         raise LabError("solution and coefficients live on different grids")
     (m_osc, d_osc), (m_flat, d_flat) = _sides(coefs, piece)
     # the holo branch carries exp(tau Phi), the anti branch exp(tau conj(Phi))
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
     if piece == "holo":
-        w = sol.amplitude.w0.data
+        w = amp.w0.data
     else:
-        w, dphi = sol.amplitude.w0_tilde.data, np.conj(dphi)
-    dw = d_flat(w, grid)
-    first = (2 * pointwise(m_osc.data, d_osc(w, grid) + sol.tau * dphi * w)
-             + 2 * pointwise(m_flat.data, dw) + 4 * sol.tau * dphi * dw)
-    defect = (laplacian_array(w, grid) + first
-              + pointwise(_first_order_part(coefs, piece), w))
+        w, dphi = amp.w0_tilde.data, np.conj(dphi)
+    cached = amp._derived.get(piece)
+    if cached is None or cached[0] is not coefs:
+        dw = d_flat(w, grid)
+        cached = (coefs, d_osc(w, grid), dw, 2 * pointwise(m_flat.data, dw),
+                  laplacian_array(w, grid),
+                  pointwise(_first_order_part(coefs, piece), w))
+        amp._derived[piece] = cached
+    _, d_osc_w, dw, flat, lap, zero_order = cached
+    first = (2 * pointwise(m_osc.data, d_osc_w + sol.tau * dphi * w)
+             + flat + 4 * sol.tau * dphi * dw)
+    defect = lap + first + zero_order
 
     sl = grid.interior()
     num = float(np.linalg.norm(defect[sl]))

@@ -192,12 +192,17 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     cap or misses the residual check.  The residual contract is on that
     discrete operator.
     """
-    gd = as_data(g)
+    w, _, _ = _vekua_solve(op, as_data(g), tol)
+    return same_kind(g, op.plan.grid, w)
+
+
+def _vekua_solve(op: VekuaOperator, gd: np.ndarray, tol: float):
+    """vekua_solve on raw samples: (w, op.full_map(w), rhs), the middle one from the residual check."""
     inv = _inv_for_side(op.side)
     rhs = 0.5 * inv(gd, op.plan)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return same_kind(g, op.plan.grid, np.zeros_like(gd))
+        return np.zeros_like(gd), np.zeros_like(gd), rhs
 
     w = rhs.copy()
     term, prev_norm = rhs, rhs_norm
@@ -213,9 +218,10 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
         prev_norm = nrm
     else:
         w = None
-    if w is not None and \
-            np.linalg.norm(w + op.full_map(w) - rhs) / rhs_norm > tol:
-        w = None  # fall through to GMRES
+    if w is not None:
+        kw = op.full_map(w)
+        if np.linalg.norm(w + kw - rhs) / rhs_norm > tol:
+            w = None  # fall through to GMRES
 
     if w is None:
         shape = gd.shape
@@ -234,11 +240,12 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
         if info < 0:
             raise SingularSystemError("Vekua integral system breakdown")
         w = x.reshape(shape)
-        res = np.linalg.norm(w + op.full_map(w) - rhs) / rhs_norm
+        kw = op.full_map(w)
+        res = np.linalg.norm(w + kw - rhs) / rhs_norm
         if res > tol:
             raise ConvergenceError("Vekua solve missed the residual tolerance",
                                    residual=res)
-    return same_kind(g, op.plan.grid, w)
+    return w, kw, rhs
 
 
 def _phase_pair(weight: HolomorphicWeight, tau: float, grid: Grid2D, ndim: int,

@@ -2,12 +2,26 @@ import numpy as np
 import pytest
 
 from cgolab import Grid2D, TransformPlan, CoefficientTriple, random_coefficient_specs
+from cgolab import transforms
 
 
 def make_triple(seed, n_sys, grid, amplitude=0.3):
     sa, sb, sq = random_coefficient_specs(seed, n_sys, amplitude)
     return CoefficientTriple(sa.matrix_field(grid), sb.matrix_field(grid),
                              sq.matrix_field(grid))
+
+
+def count_transforms(monkeypatch):
+    """From now on, record the sample shape of every transform applied."""
+    calls = []
+    apply_kernel = transforms._apply_kernel
+
+    def counted(plan, samples):
+        calls.append(samples.shape)
+        return apply_kernel(plan, samples)
+
+    monkeypatch.setattr(transforms, "_apply_kernel", counted)
+    return calls
 
 
 def inset_slice(grid, frac=0.05):

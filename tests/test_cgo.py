@@ -5,10 +5,12 @@ from cgolab import (Grid2D, TransformPlan, VectorField, build_amplitude,
                     build_cgo_solution, cgo_residual, factorization_check,
                     zero_order_remainder, gauge_conjugated_cgo,
                     holomorphic_seed, weight_catalog, remark_gauge,
+                    gauge_transform, make_vekua_operator,
                     LabError, OverflowGuardError)
+from cgolab import transforms
 from cgolab.harness import refinement_orders
 
-from conftest import make_triple
+from conftest import make_triple, count_transforms
 
 
 def test_amplitude_integral_residual_contract(grid33, plan33):
@@ -17,6 +19,35 @@ def test_amplitude_integral_residual_contract(grid33, plan33):
     assert amp.residual <= 1e-8
     # the stencil residual is truncation-limited, not tiny
     assert 1e-8 < amp.stencil_residual < 1e-2
+
+
+@pytest.mark.parametrize("n_sys", [1, 2])
+def test_amplitude_residual_from_the_solve_check(grid33, plan33, n_sys):
+    for seed_no in range(10):
+        t = make_triple(seed_no, n_sys, grid33)
+        amp = build_amplitude(t, plan33)
+        sides = ((t.a_coef, "zbar", amp.seed, amp.w0),
+                 (t.b_coef, "z", amp.seed_tilde, amp.w0_tilde))
+        direct = []
+        for m, side, s, w in sides:
+            op = make_vekua_operator(m, side, plan33)
+            # K s = -rhs bit for bit, which the residual shortcut relies on
+            _, _, rhs = transforms._vekua_solve(op, m.matvec(s).data * (-1.0), 1e-9)
+            assert np.array_equal(rhs, -op.full_map(s.data))
+            direct.append(np.linalg.norm(w.data + op.full_map(w.data) - s.data)
+                          / np.linalg.norm(s.data))
+        assert amp.residual <= 1e-12
+        assert 0.5 <= amp.residual / max(direct) <= 2.0
+
+
+def test_amplitude_transform_count(monkeypatch):
+    grid = Grid2D(nx=65, ny=65)
+    t, plan = make_triple(3, 2, grid), TransformPlan(grid)
+    calls = count_transforms(monkeypatch)
+    build_amplitude(t, plan)
+    # two seed transforms and twelve series terms and checks; the residual
+    # reuses the solves' own checks
+    assert len(calls) == 14
 
 
 def test_amplitude_rejects_non_holomorphic_seed(grid33, plan33):
@@ -60,6 +91,48 @@ def test_overflow_guard_fires(grid33, plan33):
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     with pytest.raises(OverflowGuardError):
         build_cgo_solution(amp, w, 1e4)
+
+
+@pytest.mark.parametrize("tau", [-8.0, -1e4, float("nan"), float("inf"), 0.0])
+def test_solution_refuses_tau_that_is_not_finite_positive(grid33, plan33, tau):
+    amp = build_amplitude(make_triple(4, 1, grid33), plan33)
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    with pytest.raises(LabError, match=r"^tau must be a finite number > 0, got "):
+        build_cgo_solution(amp, w, tau)
+
+
+def test_solution_branches_are_built_on_first_access(grid33, plan33):
+    amp = build_amplitude(make_triple(4, 2, grid33), plan33)
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    sol = build_cgo_solution(amp, w, 8.0)
+    assert "u" not in vars(sol) and "u_tilde" not in vars(sol)
+    Phi = w.Phi(grid33.nodes_z())
+    shift = sol.phi_shift
+    assert np.array_equal(sol.u.data, amp.w0.data * np.exp(8.0 * (Phi - shift))[:, :, None])
+    assert np.array_equal(sol.u_tilde.data, amp.w0_tilde.data
+                          * np.exp(8.0 * (np.conj(Phi) - shift))[:, :, None])
+    assert sol.u is sol.u
+
+
+def test_residual_reuses_tau_independent_terms_per_triple(grid33, plan33):
+    t = make_triple(5, 2, grid33)
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    amp = build_amplitude(t, plan33)
+
+    def fresh(coefs, tau, piece):
+        sol = build_cgo_solution(build_amplitude(t, plan33), w, tau)
+        return cgo_residual(sol, coefs, piece=piece)
+
+    for tau in (4.0, 8.0, 16.0):
+        for piece in ("holo", "anti"):
+            rec = cgo_residual(build_cgo_solution(amp, w, tau), t, piece=piece)
+            assert rec == fresh(t, tau, piece)
+    # another triple on the same amplitude is not served from the cache
+    t2 = gauge_transform(t, remark_gauge(0.7))
+    sol = build_cgo_solution(amp, w, 8.0)
+    rec2 = cgo_residual(sol, t2)
+    assert rec2 == fresh(t2, 8.0, "holo")
+    assert rec2 != cgo_residual(sol, t) == fresh(t, 8.0, "holo")
 
 
 def test_weighted_residual_record_fields(grid33, plan33):

@@ -286,14 +286,26 @@ def test_main_fit_subcommand(tmp_path, capsys):
     assert main(["fit", str(table), "--x", "tau", "--y", "nope"]) == 2
 
 
-def test_fit_reads_the_carleman_table(tmp_path, capsys):
-    # numpy scalars in a table cell must be written as plain floats
-    cfg = ScenarioConfig(scenario="carleman", nx_ladder=(17, 33, 65),
-                         tau_ladder=(8.0, 16.0, 32.0, 64.0))
-    run(cfg, tmp_path / "out")
+@pytest.mark.parametrize("scenario, x, y", [
+    ("carleman", "tau", "ratio"),
+    ("cgo", "tau", "residual_weighted"),
+    ("gauge", "nx", "cauchy_distance"),
+    ("relations", "nx", "residual_l2"),
+    ("stationary-phase", "tau", "relative_error"),
+    ("transforms", "nx", "roundtrip_error"),
+])
+def test_fit_reads_every_scenario_table(tmp_path, capsys, scenario, x, y):
+    # the --fast ladders of scripts/run_all_scenarios.py at seed 0
+    kw = {"nx_ladder": (17, 33, 65)}
+    if scenario == "stationary-phase":
+        kw = {"nx_ladder": (129,), "tau_ladder": (8.0, 16.0, 32.0, 64.0, 128.0)}
+    if scenario == "carleman":
+        kw["tau_ladder"] = (8.0, 16.0, 32.0, 64.0)
+    run(ScenarioConfig(scenario=scenario, seed=0, **kw), tmp_path / "out")
     table = tmp_path / "out" / "table.csv"
+    # numpy scalars in a table cell must be written as plain floats
     assert "np." not in table.read_text()
-    assert main(["fit", str(table), "--x", "tau", "--y", "ratio"]) == 0, \
+    assert main(["fit", str(table), "--x", x, "--y", y]) == 0, \
         capsys.readouterr().err
 
 

@@ -12,7 +12,7 @@ from cgolab import transforms
 from cgolab.calculus import dzbar_array, dz_array
 from cgolab.harness import refinement_orders
 
-from conftest import make_triple, inset_slice
+from conftest import make_triple, inset_slice, count_transforms
 
 
 def test_kernel_table_self_cell_is_exactly_zero(grid33):
@@ -96,22 +96,9 @@ def test_vekua_solve_satisfies_equation(grid33, plan33):
     assert np.max(np.abs(res[inset_slice(grid33)])) < 3e-2
 
 
-def _count_transforms(monkeypatch):
-    """From now on, record the sample shape of every transform applied."""
-    calls = []
-    apply_kernel = transforms._apply_kernel
-
-    def counted(plan, samples):
-        calls.append(samples.shape)
-        return apply_kernel(plan, samples)
-
-    monkeypatch.setattr(transforms, "_apply_kernel", counted)
-    return calls
-
-
 def _count_gmres(monkeypatch):
     """Each GMRES call records how many transforms were applied before it."""
-    kernel_calls, gmres_at = _count_transforms(monkeypatch), []
+    kernel_calls, gmres_at = count_transforms(monkeypatch), []
     gmres = transforms.gmres
 
     def counted_gmres(*args, **kwargs):
@@ -158,6 +145,19 @@ def test_strong_b_takes_gmres_and_meets_contract(grid33, plan33, monkeypatch):
     assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-8
 
 
+@pytest.mark.parametrize("b, gmres_expected", [(0.8 + 0.2j, False), (40.0, True)])
+def test_private_solve_returns_the_terms_of_its_check(grid33, plan33, monkeypatch,
+                                                     b, gmres_expected):
+    op = make_vekua_operator(constant_matrix(grid33, [[b]]), "zbar", plan33)
+    gmres_calls = _count_gmres(monkeypatch)
+    g = random_trig_spec(np.random.default_rng(5), (1,), 1.0).vector_field(grid33)
+    w, kw, rhs = transforms._vekua_solve(op, g.data, 1e-8)
+    assert bool(gmres_calls) == gmres_expected
+    assert np.array_equal(kw, op.full_map(w))
+    assert np.array_equal(rhs, 0.5 * dzbar_inv(g.data, plan33))
+    assert np.array_equal(vekua_solve(op, g).data, w)
+
+
 def test_series_rides_out_transient_growth(grid33, plan33):
     # term ratios run 0.95, 1.11, 1.05, 0.95, then fall to about 0.4: two
     # growing terms of a non-normal map, not divergence
@@ -173,7 +173,7 @@ def test_series_rides_out_transient_growth(grid33, plan33):
 @pytest.mark.parametrize("case", ["constant", "system", "bump"])
 def test_building_an_operator_costs_no_transform(grid33, plan33, monkeypatch,
                                                  case):
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     cutoff = None
     if case == "system":
         b = random_trig_spec(np.random.default_rng(6), (2, 2), 0.4).matrix_field(grid33)
@@ -248,7 +248,7 @@ def test_r_tau_b_transform_count(monkeypatch):
     b = random_trig_spec(np.random.default_rng(3), (1, 1), 0.3).matrix_field(grid)
     bump = bump_cutoff(grid, c, 0.3).values
     g = VectorField(grid, ((grid.nodes_z() - c) * bump)[:, :, None])
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     r_tau_b(g, w, 8.0, b, plan, side="z",
             cutoff=plateau_cutoff(grid, c, 0.34, 0.45))
     assert 0 < len(calls) <= 8
@@ -270,7 +270,7 @@ def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
         term = -op.series_map(term)
         reference += term
 
-    calls = _count_transforms(monkeypatch)
+    calls = count_transforms(monkeypatch)
     total = neumann_series_apply(op, g, 40)
     if case == "zero":
         assert len(calls) == 1
