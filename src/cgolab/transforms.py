@@ -197,7 +197,7 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
 
 
 def _vekua_solve(op: VekuaOperator, gd: np.ndarray, tol: float):
-    """vekua_solve on raw samples: (w, op.full_map(w), rhs), the middle one from the residual check."""
+    """vekua_solve on raw samples; returns w, the op.full_map(w) of its check, and rhs."""
     inv = _inv_for_side(op.side)
     rhs = 0.5 * inv(gd, op.plan)
     rhs_norm = np.linalg.norm(rhs)

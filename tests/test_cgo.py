@@ -45,8 +45,7 @@ def test_amplitude_transform_count(monkeypatch):
     t, plan = make_triple(3, 2, grid), TransformPlan(grid)
     calls = count_transforms(monkeypatch)
     build_amplitude(t, plan)
-    # two seed transforms and twelve series terms and checks; the residual
-    # reuses the solves' own checks
+    # the integral residual reuses each solve's own check: no transform of its own
     assert len(calls) == 14
 
 
