@@ -23,8 +23,7 @@ from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
 from .forward import (CoefficientTriple, OperatorFactorization,
                       solve_dirichlet, hat_profiles, fourier_profiles,
                       PartialCauchyData, cauchy_data, cauchy_distance)
-from .harness import (GaugeSpec, SineWindow1D, ProfileX2,
-                      remark_gauge, gauge_transform, RelationResidual,
+from .harness import (GaugeSpec, gauge_transform, RelationResidual,
                       check_relations, coefficient_gap,
                       gauge_equivalence_experiment, off_gauge_separation,
                       random_h01_spec, carleman_probe, corollary_pipeline,

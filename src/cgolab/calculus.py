@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridError
-from .grid import BoundaryPartition
+from .grid import BoundaryPartition, _INWARD_STEP, _edge_indices
 from .fields import VectorField
 
 
@@ -63,13 +63,14 @@ def trace_boundary(f: VectorField, part: BoundaryPartition, label: str) -> np.nd
     """
     if f.grid != part.grid:
         raise GridError("field and partition grids differ")
-    ii, jj, _, _ = part.nodes(label)
+    ii, jj = part.nodes(label)
     return np.array(f.data[ii, jj, :])
 
 
 def normal_derivative(f: VectorField, part: BoundaryPartition, label: str) -> np.ndarray:
     """2nd-order one-sided outward normal derivative at labeled nodes.
 
+    (3 u0 - 4 u1 + u2) / (2h), with u_k the sample k layers inside the edge.
     Returns shape (n_nodes, N), in arc order.
     """
     if f.grid != part.grid:
@@ -78,13 +79,9 @@ def normal_derivative(f: VectorField, part: BoundaryPartition, label: str) -> np
     d = f.data
     out = []
     for edge in part.arcs(label):
-        if edge == "bottom":
-            v = -(-3 * d[:, 0] + 4 * d[:, 1] - d[:, 2]) / (2 * g.h_y)
-        elif edge == "top":
-            v = (3 * d[:, -1] - 4 * d[:, -2] + d[:, -3]) / (2 * g.h_y)
-        elif edge == "left":
-            v = -(-3 * d[0, 1:-1] + 4 * d[1, 1:-1] - d[2, 1:-1]) / (2 * g.h_x)
-        else:  # right
-            v = (3 * d[-1, 1:-1] - 4 * d[-2, 1:-1] + d[-3, 1:-1]) / (2 * g.h_x)
-        out.append(v)
+        i, j = _edge_indices(g, edge)
+        di, dj = _INWARD_STEP[edge]
+        h = g.h_x if di else g.h_y
+        out.append((3 * d[i, j] - 4 * d[i + di, j + dj]
+                    + d[i + 2 * di, j + 2 * dj]) / (2 * h))
     return np.concatenate(out, axis=0)

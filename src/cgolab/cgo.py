@@ -315,7 +315,7 @@ def gauge_conjugated_cgo(amplitude: CgoAmplitude, gauge: GaugeSpec,
     fac = np.exp(ex)[:, :, None]
     w0 = amplitude.w0.with_data(amplitude.w0.data * fac)
     w0t = amplitude.w0_tilde.with_data(amplitude.w0_tilde.data * fac)
-    t2 = gauge_transform(coefs, gauge.with_strength(-gauge.s))
+    t2 = gauge_transform(coefs, GaugeSpec(-gauge.s))
     sres = max(_stencil_residual(w0, dzbar_array, t2.a_coef),
                _stencil_residual(w0t, dz_array, t2.b_coef))
     return {"w0": w0, "w0_tilde": w0t, "coefs": t2, "stencil_residual": sres}

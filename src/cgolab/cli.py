@@ -28,7 +28,7 @@ from .weights import (weight_catalog, find_critical_points, oscillatory_integral
 from .transforms import TransformPlan, dzbar_inv
 from .calculus import dzbar_array
 from .forward import CoefficientTriple
-from .harness import (remark_gauge, gauge_transform, check_relations,
+from .harness import (GaugeSpec, gauge_transform, check_relations,
                       gauge_equivalence_experiment, carleman_probe,
                       random_h01_spec, full_operator_setup, refinement_orders)
 from .cgo import build_amplitude, build_cgo_solution, cgo_residual
@@ -126,18 +126,22 @@ class DecayFit:
 def fit_power_law(samples) -> tuple[np.ndarray, float]:
     """Least-squares power law y = exp(c) * x_1**e_1 * ... * x_K**e_K in log-log.
 
-    ``samples`` holds (x_1, ..., x_K, y) rows; needs >= 3 strictly
-    positive rows.  Returns the coefficients [e_1, ..., e_K, c] and R^2.
+    ``samples`` holds (x_1, ..., x_K, y) rows; needs >= 3 finite, strictly
+    positive rows whose x columns determine every coefficient.  Returns
+    the coefficients [e_1, ..., e_K, c] and R^2.
     """
     pts = [tuple(float(v) for v in row) for row in samples]
     if len(pts) < 3:
         raise LabError("power-law fit needs at least 3 samples")
-    if any(v <= 0 for row in pts for v in row):
-        raise LabError("power-law fit needs strictly positive samples")
+    if not all(math.isfinite(v) and v > 0 for row in pts for v in row):
+        raise LabError("power-law fit needs finite, strictly positive samples")
     logs = [np.log([row[k] for row in pts]) for k in range(len(pts[0]))]
     ly = logs.pop()
     A = np.vstack(logs + [np.ones_like(ly)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, ly, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(A, ly, rcond=None)
+    if rank < A.shape[1]:
+        raise LabError("power-law fit is underdetermined: an x column is "
+                       "constant or repeats another")
     pred = A @ coef
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
@@ -199,7 +203,7 @@ def _run_cgo(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
 
 def _run_gauge(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     rep = gauge_equivalence_experiment(lambda grid: _triple(cfg, grid),
-                                       remark_gauge(cfg.gauge_strength),
+                                       GaugeSpec(cfg.gauge_strength),
                                        cfg.nx_ladder, m=cfg.basis_size,
                                        basis=cfg.basis)
     rows = [{"nx": nx, "cauchy_distance": d}
@@ -265,7 +269,7 @@ def _run_stationary_phase(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
 
 
 def _run_relations(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
-    gauge = remark_gauge(cfg.gauge_strength)
+    gauge = GaugeSpec(cfg.gauge_strength)
     rows, l2s, gaps = [], [], []
     for nx in cfg.nx_ladder:
         grid = Grid2D(nx=int(nx), ny=int(nx))
@@ -333,15 +337,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = ScenarioConfig(**{**asdict(cfg), "seed": args.seed})
+        out = Path(args.out)
+        # mkdir would fail only after the whole scenario ran
+        blocker = next(p for p in (out, *out.parents) if p.exists())
+        if not blocker.is_dir():
+            raise ConfigError(f"--out {out}: {blocker} is not a directory")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(cfg, args.out)
+        report = run(cfg, out)
     except LabError as exc:
         # the directory holds the failed run only, not an earlier table
-        (Path(args.out) / "table.csv").unlink(missing_ok=True)
-        _write_report(Path(args.out), cfg, error=str(exc), passed=False)
+        (out / "table.csv").unlink(missing_ok=True)
+        _write_report(out, cfg, error=str(exc), passed=False)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name, ok in sorted(report["criteria"].items()):

@@ -112,7 +112,7 @@ class OperatorFactorization:
     def __init__(self, coefs: CoefficientTriple):
         grid = coefs.grid
         nx, ny, n = grid.nx, grid.ny, coefs.n_sys
-        ii, jj, _, _ = BoundaryPartition(grid).nodes()
+        ii, jj = BoundaryPartition(grid).nodes()
         n_int = (nx - 2) * (ny - 2)
         # unknown numbers: interior nodes row-major, boundary nodes in the
         # canonical boundary order; -1 marks the other kind
@@ -306,7 +306,7 @@ def hat_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     """
     grid = partition.grid
     full = BoundaryPartition(grid)
-    fi, fj, _, _ = full.nodes()
+    fi, fj = full.nodes()
     key = {(a, b): k for k, (a, b) in enumerate(zip(fi, fj))}
 
     eligible = []

@@ -22,19 +22,6 @@ EDGES = ("bottom", "right", "top", "left")
 GAMMA_TILDE = "gamma_tilde"
 GAMMA_0 = "gamma_0"
 
-_EDGE_NORMALS = {
-    "bottom": (0.0, -1.0),
-    "top": (0.0, 1.0),
-    "left": (-1.0, 0.0),
-    "right": (1.0, 0.0),
-}
-_EDGE_TANGENTS = {
-    "bottom": (1.0, 0.0),
-    "top": (1.0, 0.0),
-    "left": (0.0, 1.0),
-    "right": (0.0, 1.0),
-}
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -115,6 +102,11 @@ def _edge_indices(grid: Grid2D, edge: str) -> tuple[np.ndarray, np.ndarray]:
     raise GridError(f"unknown edge {edge!r}")
 
 
+# (di, dj) from an edge node to its neighbour one layer inside: the
+# outward normal of the edge is minus this step
+_INWARD_STEP = {"bottom": (0, 1), "top": (0, -1), "left": (1, 0), "right": (-1, 0)}
+
+
 @dataclass(frozen=True)
 class BoundaryPartition:
     """Split of the rectangle boundary into labeled arcs (whole edges).
@@ -136,22 +128,13 @@ class BoundaryPartition:
         """Edge names in canonical order, optionally filtered by label."""
         return [e for e in EDGES if label is None or self.labels[e] == label]
 
-    def nodes(self, label: str | None = None):
-        """(i, j, normals, tangents) over the (filtered) boundary, arc order.
-
-        normals and tangents have shape (n, 2).
-        """
-        ii, jj, nn, tt = [], [], [], []
-        for e in self.arcs(label):
-            i, j = _edge_indices(self.grid, e)
-            ii.append(i)
-            jj.append(j)
-            nn.append(np.tile(_EDGE_NORMALS[e], (len(i), 1)))
-            tt.append(np.tile(_EDGE_TANGENTS[e], (len(i), 1)))
-        if not ii:
+    def nodes(self, label: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) index arrays over the (filtered) boundary, arc order."""
+        idx = [_edge_indices(self.grid, e) for e in self.arcs(label)]
+        if not idx:
             raise GridError(f"no boundary arcs with label {label!r}")
-        return (np.concatenate(ii), np.concatenate(jj),
-                np.concatenate(nn), np.concatenate(tt))
+        ii, jj = zip(*idx)
+        return np.concatenate(ii), np.concatenate(jj)
 
     def arc_weights(self, label: str) -> np.ndarray:
         """Trapezoid quadrature weights along the labeled arcs, node order."""

@@ -7,7 +7,7 @@ would be contaminated by numerically differentiating eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,101 +20,50 @@ from .forward import CoefficientTriple, cauchy_data, cauchy_distance
 from .weights import HolomorphicWeight, CarlemanConvexWeight, weight_catalog
 
 
-class SineWindow1D:
-    """amp * sin^p(pi (t-a)/(b-a)) on (a, b), identically zero outside.
-
-    p >= 4 keeps enough continuous derivatives at the window edges for the
-    4th-order stencils used downstream.
-    """
-
-    def __init__(self, a: float, b: float, power: int = 6, amp: float = 1.0):
-        if not a < b:
-            raise LabError("empty window")
-        if power < 4 or power % 2:
-            raise LabError("window power must be even and >= 4")
-        self.a, self.b, self.p, self.amp = a, b, power, amp
-        self.w = np.pi / (b - a)
-
-    def _u(self, t):
-        return (np.asarray(t, dtype=float) - self.a) * self.w
-
-    def _mask(self, t):
-        t = np.asarray(t, dtype=float)
-        return (t > self.a) & (t < self.b)
-
-    def val(self, t):
-        u, m = self._u(t), self._mask(t)
-        return np.where(m, self.amp * np.sin(u) ** self.p, 0.0)
-
-    def d1(self, t):
-        u, m = self._u(t), self._mask(t)
-        return np.where(m, self.amp * self.p * self.w
-                        * np.sin(u) ** (self.p - 1) * np.cos(u), 0.0)
-
-    def d2(self, t):
-        u, m = self._u(t), self._mask(t)
-        s, c = np.sin(u), np.cos(u)
-        return np.where(m, self.amp * self.p * self.w ** 2 * s ** (self.p - 2)
-                        * ((self.p - 1) * c ** 2 - s ** 2), 0.0)
+# eta(x2) = sin^6(pi (x2 - 1/8) / (3/4)) on (1/8, 7/8), zero outside.  The
+# bands of width 1/8 at the bottom and top edges keep eta and all of its
+# derivatives identically zero on and next to the observed arcs, so the
+# gauge changes no Cauchy data there.  The power 6 keeps eta C^5 across
+# the window edges, more derivatives than the 4th-order stencils
+# downstream consume.
+_ETA_A, _ETA_B = 0.125, 0.875
+_ETA_W = np.pi / (_ETA_B - _ETA_A)
 
 
-class ProfileX2:
-    """Gauge profile depending on x2 only, as in the unit-square example."""
+def _eta_window(grid: Grid2D):
+    """sin u, cos u with u = pi (x2 - 1/8) / (3/4), and the open window mask."""
+    _, Y = grid.meshgrid()
+    u = (Y - _ETA_A) * _ETA_W
+    return np.sin(u), np.cos(u), (Y > _ETA_A) & (Y < _ETA_B)
 
-    def __init__(self, window: SineWindow1D):
-        self.window = window
 
-    def value(self, X, Y):
-        return self.window.val(Y)
-
-    def dx(self, X, Y):
-        return np.zeros_like(np.asarray(X, dtype=float))
-
-    def dy(self, X, Y):
-        return self.window.d1(Y)
-
-    def lap(self, X, Y):
-        return self.window.d2(Y)
+def _eta_y(grid: Grid2D):
+    sn, cs, m = _eta_window(grid)
+    return np.where(m, 6 * _ETA_W * sn ** 5 * cs, 0.0)
 
 
 @dataclass(frozen=True)
 class GaugeSpec:
-    """Scalar conjugation profile and strength for the gauge family."""
+    """Gauge e^{s eta} of the non-uniqueness remark, eta(x2) flat on the observed arcs."""
 
     s: float
-    profile: object
-    flat_on_gamma_tilde: bool = False
-    zero_band: float = 0.0
 
     def eta(self, grid: Grid2D):
-        X, Y = grid.meshgrid()
-        return self.profile.value(X, Y)
+        sn, _, m = _eta_window(grid)
+        return np.where(m, sn ** 6, 0.0)
 
     def eta_z(self, grid: Grid2D):
-        X, Y = grid.meshgrid()
-        return 0.5 * (self.profile.dx(X, Y) - 1j * self.profile.dy(X, Y))
+        return 0.5 * (0.0 - 1j * _eta_y(grid))
 
     def eta_zbar(self, grid: Grid2D):
-        X, Y = grid.meshgrid()
-        return 0.5 * (self.profile.dx(X, Y) + 1j * self.profile.dy(X, Y))
+        return 0.5 * (0.0 + 1j * _eta_y(grid))
 
     def lap_eta(self, grid: Grid2D):
-        X, Y = grid.meshgrid()
-        return self.profile.lap(X, Y)
+        sn, cs, m = _eta_window(grid)
+        return np.where(m, 6 * _ETA_W ** 2 * sn ** 4 * (5 * cs ** 2 - sn ** 2), 0.0)
 
     def grad_sq(self, grid: Grid2D):
-        X, Y = grid.meshgrid()
-        return self.profile.dx(X, Y) ** 2 + self.profile.dy(X, Y) ** 2
-
-    def with_strength(self, s: float) -> "GaugeSpec":
-        return replace(self, s=s)
-
-
-def remark_gauge(s: float, a: float = 0.125, b: float = 0.875,
-                 power: int = 6, amp: float = 1.0) -> GaugeSpec:
-    """eta(x2) compactly supported in (0, 1): flat on the top/bottom arcs."""
-    return GaugeSpec(s=s, profile=ProfileX2(SineWindow1D(a, b, power, amp)),
-                     flat_on_gamma_tilde=True, zero_band=min(a, 1.0 - b))
+        return _eta_y(grid) ** 2
 
 
 def gauge_transform(coefs: CoefficientTriple, gauge: GaugeSpec) -> CoefficientTriple:
@@ -139,10 +88,8 @@ def gauge_transform(coefs: CoefficientTriple, gauge: GaugeSpec) -> CoefficientTr
 
 @dataclass(frozen=True)
 class RelationResidual:
-    """Residual fields of the two first-order coefficient relations."""
+    """Norms of the two first-order coefficient relations' residuals."""
 
-    r_a1: MatrixField
-    r_a2: MatrixField
     boundary_gap: float
     norms: dict
 
@@ -175,7 +122,7 @@ def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
     plus the max coefficient gap on the observed arcs.
     """
     (dA, dB, dQ), (lead1, cross1), (lead2, cross2) = _relation_terms(t1, t2)
-    ii, jj, _, _ = partition.nodes(GAMMA_TILDE)
+    ii, jj = partition.nodes(GAMMA_TILDE)
     gap = float(np.max(np.max(np.abs(dA[ii, jj]), axis=(1, 2))
                        + np.max(np.abs(dB[ii, jj]), axis=(1, 2)))) if len(ii) else 0.0
 
@@ -183,7 +130,7 @@ def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
     f2 = MatrixField(t1.grid, lead2 + cross2 - dQ)
     norms = {"r_a1_l2": f1.l2(), "r_a1_max": f1.max_abs(),
              "r_a2_l2": f2.l2(), "r_a2_max": f2.max_abs()}
-    return RelationResidual(r_a1=f1, r_a2=f2, boundary_gap=gap, norms=norms)
+    return RelationResidual(boundary_gap=gap, norms=norms)
 
 
 def coefficient_gap(t1: CoefficientTriple, t2: CoefficientTriple) -> float:
@@ -210,8 +157,6 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
     claim is equality of the data; discretely the distance must vanish
     under refinement while the coefficient gap stays put.
     """
-    if not gauge.flat_on_gamma_tilde:
-        raise LabError("gauge must be flat on the observed arcs")
     distances, gaps = [], []
     for nx in nx_ladder:
         grid = Grid2D(nx=nx, ny=nx)
@@ -365,7 +310,7 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
             if label not in partition.labels.values():
                 continue
             dn = normal_derivative(uf, partition, label)
-            ii, jj, _, _ = partition.nodes(label)
+            ii, jj = partition.nodes(label)
             aw = partition.arc_weights(label)
             bterm = float(np.sum(aw[:, None] * np.abs(dn) ** 2
                                  * (wexp[ii, jj] ** 2)[:, None]))

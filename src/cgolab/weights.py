@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, ConvergenceError, LabError
+from .errors import GridError, LabError
 from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
-
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class HolomorphicWeight:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Nondegenerate zero of dPhi/dz, refined off-grid by Newton iteration."""
+    """Nondegenerate zero of dPhi/dz, at its closed-form location."""
 
     location: complex
     psi_value: float
@@ -109,32 +106,30 @@ class CriticalPoint:
 class CarlemanConvexWeight:
     """Convexified weight phi_c = exp(lam * psi_c) with linear psi_c.
 
-    psi_c = scale * (gx*x + gy*y + offset); |grad psi_c| > 0 on the whole
-    closed rectangle by construction.
+    psi_c = gx*x + gy*y; |grad psi_c| > 0 on the whole closed rectangle
+    by construction.
     """
 
     gx: float
     gy: float
     lam: float
-    scale: float = 1.0
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.lam < 1.0:
             raise LabError("convexification parameter must be >= 1")
-        if self.scale * np.hypot(self.gx, self.gy) <= 0.0:
+        if np.hypot(self.gx, self.gy) <= 0.0:
             raise LabError("psi_c must have a nonvanishing gradient")
 
     def psi_c(self, X, Y):
-        return self.scale * (self.gx * X + self.gy * Y + self.offset)
+        return self.gx * X + self.gy * Y
 
     def phi_c(self, X, Y):
         return np.exp(self.lam * self.psi_c(X, Y))
 
 
-def _domain_contains(grid: Grid2D, z: complex, pad: float = 0.0) -> bool:
-    return (grid.x_min - pad <= z.real <= grid.x_max + pad
-            and grid.y_min - pad <= z.imag <= grid.y_max + pad)
+def _domain_contains(grid: Grid2D, z: complex) -> bool:
+    return (grid.x_min <= z.real <= grid.x_max
+            and grid.y_min <= z.imag <= grid.y_max)
 
 
 def weight_catalog(kind: str, params: dict,
@@ -165,7 +160,7 @@ def weight_catalog(kind: str, params: dict,
 
     flags = {"holomorphic": True}  # closed-form: dPhi/dzbar vanishes identically
 
-    i0, j0, _, _ = partition.nodes(GAMMA_0) if GAMMA_0 in partition.labels.values() else (None,) * 4
+    i0, j0 = partition.nodes(GAMMA_0) if GAMMA_0 in partition.labels.values() else (None,) * 2
     Z = grid.nodes_z()
     if i0 is not None:
         flags["im_vanishes_on_gamma0"] = bool(
@@ -176,7 +171,7 @@ def weight_catalog(kind: str, params: dict,
     flags["nondegenerate_critical_points"] = all(
         abs(w.d2Phi(np.asarray(p))) > 1e-12 for p in crit)
 
-    it, jt, _, _ = partition.nodes(GAMMA_TILDE)
+    it, jt = partition.nodes(GAMMA_TILDE)
     zt = Z[it, jt]
     flags["critical_points_off_gamma_tilde"] = all(
         np.min(np.abs(zt - p)) > 1e-8 for p in crit)
@@ -185,46 +180,14 @@ def weight_catalog(kind: str, params: dict,
 
 
 def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoint]:
-    """Sign-change cell scan on dPhi followed by complex Newton refinement."""
-    Z = grid.nodes_z()
-    d = w.dPhi(Z)
-    re, im = d.real, d.imag
-
-    def changes(a):
-        # sign change (or zero) across any corner pair of each cell
-        c00, c10, c01, c11 = a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]
-        mx = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
-        mn = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
-        return (mn <= 0) & (mx >= 0)
-
-    cells = np.argwhere(changes(re) & changes(im))
-    points: list[complex] = []
-    for ci, cj in cells:
-        z = Z[ci, cj] + 0.5 * (grid.h_x + 1j * grid.h_y)
-        ok = False
-        for _ in range(_NEWTON_MAX_ITER):
-            dp = complex(w.dPhi(np.asarray(z)))
-            if abs(dp) < _NEWTON_TOL:
-                ok = True
-                break
-            d2 = complex(w.d2Phi(np.asarray(z)))
-            if d2 == 0:
-                break
-            z = z - dp / d2
-        if not ok:
-            raise ConvergenceError(
-                f"Newton refinement failed to converge in cell ({ci}, {cj})")
-        if not _domain_contains(grid, z, pad=1e-9):
-            continue
-        if all(abs(z - p) > 10 * max(grid.h_x, grid.h_y) * 1e-3 + 1e-9
-               for p in points):
-            points.append(z)
-
+    """The weight's closed-form critical points that lie in the closed rectangle."""
     out = []
-    for z in points:
-        d2 = abs(complex(w.d2Phi(np.asarray(z))))
-        out.append(CriticalPoint(location=z, psi_value=float(w.psi(np.asarray(z))),
-                                 hessian=w.psi_hessian(z), margin=d2))
+    for z in w.closed_form_critical_points():
+        if _domain_contains(grid, z):
+            z0 = np.asarray(z)
+            out.append(CriticalPoint(location=z, psi_value=float(w.psi(z0)),
+                                     hessian=w.psi_hessian(z),
+                                     margin=abs(complex(w.d2Phi(z0)))))
     return out
 
 

@@ -11,6 +11,17 @@ def make_triple(seed, n_sys, grid, amplitude=0.3):
                              sq.matrix_field(grid))
 
 
+def outward_normals(grid, ii, jj):
+    """Outward unit normals (n, 2) at boundary nodes, from their indices alone.
+
+    Bottom and top own the corners, so a corner gets the y normal.
+    """
+    nx = np.where(ii == 0, -1.0, np.where(ii == grid.nx - 1, 1.0, 0.0))
+    ny = np.where(jj == 0, -1.0, np.where(jj == grid.ny - 1, 1.0, 0.0))
+    nx = np.where(ny != 0.0, 0.0, nx)
+    return np.stack([nx, ny], axis=1)
+
+
 def count_transforms(monkeypatch):
     """From now on, record the sample shape of every transform applied."""
     calls = []

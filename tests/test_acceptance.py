@@ -127,7 +127,7 @@ def test_criterion_6_gauge_non_uniqueness(tmp_path):
     passed, m = scenario(tmp_path, scenario="gauge", seed=3, n_sys=1,
                          nx_ladder=(33, 65, 129), basis_size=4)
     sep = L.off_gauge_separation(lambda grid: make_triple(3, 1, grid),
-                                 L.remark_gauge(0.7), 129, m=4, n_samples=20, seed=0)
+                                 L.GaugeSpec(0.7), 129, m=4, n_samples=20, seed=0)
     ok = passed and sep["separation"] >= 10.0
     verdict(6, ok, f"orders {rounded(m['orders'])}, "
             f"gap {m['coefficient_gap']:.2f}, separation {sep['separation']:.1f}x")
@@ -176,7 +176,7 @@ def test_criterion_9_forward_solver(tmp_path):
                                 + 2 * np.einsum("xyab,xyb->xya", t.a_coef.data, uspec.dz(grid))
                                 + 2 * np.einsum("xyab,xyb->xya", t.b_coef.data, uspec.dzbar(grid))
                                 + np.einsum("xyab,xyb->xya", t.q_coef.data, u_ex))
-            ii, jj, _, _ = L.BoundaryPartition(grid).nodes()
+            ii, jj = L.BoundaryPartition(grid).nodes()
             uh = L.solve_dirichlet(t, boundary_values=u_ex[ii, jj], rhs=rhs)
             errs.append(np.max(np.abs(uh.data - u_ex)))
         orders = refinement_orders(errs)
@@ -186,7 +186,7 @@ def test_criterion_9_forward_solver(tmp_path):
     grid = L.Grid2D(nx=33, ny=33)
     t = make_triple(12, 2, grid)
     fac = L.OperatorFactorization(t)
-    ii, jj, _, _ = L.BoundaryPartition(grid).nodes()
+    ii, jj = L.BoundaryPartition(grid).nodes()
     rng = np.random.default_rng(0)
     b1 = rng.standard_normal((len(ii), 2)) + 1j * rng.standard_normal((len(ii), 2))
     b2 = rng.standard_normal((len(ii), 2)) + 1j * rng.standard_normal((len(ii), 2))

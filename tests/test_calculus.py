@@ -6,6 +6,8 @@ from cgolab import Grid2D, VectorField, remark_partition, GAMMA_TILDE, GAMMA_0
 from cgolab.calculus import (dz_array, dzbar_array, laplacian_array,
                              trace_boundary, normal_derivative)
 
+from conftest import outward_normals
+
 
 def poly_field(grid):
     Z = grid.nodes_z()
@@ -63,7 +65,8 @@ def test_trace_and_normal_derivative_of_linear_function():
     X, Y = grid.meshgrid()
     f = VectorField(grid, (2.0 * X + 3.0 * Y)[:, :, None].astype(complex))
     for label, comp in ((GAMMA_TILDE, None), (GAMMA_0, None)):
-        ii, jj, normals, _ = part.nodes(label)
+        ii, jj = part.nodes(label)
+        normals = outward_normals(grid, ii, jj)
         tr = trace_boundary(f, part, label)
         assert np.allclose(tr[:, 0], 2.0 * X[ii, jj] + 3.0 * Y[ii, jj])
         dn = normal_derivative(f, part, label)
@@ -78,6 +81,6 @@ def test_normal_derivative_orientation_outward():
     # grows toward the right edge, so d/dnu > 0 on "right" arcs only
     f = VectorField(grid, X[:, :, None].astype(complex))
     dn = normal_derivative(f, part, GAMMA_0)
-    ii, jj, normals, _ = part.nodes(GAMMA_0)
+    normals = outward_normals(grid, *part.nodes(GAMMA_0))
     signs = np.sign(dn[:, 0].real)
     assert np.allclose(signs, np.sign(normals[:, 0]))

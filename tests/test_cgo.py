@@ -4,7 +4,7 @@ import pytest
 from cgolab import (Grid2D, TransformPlan, VectorField, build_amplitude,
                     build_cgo_solution, cgo_residual, factorization_check,
                     zero_order_remainder, gauge_conjugated_cgo,
-                    holomorphic_seed, weight_catalog, remark_gauge,
+                    holomorphic_seed, weight_catalog, GaugeSpec,
                     gauge_transform, make_vekua_operator,
                     LabError, OverflowGuardError)
 from cgolab import transforms
@@ -127,7 +127,7 @@ def test_residual_reuses_tau_independent_terms_per_triple(grid33, plan33):
             rec = cgo_residual(build_cgo_solution(amp, w, tau), t, piece=piece)
             assert rec == fresh(t, tau, piece)
     # another triple on the same amplitude is not served from the cache
-    t2 = gauge_transform(t, remark_gauge(0.7))
+    t2 = gauge_transform(t, GaugeSpec(0.7))
     sol = build_cgo_solution(amp, w, 8.0)
     rec2 = cgo_residual(sol, t2)
     assert rec2 == fresh(t2, 8.0, "holo")
@@ -167,18 +167,18 @@ def test_factorization_discrepancy_refines():
 def test_gauge_conjugated_amplitude_still_annihilated(grid33, plan33):
     t = make_triple(7, 1, grid33)
     amp = build_amplitude(t, plan33)
-    out = gauge_conjugated_cgo(amp, remark_gauge(0.6), t)
+    out = gauge_conjugated_cgo(amp, GaugeSpec(0.6), t)
     # transformed pair solves the transformed system to stencil accuracy
     assert out["stencil_residual"] < 5e-2
     base = np.abs(amp.w0.data)
-    eta = remark_gauge(0.6).eta(grid33)
+    eta = GaugeSpec(0.6).eta(grid33)
     expect = base * np.exp(0.6 * eta)[:, :, None]
     assert np.allclose(np.abs(out["w0"].data), expect, atol=1e-12)
 
 
 def test_gauge_conjugated_residual_refines():
     errs = []
-    gauge = remark_gauge(0.6)
+    gauge = GaugeSpec(0.6)
     for nx in (33, 65, 129):
         grid = Grid2D(nx=nx, ny=nx)
         t = make_triple(7, 1, grid)

@@ -322,6 +322,9 @@ def test_gauge_basis_past_grid_resolution_exits_1(tmp_path, capsys):
     ("t.csv", "tau,residual\n2,0.5\na,0.125\n8,0.03\n"),
     ("t.csv", "tau,residual\n2,0.5\n4\n8,0.03\n"),
     ("t.csv", "tau,other\n2,0.5\n4,0.125\n8,0.03\n"),
+    ("t.csv", "tau,residual\n2,0.5\n4,nan\n8,0.03\n"),
+    ("t.csv", "tau,residual\n2,0.5\n4,inf\n8,0.03\n"),
+    ("t.csv", "tau,residual\n4,0.5\n4,0.125\n4,0.03\n"),  # constant x
 ])
 def test_fit_bad_input_exits_2_with_one_line(tmp_path, capsys, name, text):
     table = tmp_path / name
@@ -330,6 +333,18 @@ def test_fit_bad_input_exits_2_with_one_line(tmp_path, capsys, name, text):
     assert main(["fit", str(table), "--x", "tau", "--y", "residual"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fit error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_run_out_through_a_file_exits_2_before_running(tmp_path, capsys, out):
+    cfg = write_config(tmp_path, scenario="transforms", nx_ladder=[17, 33])
+    (tmp_path / "file").write_text("keep")
+    with mock.patch.object(cli, "run") as ran:
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+    assert not ran.called
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert (tmp_path / "file").read_text() == "keep"
 
 
 def test_console_script_entry_point(tmp_path):

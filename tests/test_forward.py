@@ -11,9 +11,9 @@ from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
                     cauchy_distance, hat_profiles, fourier_profiles,
                     CoefficientTriple, random_trig_spec, GridError,
                     SingularSystemError, normal_derivative, trace_boundary,
-                    gauge_transform, remark_gauge)
+                    gauge_transform, GaugeSpec)
 
-from conftest import make_triple
+from conftest import make_triple, outward_normals
 
 
 def manufactured(grid, t, seed=5):
@@ -25,7 +25,7 @@ def manufactured(grid, t, seed=5):
                       + 2 * np.einsum("xyab,xyb->xya", t.a_coef.data, uspec.dz(grid))
                       + 2 * np.einsum("xyab,xyb->xya", t.b_coef.data, uspec.dzbar(grid))
                       + np.einsum("xyab,xyb->xya", t.q_coef.data, u_ex))
-    ii, jj, _, _ = BoundaryPartition(grid).nodes()
+    ii, jj = BoundaryPartition(grid).nodes()
     return u_ex, u_ex[ii, jj], rhs
 
 
@@ -58,7 +58,7 @@ def test_factorization_reuse_is_consistent(grid33):
 def test_solver_linearity(grid33):
     t = make_triple(13, 2, grid33)
     fac = OperatorFactorization(t)
-    ii, jj, _, _ = BoundaryPartition(grid33).nodes()
+    ii, jj = BoundaryPartition(grid33).nodes()
     rng = np.random.default_rng(0)
     b1 = rng.standard_normal((len(ii), 2)) + 1j * rng.standard_normal((len(ii), 2))
     b2 = rng.standard_normal((len(ii), 2)) + 1j * rng.standard_normal((len(ii), 2))
@@ -181,7 +181,7 @@ def zero_column_triple(grid):
 
 def test_singular_system_raises():
     grid = Grid2D(nx=17, ny=17)
-    ii, _, _, _ = BoundaryPartition(grid).nodes()
+    ii, _ = BoundaryPartition(grid).nodes()
     with pytest.raises(SingularSystemError):
         solve_dirichlet(zero_column_triple(grid), np.ones(len(ii)))
 
@@ -208,10 +208,10 @@ def test_operator_is_factored_when_its_trace_part_is_singular():
 
 
 def gauge_pair(nx, n):
-    """The gauge scenario's triple at seed 0 and its remark_gauge(0.7) transform."""
+    """The gauge scenario's triple at seed 0 and its GaugeSpec(0.7) transform."""
     grid = Grid2D(nx=nx, ny=nx)
     t = make_triple(0, n, grid)
-    return grid, (t, gauge_transform(t, remark_gauge(0.7)))
+    return grid, (t, gauge_transform(t, GaugeSpec(0.7)))
 
 
 @pytest.mark.parametrize("nx", [33, 65, 129])
@@ -273,7 +273,7 @@ def test_block_gmres_solves_every_column_with_one_krylov_space(monkeypatch):
 def stencil_reference(t):
     """K, C and the trace part built node by node from the stencil blocks."""
     grid, n = t.grid, t.n_sys
-    ii, jj, _, _ = BoundaryPartition(grid).nodes()
+    ii, jj = BoundaryPartition(grid).nodes()
     bnum = {(a, b): k for k, (a, b) in enumerate(zip(ii, jj))}
     inum = lambda a, b: (a - 1) * (grid.ny - 2) + b - 1
     n_int = (grid.nx - 2) * (grid.ny - 2)
@@ -370,7 +370,7 @@ def test_hat_profiles_count_and_bounds(grid33):
     part = remark_partition(grid33)
     profs = hat_profiles(part, 6)
     assert len(profs) == 6
-    fi, fj, _, _ = BoundaryPartition(grid33).nodes()
+    fi, fj = BoundaryPartition(grid33).nodes()
     hidden = (fi == 0) | (fi == 32)  # unobserved side edges stay zero
     for p in profs:
         assert p.shape == (len(fi),)
@@ -395,7 +395,7 @@ def test_fourier_profiles_are_grid_resamplable():
 def fourier_reference(partition, m):
     """Node-by-node construction of the sine profiles, in boundary order."""
     grid = partition.grid
-    fi, fj, _, _ = BoundaryPartition(grid).nodes()
+    fi, fj = BoundaryPartition(grid).nodes()
     X, Y = grid.meshgrid()
     arcs = partition.arcs(GAMMA_TILDE)
     out = []
@@ -478,5 +478,5 @@ def test_neumann_trace_of_coordinate(grid33):
     _, Y = grid33.meshgrid()
     f = VectorField(grid33, Y[:, :, None].astype(complex))
     dn = normal_derivative(f, part, GAMMA_TILDE)
-    ii, jj, normals, _ = part.nodes(GAMMA_TILDE)
+    normals = outward_normals(grid33, *part.nodes(GAMMA_TILDE))
     assert np.allclose(dn[:, 0], normals[:, 1], atol=1e-11)

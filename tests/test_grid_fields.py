@@ -31,7 +31,7 @@ def test_quad_weights_trapezoid_edges():
 def test_boundary_nodes_cover_boundary_once():
     grid = Grid2D(nx=13, ny=11)
     part = BoundaryPartition(grid)
-    ii, jj, _, _ = part.nodes()
+    ii, jj = part.nodes()
     seen = set(zip(ii.tolist(), jj.tolist()))
     expect = {(i, j) for i in range(13) for j in range(11)
               if i in (0, 12) or j in (0, 10)}

@@ -3,47 +3,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
-                    remark_gauge, gauge_transform, check_relations,
+                    gauge_transform, check_relations,
                     coefficient_gap, corollary_pipeline, carleman_probe,
                     random_h01_spec, CarlemanConvexWeight, full_operator_setup,
-                    SineWindow1D, ProfileX2, GaugeSpec, LabError,
-                    random_trig_spec)
+                    GaugeSpec, LabError, random_trig_spec)
+from cgolab import cli, harness
 from cgolab.harness import refinement_orders
 
 from conftest import make_triple
 
 
 def test_window_is_compactly_supported_and_smooth():
-    win = SineWindow1D(0.125, 0.875, power=6, amp=1.0)
-    t = np.linspace(0, 1, 2001)
-    v = win.val(t)
+    gauge = GaugeSpec(1.0)
+    grid = Grid2D(nx=9, ny=2001)
+    t = grid.ys()
+    v = gauge.eta(grid)[0]
     assert np.all(v[t <= 0.125] == 0.0)
     assert np.all(v[t >= 0.875] == 0.0)
-    # finite difference of the closed-form first derivative
+    # finite difference of the closed-form first derivative, read off
+    # eta_zbar = (eta_x + i eta_y) / 2 with eta_x = 0
     fd = np.gradient(v, t)
-    assert np.max(np.abs(fd - win.d1(t))) < 5e-4
-
-
-def test_window_rejects_odd_or_low_power():
-    with pytest.raises(LabError):
-        SineWindow1D(0.1, 0.9, power=3)
-    with pytest.raises(LabError):
-        SineWindow1D(0.1, 0.9, power=2)
+    assert np.max(np.abs(fd - 2 * gauge.eta_zbar(grid)[0].imag)) < 5e-4
 
 
 def test_remark_gauge_is_flat_on_observed_edges():
-    gauge = remark_gauge(0.7)
+    gauge = GaugeSpec(0.7)
     grid = Grid2D(nx=33, ny=33)
     eta = gauge.eta(grid)
     assert np.all(eta[:, 0] == 0.0) and np.all(eta[:, -1] == 0.0)
     assert np.all(gauge.eta_z(grid)[:, 0] == 0.0)
-    assert gauge.flat_on_gamma_tilde
-    assert gauge.zero_band > 0
+
+
+def test_gauge_not_flat_on_observed_edges_fails_the_criteria(tmp_path, monkeypatch):
+    """Mutant: eta's window shifted to (-1/8, 5/8), same width, so eta != 0
+    on the bottom edge.  The scenario criteria, not a flag on the gauge,
+    must catch it: the data distance stops refining and the coefficients
+    differ on the observed arcs."""
+    monkeypatch.setattr(harness, "_ETA_A", -0.125)
+    monkeypatch.setattr(harness, "_ETA_B", 0.625)
+    gauge = cli.run(cli.ScenarioConfig(scenario="gauge", seed=0,
+                                       nx_ladder=(17, 33, 65)), tmp_path / "g")
+    assert not gauge["criteria"]["distance_order_ge_1.5"]
+    rel = cli.run(cli.ScenarioConfig(scenario="relations", seed=0,
+                                     nx_ladder=(33, 65, 129)), tmp_path / "r")
+    assert not rel["criteria"]["boundary_gap_zero"]
 
 
 def test_gauge_transform_identity_at_zero_strength(grid33):
     t = make_triple(1, 2, grid33)
-    t0 = gauge_transform(t, remark_gauge(0.0))
+    t0 = gauge_transform(t, GaugeSpec(0.0))
     assert coefficient_gap(t, t0) == 0.0
 
 
@@ -52,13 +60,13 @@ def test_gauge_transform_identity_at_zero_strength(grid33):
 def test_gauge_transforms_compose_additively(s, r):
     grid = Grid2D(nx=17, ny=17)
     t = make_triple(4, 1, grid)
-    one = gauge_transform(gauge_transform(t, remark_gauge(s)), remark_gauge(r))
-    two = gauge_transform(t, remark_gauge(s + r))
+    one = gauge_transform(gauge_transform(t, GaugeSpec(s)), GaugeSpec(r))
+    two = gauge_transform(t, GaugeSpec(s + r))
     assert coefficient_gap(one, two) < 1e-10
 
 
 def test_relation_residuals_refine_on_gauge_pairs():
-    gauge = remark_gauge(0.7)
+    gauge = GaugeSpec(0.7)
     errs, gaps = [], []
     for nx in (33, 65, 129):
         grid = Grid2D(nx=nx, ny=nx)
@@ -85,7 +93,7 @@ def test_single_term_perturbation_reproduces_bump_norm(grid33):
 
 def test_corollary_case_preconditions(grid33):
     t1 = make_triple(7, 1, grid33)
-    t2 = gauge_transform(t1, remark_gauge(0.5))
+    t2 = gauge_transform(t1, GaugeSpec(0.5))
     with pytest.raises(LabError):
         corollary_pipeline("Q_known", t1, t2)  # Q differs
     with pytest.raises(LabError):

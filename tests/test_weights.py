@@ -28,12 +28,12 @@ def test_linear_weight_has_no_critical_points():
     assert find_critical_points(w, Grid2D(nx=33, ny=33)) == []
 
 
-def test_quadratic_critical_point_found_by_newton():
+def test_quadratic_critical_point_is_its_center():
     c = 0.4 + 0.6j
     w = weight_catalog("quadratic", {"c": c})
     pts = find_critical_points(w, Grid2D(nx=33, ny=33))
     assert len(pts) == 1
-    assert abs(pts[0].location - c) < 1e-10
+    assert pts[0].location == c
     assert pts[0].margin == pytest.approx(2.0)
 
 
@@ -42,6 +42,32 @@ def test_cubic_critical_points_match_closed_form():
     pts = find_critical_points(w, Grid2D(nx=65, ny=65))
     got = sorted(p.location.real for p in pts)
     assert np.allclose(got, [0.3, 0.7], atol=1e-10)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("quadratic", {"c": 0.4 + 0.6j}),
+    ("quadratic", {"c": 0.0}),
+    ("cubic", {"c": 0.5 + 0.5j, "m": 0.04}),
+    ("cubic", {"c": 0.5 + 0.5j, "m": 0.09j}),
+    ("cubic", {"c": 0.9 + 0.5j, "m": 0.04}),
+])
+def test_critical_points_are_zeros_of_dphi_in_the_rectangle(kind, params):
+    grid = Grid2D(nx=33, ny=33)
+    w = weight_catalog(kind, params)
+    pts = find_critical_points(w, grid)
+    assert pts
+    for p in pts:
+        z = p.location
+        assert grid.x_min <= z.real <= grid.x_max
+        assert grid.y_min <= z.imag <= grid.y_max
+        assert abs(complex(w.dPhi(np.asarray(z)))) <= 1e-14
+
+
+def test_critical_point_outside_the_rectangle_is_dropped():
+    # the cubic's points are c +- sqrt(m) = 1.1 + 0.5j (outside) and 0.7 + 0.5j
+    w = weight_catalog("cubic", {"c": 0.9 + 0.5j, "m": 0.04})
+    pts = find_critical_points(w, Grid2D(nx=33, ny=33))
+    assert [p.location for p in pts] == [0.7 + 0.5j]
 
 
 def test_hessian_is_harmonic_saddle():
