@@ -21,7 +21,7 @@ from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
                          make_vekua_operator, neumann_series_apply,
                          vekua_solve, r_tau, r_tau_b, ones_cutoff)
 from .forward import (CoefficientTriple, OperatorFactorization,
-                      solve_dirichlet, hat_profiles, fourier_profiles,
+                      solve_dirichlet, fourier_profiles,
                       PartialCauchyData, cauchy_data, cauchy_distance)
 from .harness import (GaugeSpec, gauge_transform, RelationResidual,
                       check_relations, coefficient_gap,

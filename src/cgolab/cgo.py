@@ -42,20 +42,11 @@ _AMPLITUDE_TOL = 1e-9
 _SEED_TOL = 1e-5
 
 
-def holomorphic_seed(grid: Grid2D, n_sys: int, kind: str = "affine") -> VectorField:
-    """Entire seed sampled on the grid: 'ones', 'affine' (1 + z/4 per slot), or 'exp'."""
+def holomorphic_seed(grid: Grid2D, n_sys: int) -> VectorField:
+    """Affine entire seed 1 + (k+1) z/4 in slot k, sampled on the grid."""
     z = grid.nodes_z()
-    data = np.zeros(grid.shape + (n_sys,), dtype=complex)
-    for k in range(n_sys):
-        if kind == "ones":
-            data[:, :, k] = 1.0
-        elif kind == "affine":
-            data[:, :, k] = 1.0 + 0.25 * (k + 1) * z
-        elif kind == "exp":
-            data[:, :, k] = np.exp(0.5 * (k + 1) * z)
-        else:
-            raise LabError(f"unknown seed kind {kind!r}")
-    return VectorField(grid, data)
+    return VectorField(grid, np.stack([1.0 + 0.25 * (k + 1) * z
+                                       for k in range(n_sys)], axis=2))
 
 
 def _check_seed(seed: VectorField, deriv, name: str, tol: float) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LabError
+from .errors import ConfigError, GridError, LabError
 from .grid import Grid2D, remark_partition
 from .synthetic import random_coefficient_specs, random_trig_spec
 from .weights import (weight_catalog, find_critical_points, oscillatory_integral,
@@ -27,7 +27,7 @@ from .weights import (weight_catalog, find_critical_points, oscillatory_integral
                       CarlemanConvexWeight)
 from .transforms import TransformPlan, dzbar_inv
 from .calculus import dzbar_array
-from .forward import CoefficientTriple
+from .forward import CoefficientTriple, fourier_profiles
 from .harness import (GaugeSpec, gauge_transform, check_relations,
                       gauge_equivalence_experiment, carleman_probe,
                       random_h01_spec, full_operator_setup, refinement_orders)
@@ -59,7 +59,6 @@ class ScenarioConfig:
     nx_ladder: tuple = (65, 129)
     tau_ladder: tuple = (4.0, 8.0, 16.0)
     basis_size: int = 4
-    basis: str = "fourier"
     amplitude: float = 0.3
     gauge_strength: float = 0.7
 
@@ -83,10 +82,17 @@ class ScenarioConfig:
                                   f"{least} {name} entries")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        if self.basis not in ("hat", "fourier"):
-            raise ConfigError("basis must be 'hat' or 'fourier'")
         if not _is_int(self.basis_size) or self.basis_size < 1:
             raise ConfigError("basis_size must be a positive integer")
+        if self.scenario == "gauge":
+            # the coarsest rung must hold every profile of the basis
+            nx = self.nx_ladder[0]
+            try:
+                fourier_profiles(remark_partition(Grid2D(nx=nx, ny=nx)),
+                                 self.basis_size)
+            except GridError as exc:
+                raise ConfigError(f"basis_size {self.basis_size} on nx {nx}: "
+                                  f"{exc}") from exc
         for name in ("amplitude", "gauge_strength"):
             if not _is_finite_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
@@ -204,8 +210,7 @@ def _run_cgo(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
 def _run_gauge(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     rep = gauge_equivalence_experiment(lambda grid: _triple(cfg, grid),
                                        GaugeSpec(cfg.gauge_strength),
-                                       cfg.nx_ladder, m=cfg.basis_size,
-                                       basis=cfg.basis)
+                                       cfg.nx_ladder, m=cfg.basis_size)
     rows = [{"nx": nx, "cauchy_distance": d}
             for nx, d in zip(rep["nx_ladder"], rep["distances"])]
     criteria = {"distance_order_ge_1.5": bool(min(rep["orders"]) >= 1.5),

@@ -19,12 +19,12 @@ For N = 1 the trace part is K itself and the factor solves directly.
 SuperLU factors in symmetric mode (minimum degree on A'+A, static
 diagonal pivots): K is not symmetric, but its sparsity pattern is.
 
-Every solve checks each column's relative residual against 1e-8.  If the
-trace part cannot be factored or a column misses the check, K itself is
-factored and solved directly; if its static factorization fails or
-misses the check, K is factored again with COLAMD and partial pivoting
-and the solve repeated.  ``cauchy_data`` solves all its boundary
-profiles as one block.
+The factorizations form one ordered ladder: the trace part ("trace",
+N > 1 only), K with static pivots ("static"), K with COLAMD and partial
+pivoting ("partial").  The solver factors at the first rung that
+succeeds.  Every solve checks each column's relative residual against
+1e-8 and, while the check misses, factors at the next rung and solves
+again.  ``cauchy_data`` solves all its boundary profiles as one block.
 """
 
 from __future__ import annotations
@@ -147,41 +147,32 @@ class OperatorFactorization:
             (np.einsum("kii->k", k_blocks.data) / n, k_blocks.indices,
              k_blocks.indptr), shape=(n_int, n_int))
         self._iterations = 0
-        self._trace_part = False
-        if n > 1:
-            try:
-                self._lu = _static_splu(self._trace.tocsc())
-                self._pivoting, self._trace_part = "static", True
-            except RuntimeError:
-                pass  # a singular trace part; K itself is factored below
-        if not self._trace_part:
-            self._factor_static()
+        # the rungs not yet tried, in order (see the module docstring)
+        self._ladder = (["trace"] if n > 1 else []) + ["static", "partial"]
+        self._factor_next()
 
     @property
     def pivoting(self) -> str:
-        return self._pivoting
+        return "partial" if self._rung == "partial" else "static"
 
     @property
     def iterations(self) -> int:
         return self._iterations
 
-    def _factor_static(self) -> None:
-        """Factor K itself with static pivots, or partial ones on failure."""
-        self._trace_part = False
-        try:
-            self._lu = _static_splu(self._matrix.tocsc())
-            self._pivoting = "static"
-        except RuntimeError:
-            self._factor_partial()
-
-    def _factor_partial(self) -> None:
-        try:
-            self._lu = splu(self._matrix.tocsc())
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                "factorization failed (near interior eigenvalue?); "
-                f"try shifting Q: {exc}") from exc
-        self._pivoting = "partial"
+    def _factor_next(self) -> None:
+        """Factor at the next rung of the ladder that succeeds."""
+        while self._ladder:
+            self._rung = self._ladder.pop(0)
+            matrix = (self._trace if self._rung == "trace" else self._matrix).tocsc()
+            try:
+                self._lu = (splu(matrix) if self._rung == "partial"
+                            else _static_splu(matrix))
+                return
+            except RuntimeError as exc:
+                failure = exc
+        raise SingularSystemError(
+            "factorization failed (near interior eigenvalue?); "
+            f"try shifting Q: {failure}") from failure
 
     def _residuals(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Relative residual of each column; inf where x is not finite."""
@@ -199,7 +190,7 @@ class OperatorFactorization:
     def _solve_columns(self, b: np.ndarray) -> np.ndarray:
         """Solve K x = b: directly with K's factor, or by one GMRES on K."""
         self._iterations = 0
-        if not self._trace_part:
+        if self._rung != "trace":
             return self._lu.solve(b)
         # the k columns stacked as one vector: one Krylov space, and one
         # preconditioner solve per step, serve the whole block
@@ -230,18 +221,12 @@ class OperatorFactorization:
         if rhs is not None:
             b += rhs[1:-1, 1:-1].reshape(b.shape)
         x = self._solve_columns(b)
-        worst = self._residuals(x, b).max(initial=0.0)
-        if worst > 1e-8 and self._trace_part:
-            self._factor_static()
+        while not self._residuals(x, b).max(initial=0.0) <= 1e-8:
+            if not self._ladder:
+                raise SingularSystemError(
+                    "discrete system numerically singular; try shifting Q")
+            self._factor_next()
             x = self._solve_columns(b)
-            worst = self._residuals(x, b).max(initial=0.0)
-        if worst > 1e-8 and self._pivoting == "static":
-            self._factor_partial()
-            x = self._solve_columns(b)
-            worst = self._residuals(x, b).max(initial=0.0)
-        if not worst <= 1e-8:
-            raise SingularSystemError(
-                "discrete system numerically singular; try shifting Q")
         u = np.empty((grid.nx, grid.ny, n, k), dtype=complex)
         u[1:-1, 1:-1] = x.reshape(grid.nx - 2, grid.ny - 2, n, k)
         u[self._boundary_nodes] = boundary
@@ -297,41 +282,6 @@ def solve_dirichlet(coefs: CoefficientTriple,
     return VectorField(fac.grid, fac._solve_block(*data)[..., 0])
 
 
-def hat_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
-    """First m piecewise-linear hats on the observed arcs, zero on the rest.
-
-    Profiles are returned as full canonical-boundary-order value arrays.
-    Hat centers are spread evenly over the nodes strictly interior to the
-    observed arcs, skipping nodes adjacent to the unobserved part.
-    """
-    grid = partition.grid
-    full = BoundaryPartition(grid)
-    fi, fj = full.nodes()
-    key = {(a, b): k for k, (a, b) in enumerate(zip(fi, fj))}
-
-    eligible = []
-    for edge in partition.arcs(GAMMA_TILDE):
-        i, j = _edge_indices(grid, edge)
-        for a, b in zip(i[2:-2], j[2:-2]):  # keep zero-extension exact
-            eligible.append((int(a), int(b)))
-    if m > len(eligible):
-        raise GridError(f"cannot place {m} hats on {len(eligible)} eligible nodes")
-    if m == 0:
-        return []
-    picks = [eligible[int(round(t))]
-             for t in np.linspace(0, len(eligible) - 1, m)]
-    out = []
-    for (a, b) in picks:
-        v = np.zeros(len(fi))
-        v[key[(a, b)]] = 1.0
-        for d in (-1, 1):
-            nb = (a + d, b) if b in (0, grid.ny - 1) else (a, b + d)
-            if nb in key:
-                v[key[nb]] = 0.5
-        out.append(v)
-    return out
-
-
 def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     """First m sine profiles per observed arc arclength, zero elsewhere.
 
@@ -379,18 +329,17 @@ class PartialCauchyData:
 
 
 def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
-                basis_size: int, basis: str = "hat",
-                components: str = "first") -> PartialCauchyData:
+                basis_size: int, components: str = "first") -> PartialCauchyData:
     """Assemble the finite-basis surrogate of the partial Cauchy data set.
 
-    Each scalar boundary profile is applied to the first system component
+    The basis is the first ``basis_size`` sine profiles of
+    ``fourier_profiles``.  Each scalar boundary profile is applied to the first system component
     (components='first') or to every component in turn (components='all',
     giving basis_size * N entries).
     """
     if coefs.grid != partition.grid:
         raise GridError("coefficients and partition on different grids")
-    profiles = {"hat": hat_profiles, "fourier": fourier_profiles}[basis](
-        partition, basis_size)
+    profiles = fourier_profiles(partition, basis_size)
     n = coefs.n_sys
     comps = range(n) if components == "all" else (0,)
     # one column of boundary data per entry, profile-major
@@ -405,7 +354,7 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
     dir_traces = [trace_boundary(f, partition, GAMMA_TILDE) for f in fields]
     neu_traces = [normal_derivative(f, partition, GAMMA_TILDE) for f in fields]
     return PartialCauchyData(partition=partition,
-                             basis_id=f"{basis}:{basis_size}:{components}",
+                             basis_id=f"fourier:{basis_size}:{components}",
                              dirichlet=dir_traces, neumann=neu_traces)
 
 

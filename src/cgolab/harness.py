@@ -149,7 +149,7 @@ def refinement_orders(errs) -> list:
 
 
 def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
-                                 m: int = 4, basis: str = "fourier") -> dict:
+                                 m: int = 4) -> dict:
     """Cauchy-data distance of a triple vs its gauge transform on a grid ladder.
 
     ``make_triple(grid)`` must sample one fixed continuum triple on any
@@ -163,8 +163,8 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
         part = remark_partition(grid)
         t1 = make_triple(grid)
         t2 = gauge_transform(t1, gauge)
-        c1 = cauchy_data(t1, part, m, basis=basis)
-        c2 = cauchy_data(t2, part, m, basis=basis)
+        c1 = cauchy_data(t1, part, m)
+        c2 = cauchy_data(t2, part, m)
         distances.append(cauchy_distance(c1, c2))
         gaps.append(coefficient_gap(t1, t2))
     return {"nx_ladder": list(nx_ladder), "distances": distances,
@@ -173,8 +173,7 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
 
 
 def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
-                         basis: str = "fourier", n_samples: int = 20,
-                         seed: int = 0) -> dict:
+                         n_samples: int = 20, seed: int = 0) -> dict:
     """Distances for a seeded family of non-gauge Q perturbations vs the gauge pair.
 
     Each perturbation is a random trig field of amplitude 3 added to Q; the
@@ -183,9 +182,9 @@ def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
     grid = Grid2D(nx=nx, ny=nx)
     part = remark_partition(grid)
     t1 = make_triple(grid)
-    c1 = cauchy_data(t1, part, m, basis=basis)
+    c1 = cauchy_data(t1, part, m)
     gauge_dist = cauchy_distance(
-        c1, cauchy_data(gauge_transform(t1, gauge), part, m, basis=basis))
+        c1, cauchy_data(gauge_transform(t1, gauge), part, m))
     rng = np.random.default_rng(seed)
     n = t1.n_sys
     off = []
@@ -193,7 +192,7 @@ def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
         spec = random_trig_spec(rng, (n, n), amplitude=3.0)
         q = MatrixField(grid, t1.q_coef.data + spec.sample(grid))
         t2 = CoefficientTriple(t1.a_coef, t1.b_coef, q)
-        off.append(cauchy_distance(c1, cauchy_data(t2, part, m, basis=basis)))
+        off.append(cauchy_distance(c1, cauchy_data(t2, part, m)))
     return {"gauge_distance": gauge_dist, "off_gauge_distances": off,
             "separation": min(off) / max(gauge_dist, 1e-300)}
 
@@ -212,6 +211,13 @@ def random_h01_spec(rng: np.random.Generator, value_shape=(),
             keep[i, j] = True
     c[~keep] = 0.0
     return TrigSpec(c)
+
+
+# the weight each probe kind takes
+_PROBE_WEIGHTS = {"first_order_dz": CarlemanConvexWeight,
+                  "first_order_dzbar": CarlemanConvexWeight,
+                  "system_zero_order": CarlemanConvexWeight,
+                  "full_operator": HolomorphicWeight}
 
 
 def _weighted_l2(data: np.ndarray, wexp: np.ndarray, grid: Grid2D) -> float:
@@ -238,15 +244,22 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     taus = list(tau_ladder)
     if len(taus) < 2 or any(b <= a for a, b in zip(taus[:-1], taus[1:])):
         raise LabError("tau ladder must be increasing with >= 2 rungs")
-    X, Y = grid.meshgrid()
-    if kind in ("first_order_dz", "first_order_dzbar", "system_zero_order"):
-        if not isinstance(weight, CarlemanConvexWeight):
-            raise LabError(f"{kind} needs a CarlemanConvexWeight")
-        phi = weight.phi_c(X, Y)
-    else:
-        if not isinstance(weight, HolomorphicWeight):
-            raise LabError("full_operator needs a HolomorphicWeight")
+    if kind not in _PROBE_WEIGHTS:
+        raise LabError(f"unknown probe kind {kind!r}; "
+                       f"choose one of {', '.join(_PROBE_WEIGHTS)}")
+    if not isinstance(weight, _PROBE_WEIGHTS[kind]):
+        raise LabError(f"{kind} needs a {_PROBE_WEIGHTS[kind].__name__}")
+    if kind == "system_zero_order" and b_pair is None:
+        raise LabError("system_zero_order probe needs a coefficient pair b_pair")
+    if kind == "full_operator" and (partition is None or coefs is None):
+        raise LabError("full_operator probe needs a partition and coefficients")
+    test_family = list(test_family)
+    if not test_family:
+        raise LabError("empty test family: every ratio would be vacuous")
+    if kind == "full_operator":
         phi = weight.phi(grid.nodes_z())
+    else:
+        phi = weight.phi_c(*grid.meshgrid())
     phi = phi - phi.max()  # ratio-invariant normalization against overflow
 
     ratios = []
@@ -274,52 +287,45 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
 
 def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
     w = tf.sample(grid)
-    if kind in ("first_order_dz", "first_order_dzbar"):
-        deriv = tf.dz if kind == "first_order_dz" else tf.dzbar
-        lhs = np.sqrt(tau) * _weighted_l2(w, wexp, grid)
-        rhs = _weighted_l2(deriv(grid), wexp, grid)
-        return lhs, rhs
-    if kind == "system_zero_order":
-        b1, b2 = b_pair
-        f = (2 * tf.dz(grid) + pointwise(b2.data, w)
-             - pointwise(w, b1.data))
-        lhs = np.sqrt(tau) * _weighted_l2(w, wexp, grid)
-        rhs = _weighted_l2(f, wexp, grid)
-        return lhs, rhs
-    if kind == "full_operator":
-        if partition is None or coefs is None:
-            raise LabError("full_operator probe needs a partition and coefficients")
-        lap = tf.lap(grid)
-        lu = (lap + 2 * pointwise(coefs.a_coef.data, tf.dz(grid))
-              + 2 * pointwise(coefs.b_coef.data, tf.dzbar(grid))
-              + pointwise(coefs.q_coef.data, w))
-        dphi = weight.dPhi(grid.nodes_z())
-        gx = tf.sample(grid, 1, 0)
-        gy = tf.sample(grid, 0, 1)
-        # grad(u e^{tau phi}) = (grad u + tau u grad phi) e^{tau phi};
-        # grad phi = (Re dPhi, -Im dPhi) for holomorphic Phi
-        px, py = dphi.real, -dphi.imag
-        h1 = (_weighted_l2(w, wexp, grid) ** 2
-              + _weighted_l2(gx + tau * px[:, :, None] * w, wexp, grid) ** 2
-              + _weighted_l2(gy + tau * py[:, :, None] * w, wexp, grid) ** 2)
-        lhs = (tau * _weighted_l2(w, wexp, grid) ** 2 + h1
-               + tau ** 2 * _weighted_l2(np.abs(dphi)[:, :, None] * w, wexp, grid) ** 2)
-        rhs = _weighted_l2(lu, wexp, grid) ** 2
-        uf = VectorField(grid, w)
-        for label in (GAMMA_0, GAMMA_TILDE):
-            if label not in partition.labels.values():
-                continue
-            dn = normal_derivative(uf, partition, label)
-            ii, jj = partition.nodes(label)
-            aw = partition.arc_weights(label)
-            bterm = float(np.sum(aw[:, None] * np.abs(dn) ** 2
-                                 * (wexp[ii, jj] ** 2)[:, None]))
-            if label == GAMMA_0:
-                lhs += bterm
-            else:
-                rhs += tau * bterm
-        return float(np.sqrt(lhs)), float(np.sqrt(rhs))
-    raise LabError(f"unknown probe kind {kind!r}")
+    if kind != "full_operator":
+        # sqrt(tau) |w| against |f|, f the first-order image of w
+        if kind == "system_zero_order":
+            b1, b2 = b_pair
+            f = (2 * tf.dz(grid) + pointwise(b2.data, w)
+                 - pointwise(w, b1.data))
+        else:
+            f = (tf.dz if kind == "first_order_dz" else tf.dzbar)(grid)
+        return np.sqrt(tau) * _weighted_l2(w, wexp, grid), _weighted_l2(f, wexp, grid)
+    lap = tf.lap(grid)
+    lu = (lap + 2 * pointwise(coefs.a_coef.data, tf.dz(grid))
+          + 2 * pointwise(coefs.b_coef.data, tf.dzbar(grid))
+          + pointwise(coefs.q_coef.data, w))
+    dphi = weight.dPhi(grid.nodes_z())
+    gx = tf.sample(grid, 1, 0)
+    gy = tf.sample(grid, 0, 1)
+    # grad(u e^{tau phi}) = (grad u + tau u grad phi) e^{tau phi};
+    # grad phi = (Re dPhi, -Im dPhi) for holomorphic Phi
+    px, py = dphi.real, -dphi.imag
+    h1 = (_weighted_l2(w, wexp, grid) ** 2
+          + _weighted_l2(gx + tau * px[:, :, None] * w, wexp, grid) ** 2
+          + _weighted_l2(gy + tau * py[:, :, None] * w, wexp, grid) ** 2)
+    lhs = (tau * _weighted_l2(w, wexp, grid) ** 2 + h1
+           + tau ** 2 * _weighted_l2(np.abs(dphi)[:, :, None] * w, wexp, grid) ** 2)
+    rhs = _weighted_l2(lu, wexp, grid) ** 2
+    uf = VectorField(grid, w)
+    for label in (GAMMA_0, GAMMA_TILDE):
+        if label not in partition.labels.values():
+            continue
+        dn = normal_derivative(uf, partition, label)
+        ii, jj = partition.nodes(label)
+        aw = partition.arc_weights(label)
+        bterm = float(np.sum(aw[:, None] * np.abs(dn) ** 2
+                             * (wexp[ii, jj] ** 2)[:, None]))
+        if label == GAMMA_0:
+            lhs += bterm
+        else:
+            rhs += tau * bterm
+    return float(np.sqrt(lhs)), float(np.sqrt(rhs))
 
 
 def full_operator_setup(grid: Grid2D):

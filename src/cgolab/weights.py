@@ -19,12 +19,40 @@ from .errors import GridError, LabError
 from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
 
 
+# per catalog kind: its parameter names, Phi, dPhi, d2Phi and critical
+# points in closed form.  Each kind keeps its own arithmetic, so every
+# sample is the same bit for bit as the expression written out.
+_KINDS = {
+    "linear": dict(
+        params=("alpha",),
+        Phi=lambda z, p: p["alpha"] * z,
+        dPhi=lambda z, p: np.broadcast_to(np.asarray(p["alpha"], dtype=complex),
+                                          z.shape).copy(),
+        d2Phi=lambda z, p: np.zeros(z.shape, dtype=complex),
+        critical_points=lambda p: []),
+    "quadratic": dict(
+        params=("c",),
+        Phi=lambda z, p: (z - p["c"]) ** 2,
+        dPhi=lambda z, p: 2.0 * (z - p["c"]),
+        d2Phi=lambda z, p: np.full(z.shape, 2.0, dtype=complex),
+        critical_points=lambda p: [complex(p["c"])]),
+    "cubic": dict(
+        params=("c", "m"),
+        Phi=lambda z, p: (z - p["c"]) ** 3 / 3.0 - p["m"] * (z - p["c"]),
+        dPhi=lambda z, p: (z - p["c"]) ** 2 - p["m"],
+        d2Phi=lambda z, p: 2.0 * (z - p["c"]),
+        critical_points=lambda p: [complex(p["c"]) + cmath.sqrt(p["m"]),
+                                   complex(p["c"]) - cmath.sqrt(p["m"])]),
+}
+
+
 @dataclass(frozen=True)
 class HolomorphicWeight:
     """Closed-form holomorphic weight from the catalog.
 
     kind: 'linear' (alpha*z), 'quadratic' ((z-c)^2), or
-    'cubic' ((z-c)^3/3 - m*(z-c)).
+    'cubic' ((z-c)^3/3 - m*(z-c)); ``weight_catalog`` checks the kind
+    and its parameters.
     """
 
     kind: str
@@ -32,38 +60,13 @@ class HolomorphicWeight:
     condition_flags: dict = field(default_factory=dict)
 
     def Phi(self, z):
-        z = np.asarray(z, dtype=complex)
-        p = self.params
-        if self.kind == "linear":
-            return p["alpha"] * z
-        if self.kind == "quadratic":
-            return (z - p["c"]) ** 2
-        if self.kind == "cubic":
-            w = z - p["c"]
-            return w ** 3 / 3.0 - p["m"] * w
-        raise LabError(f"unknown weight kind {self.kind!r}")
+        return _KINDS[self.kind]["Phi"](np.asarray(z, dtype=complex), self.params)
 
     def dPhi(self, z):
-        z = np.asarray(z, dtype=complex)
-        p = self.params
-        if self.kind == "linear":
-            return np.broadcast_to(np.asarray(p["alpha"], dtype=complex), z.shape).copy()
-        if self.kind == "quadratic":
-            return 2.0 * (z - p["c"])
-        if self.kind == "cubic":
-            return (z - p["c"]) ** 2 - p["m"]
-        raise LabError(f"unknown weight kind {self.kind!r}")
+        return _KINDS[self.kind]["dPhi"](np.asarray(z, dtype=complex), self.params)
 
     def d2Phi(self, z):
-        z = np.asarray(z, dtype=complex)
-        p = self.params
-        if self.kind == "linear":
-            return np.zeros(z.shape, dtype=complex)
-        if self.kind == "quadratic":
-            return np.full(z.shape, 2.0, dtype=complex)
-        if self.kind == "cubic":
-            return 2.0 * (z - p["c"])
-        raise LabError(f"unknown weight kind {self.kind!r}")
+        return _KINDS[self.kind]["d2Phi"](np.asarray(z, dtype=complex), self.params)
 
     def phi(self, z):
         return self.Phi(z).real
@@ -77,15 +80,7 @@ class HolomorphicWeight:
         return np.array([[d2.imag, d2.real], [d2.real, -d2.imag]])
 
     def closed_form_critical_points(self) -> list[complex]:
-        p = self.params
-        if self.kind == "linear":
-            return []
-        if self.kind == "quadratic":
-            return [complex(p["c"])]
-        if self.kind == "cubic":
-            r = cmath.sqrt(p["m"])
-            return [complex(p["c"]) + r, complex(p["c"]) - r]
-        raise LabError(f"unknown weight kind {self.kind!r}")
+        return _KINDS[self.kind]["critical_points"](self.params)
 
 
 @dataclass(frozen=True)
@@ -139,21 +134,21 @@ def weight_catalog(kind: str, params: dict,
     Flags are evaluated against the given boundary partition (default:
     the unit square with observed top/bottom edges).
     """
+    if kind not in _KINDS:
+        raise LabError(f"unknown weight kind {kind!r}; "
+                       f"choose one of {', '.join(_KINDS)}")
+    names = _KINDS[kind]["params"]
+    params = dict(params)
+    if set(params) != set(names):
+        raise LabError(f"{kind} weight takes the parameters {', '.join(names)}; "
+                       f"got {', '.join(sorted(map(str, params))) or 'none'}")
     if partition is None:
         partition = remark_partition(Grid2D(nx=33, ny=33))
     grid = partition.grid
-
-    params = dict(params)
-    if kind == "quadratic":
+    if "c" in params:
         c = complex(params["c"])
         if not _domain_contains(grid, c):
-            raise LabError(f"quadratic center {c} outside the closed domain")
-    elif kind == "cubic":
-        c = complex(params["c"])
-        if not _domain_contains(grid, c):
-            raise LabError(f"cubic center {c} outside the closed domain")
-    elif kind != "linear":
-        raise LabError(f"unknown weight kind {kind!r}")
+            raise LabError(f"{kind} center {c} outside the closed domain")
 
     w = HolomorphicWeight(kind=kind, params=params)
     crit = w.closed_form_critical_points()

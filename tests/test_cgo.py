@@ -4,7 +4,7 @@ import pytest
 from cgolab import (Grid2D, TransformPlan, VectorField, build_amplitude,
                     build_cgo_solution, cgo_residual, factorization_check,
                     zero_order_remainder, gauge_conjugated_cgo,
-                    holomorphic_seed, weight_catalog, GaugeSpec,
+                    weight_catalog, GaugeSpec,
                     gauge_transform, make_vekua_operator,
                     LabError, OverflowGuardError)
 from cgolab import transforms
@@ -55,14 +55,6 @@ def test_amplitude_rejects_non_holomorphic_seed(grid33, plan33):
     bad = VectorField(grid33, np.conj(Z)[:, :, None])
     with pytest.raises(LabError):
         build_amplitude(t, plan33, seed=bad)
-
-
-def test_holomorphic_seed_kinds(grid33):
-    for kind in ("ones", "affine", "exp"):
-        s = holomorphic_seed(grid33, 2, kind)
-        assert s.data.shape == (33, 33, 2)
-    with pytest.raises(LabError):
-        holomorphic_seed(grid33, 1, "weird")
 
 
 def test_amplitude_annihilation_refines():

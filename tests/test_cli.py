@@ -52,6 +52,8 @@ def test_config_validation_errors(tmp_path):
     '{"scenario": "gauge", "n_sys": "2"}',
     '{"scenario": "gauge", "n_sys": true}',
     '{"scenario": "gauge", "basis_size": 2.5}',
+    '{"scenario": "gauge", "basis": "fourier"}',
+    '{"scenario": "gauge", "basis": "hat"}',
     '{"scenario": "transforms", "nx_ladder": [33]}',
     '{"scenario": "relations", "nx_ladder": [33]}',
     '{"scenario": "gauge", "nx_ladder": [33]}',
@@ -89,8 +91,8 @@ configs = st.builds(
     ScenarioConfig, scenario=st.sampled_from(SCENARIOS),
     seed=st.integers(0, 2 ** 64), n_sys=st.integers(1, 3),
     nx_ladder=_increasing(st.integers(9, 513)), tau_ladder=_increasing(_TAU),
-    basis_size=st.integers(1, 64), basis=st.sampled_from(["hat", "fourier"]),
-    amplitude=_FINITE, gauge_strength=_FINITE)
+    # 14 sine profiles are the most a gauge ladder starting at nx 9 holds
+    basis_size=st.integers(1, 14), amplitude=_FINITE, gauge_strength=_FINITE)
 
 # JSON values that are no number of any kind
 _NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -119,8 +121,6 @@ _INVALID = {
                                        _NOT_NUMBERS)),
     "tau_ladder": _bad_ladder(st.one_of(st.floats(max_value=0.0), _NON_FINITE,
                                         _NOT_NUMBERS)),
-    "basis": st.one_of(st.text().filter(lambda s: s not in ("hat", "fourier")),
-                       st.integers(), st.none()),
     "basis_size": st.one_of(st.integers(max_value=0), st.floats(), _NOT_NUMBERS),
     "amplitude": st.one_of(_NON_FINITE, _NOT_NUMBERS),
     "gauge_strength": st.one_of(_NON_FINITE, _NOT_NUMBERS),
@@ -309,12 +309,24 @@ def test_fit_reads_every_scenario_table(tmp_path, capsys, scenario, x, y):
         capsys.readouterr().err
 
 
-def test_gauge_basis_past_grid_resolution_exits_1(tmp_path, capsys):
-    cfg = write_config(tmp_path, scenario="gauge", nx_ladder=[17, 33],
-                       basis_size=100)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+@pytest.mark.parametrize("nx_ladder, basis_size", [
+    ([9, 17], 15), ([9, 17], 64), ([17, 33], 31), ([17, 33], 100)],
+    ids=["nx9-15", "nx9-64", "nx17-31", "nx17-100"])
+def test_gauge_basis_past_grid_resolution_exits_2(tmp_path, capsys, nx_ladder,
+                                                  basis_size):
+    # the coarsest rung holds 2 (nx - 2) sine profiles: 14 at nx 9
+    cfg = write_config(tmp_path, scenario="gauge", nx_ladder=nx_ladder,
+                       basis_size=basis_size)
+    with mock.patch.object(cli, "run") as ran:
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not ran.called
     err = capsys.readouterr().err
-    assert err.startswith("error: Fourier profile") and err.count("\n") == 1, err
+    assert err.startswith("config error: ") and "Fourier profile" in err, err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+    fits = write_config(tmp_path, scenario="gauge", nx_ladder=nx_ladder,
+                        basis_size=2 * (nx_ladder[0] - 2))
+    assert load_config(fits).basis_size == 2 * (nx_ladder[0] - 2)
 
 
 @pytest.mark.parametrize("name, text", [

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cgolab.forward
 from cgolab.grid import EDGES
 from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
                     remark_partition, GAMMA_TILDE, GAMMA_0,
                     OperatorFactorization, solve_dirichlet, cauchy_data,
-                    cauchy_distance, hat_profiles, fourier_profiles,
+                    cauchy_distance, fourier_profiles,
                     CoefficientTriple, random_trig_spec, GridError,
                     SingularSystemError, normal_derivative, trace_boundary,
                     gauge_transform, GaugeSpec)
@@ -252,7 +252,7 @@ def test_block_gmres_solves_every_column_with_one_krylov_space(monkeypatch):
     for j, (p, scale) in enumerate(zip(profiles, (1.0, 1e-6, 1e-9))):
         boundary[:, 0, j] = scale * p
     u = fac._solve_block(boundary, None)
-    assert fac._trace_part and fac.pivoting == "static"
+    assert fac.pivoting == "static"
     assert 1 <= fac.iterations <= 8
     x = u[1:-1, 1:-1].reshape(-1, 3)
     b = -(fac._coupling @ boundary.reshape(-1, 3))
@@ -266,7 +266,7 @@ def test_block_gmres_solves_every_column_with_one_krylov_space(monkeypatch):
         calls.clear()
         wide = np.repeat(boundary[..., :1], k, axis=-1) * np.arange(1, k + 1)
         fac._solve_block(wide, None)
-        assert fac._trace_part and 1 <= fac.iterations <= 8
+        assert fac.pivoting == "static" and 1 <= fac.iterations <= 8
         assert len(calls) <= fac.iterations + 3
 
 
@@ -320,19 +320,15 @@ system = st.tuples(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
 
 @settings(max_examples=30, deadline=None)
 @given(system, st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
-       st.sampled_from(["hat", "fourier"]), st.sampled_from(["first", "all"]),
-       st.integers(1, 4))
-def test_block_solve_equals_column_solves(sys_, observed, basis, components, m):
+       st.sampled_from(["first", "all"]), st.integers(1, 4))
+def test_block_solve_equals_column_solves(sys_, observed, components, m):
     nx, ny, n, seed = sys_
     grid = Grid2D(nx=nx, ny=ny)
     t = make_triple(seed, n, grid)
     part = BoundaryPartition(grid, {e: GAMMA_TILDE if o else GAMMA_0
                                     for e, o in zip(EDGES, observed)})
-    try:
-        profiles = {"hat": hat_profiles, "fourier": fourier_profiles}[basis](part, m)
-    except GridError:
-        reject()  # more hats than a short observed arc holds
-    cd = cauchy_data(t, part, m, basis=basis, components=components)
+    profiles = fourier_profiles(part, m)  # modes <= 4 fit every edge of 9 nodes
+    cd = cauchy_data(t, part, m, components=components)
     fac = OperatorFactorization(t)
     comps = range(n) if components == "all" else (0,)
     cols = [(p, c) for p in profiles for c in comps]
@@ -364,20 +360,6 @@ def test_solver_is_linear_and_zero_data_gives_zero(sys_, alpha, beta):
     assert np.max(np.abs(mix - alpha * u1 - beta * u2)) <= 1e-12 * scale
     assert not fac.solve(np.zeros((nb, n)), None).data.any()
     assert not fac.solve(None, None).data.any()
-
-
-def test_hat_profiles_count_and_bounds(grid33):
-    part = remark_partition(grid33)
-    profs = hat_profiles(part, 6)
-    assert len(profs) == 6
-    fi, fj = BoundaryPartition(grid33).nodes()
-    hidden = (fi == 0) | (fi == 32)  # unobserved side edges stay zero
-    for p in profs:
-        assert p.shape == (len(fi),)
-        assert p.max() == 1.0
-        assert np.all(p[hidden] == 0.0)
-    with pytest.raises(GridError):
-        hat_profiles(part, 10 ** 4)
 
 
 def test_fourier_profiles_are_grid_resamplable():
@@ -455,12 +437,12 @@ def test_cauchy_data_round_trip_and_distance(grid33):
 
 
 def test_cauchy_distance_rejects_basis_mismatch(grid33):
-    t = make_triple(3, 1, grid33)
+    t = make_triple(3, 2, grid33)
     part = remark_partition(grid33)
-    c1 = cauchy_data(t, part, 3, basis="hat")
-    c2 = cauchy_data(t, part, 3, basis="fourier")
-    with pytest.raises(GridError):
-        cauchy_distance(c1, c2)
+    c1 = cauchy_data(t, part, 3)
+    for c2 in (cauchy_data(t, part, 2), cauchy_data(t, part, 3, components="all")):
+        with pytest.raises(GridError):
+            cauchy_distance(c1, c2)
 
 
 def test_cauchy_distance_separates_different_potentials(grid33):

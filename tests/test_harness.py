@@ -153,6 +153,39 @@ def test_carleman_probe_kind_weight_mismatch(grid33):
         carleman_probe("full_operator", cw, [8.0, 16.0], [], grid33)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("unknown kind", "unknown probe kind"),
+    ("no b_pair", "needs a coefficient pair"),
+    ("no partition", "needs a partition and coefficients"),
+    ("no coefs", "needs a partition and coefficients"),
+    ("empty convex family", "empty test family"),
+    ("empty full family", "empty test family"),
+])
+def test_carleman_probe_refuses_incomplete_input_before_any_work(
+        grid33, monkeypatch, case, message):
+    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
+    part, hw = full_operator_setup(grid33)
+    t = make_triple(0, 1, grid33)
+    rng = np.random.default_rng(0)
+    vec, mat = random_h01_spec(rng, (1,), 1.0), random_h01_spec(rng, (1, 1), 1.0)
+    kind, weight, family, kw = {
+        "unknown kind": ("nonsense", cw, [vec], {}),
+        "no b_pair": ("system_zero_order", cw, [mat], {}),
+        "no partition": ("full_operator", hw, [vec], {"coefs": t}),
+        "no coefs": ("full_operator", hw, [vec], {"partition": part}),
+        "empty convex family": ("first_order_dz", cw, [], {}),
+        "empty full family": ("full_operator", hw, [],
+                              {"partition": part, "coefs": t}),
+    }[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("probe evaluated before its inputs were checked")
+
+    monkeypatch.setattr(harness, "_probe_sides", no_work)
+    with pytest.raises(LabError, match=message):
+        carleman_probe(kind, weight, [8.0, 16.0], family, grid33, **kw)
+
+
 def test_h01_spec_vanishes_on_boundary(grid33):
     spec = random_h01_spec(np.random.default_rng(0), (2,), 1.0)
     v = spec.sample(grid33)

@@ -22,6 +22,20 @@ def test_catalog_rejects_center_outside_domain():
         weight_catalog("quadratic", {"c": 3.0 + 0.5j})
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("quadratic", {}), ("cubic", {"c": 0.5 + 0.5j}), ("linear", {}),  # missing
+    ("quadratic", {"c": 0.5 + 0.5j, "m": 1}),  # extra
+    ("linear", {"alpha": 1.0, "c": 0.5 + 0.5j})])
+def test_catalog_refuses_a_missing_or_extra_parameter(kind, params):
+    with pytest.raises(LabError, match=f"{kind} weight takes the parameters"):
+        weight_catalog(kind, params)
+
+
+def test_catalog_refuses_an_unknown_kind():
+    with pytest.raises(LabError, match="unknown weight kind 'sextic'"):
+        weight_catalog("sextic", {"c": 0.5 + 0.5j})
+
+
 def test_linear_weight_has_no_critical_points():
     w = weight_catalog("linear", {"alpha": 1.0 + 2.0j})
     assert w.closed_form_critical_points() == []
