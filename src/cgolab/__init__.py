@@ -10,7 +10,7 @@ from .errors import (LabError, GridError, ConvergenceError, DivergenceError,
                      SingularSystemError, OverflowGuardError, ConfigError)
 from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,
                    bump_cutoff, plateau_cutoff, GAMMA_TILDE, GAMMA_0)
-from .fields import VectorField, MatrixField, constant_matrix
+from .fields import VectorField, MatrixField
 from .calculus import trace_boundary, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, random_coefficient_specs
 from .weights import (HolomorphicWeight, CriticalPoint, CarlemanConvexWeight,
@@ -26,11 +26,10 @@ from .forward import (CoefficientTriple, OperatorFactorization,
 from .harness import (GaugeSpec, gauge_transform, RelationResidual,
                       check_relations, coefficient_gap,
                       gauge_equivalence_experiment, off_gauge_separation,
-                      random_h01_spec, carleman_probe, corollary_pipeline,
-                      full_operator_setup)
+                      random_h01_spec, carleman_probe, full_operator_setup)
 from .cgo import (CgoAmplitude, CgoSolution, holomorphic_seed, build_amplitude,
                   build_cgo_solution, cgo_residual, zero_order_remainder,
-                  factorization_check, gauge_conjugated_cgo)
+                  factorization_check)
 from .cli import ScenarioConfig, DecayFit, fit_decay, fit_power_law, run, main
 
 __version__ = "0.1.0"

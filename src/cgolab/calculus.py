@@ -52,6 +52,13 @@ def dzbar_array(data: np.ndarray, grid) -> np.ndarray:
     return 0.5 * (_diff(data, grid.h_x, 0) + 1j * _diff(data, grid.h_y, 1))
 
 
+def wirtinger_pair(data: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(dz, dzbar) of raw samples from one d/dx and one d/dy, bit for bit
+    equal to ``dz_array`` and ``dzbar_array``."""
+    dx, idy = _diff(data, grid.h_x, 0), 1j * _diff(data, grid.h_y, 1)
+    return 0.5 * (dx - idy), 0.5 * (dx + idy)
+
+
 def laplacian_array(data: np.ndarray, grid) -> np.ndarray:
     return _diff2(data, grid.h_x, 0) + _diff2(data, grid.h_y, 1)
 

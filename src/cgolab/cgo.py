@@ -28,12 +28,11 @@ import numpy as np
 from .errors import LabError, OverflowGuardError
 from .grid import Grid2D
 from .fields import VectorField, MatrixField, pointwise
-from .calculus import dz_array, dzbar_array, laplacian_array
+from .calculus import dz_array, dzbar_array, laplacian_array, wirtinger_pair
 from .synthetic import random_trig_spec
 from .forward import CoefficientTriple
 from .weights import HolomorphicWeight
 from .transforms import TransformPlan, make_vekua_operator, _vekua_solve
-from .harness import GaugeSpec, gauge_transform
 
 _EXP_GUARD = 300.0
 # residual tolerance of the two amplitude solves
@@ -67,7 +66,9 @@ class CgoAmplitude:
     (worst of the two sides).  stencil_residual: relative interior
     residual of (2 dzbar + A) w0 and (2 dz + B) w0~ under the package
     difference stencils; it converges at the stencil order, not to zero.
-    ``_derived`` caches the tau-independent terms of cgo_residual.
+    ``_derived`` holds, per piece ('holo' for w0, 'anti' for w0~), the
+    (dz, dzbar) pair that build_amplitude took once, and caches the other
+    tau-independent terms of cgo_residual.
     """
 
     w0: VectorField
@@ -90,9 +91,9 @@ def _first_order(w: np.ndarray, deriv, m: MatrixField, grid: Grid2D) -> np.ndarr
     return 2 * deriv(w, grid) + pointwise(m.data, w)
 
 
-def _stencil_residual(w: VectorField, deriv, m: MatrixField) -> float:
-    """Relative interior residual of (2 deriv + m) w under the package stencils."""
-    r = _first_order(w.data, deriv, m, w.grid)
+def _stencil_residual(w: VectorField, dw: np.ndarray, m: MatrixField) -> float:
+    """Relative interior residual of (2 d + m) w, given dw = d w under the package stencils."""
+    r = 2 * dw + pointwise(m.data, w.data)
     sl = np.s_[3:-3, 3:-3]
     return float(np.linalg.norm(r[sl]) / max(np.linalg.norm(w.data[sl]), 1e-30))
 
@@ -124,10 +125,13 @@ def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
     # w0 solves (2 dzbar + A) w0 = 0, w0~ the mirrored system
     w0, res_a = solve(coefs.a_coef, "zbar", seed)
     w0t, res_b = solve(coefs.b_coef, "z", seed_tilde)
-    sres = max(_stencil_residual(w0, dzbar_array, coefs.a_coef),
-               _stencil_residual(w0t, dz_array, coefs.b_coef))
-    return CgoAmplitude(w0=w0, w0_tilde=w0t, seed=seed, seed_tilde=seed_tilde,
-                        residual=max(res_a, res_b), stencil_residual=sres)
+    d_w0, d_w0t = wirtinger_pair(w0.data, grid), wirtinger_pair(w0t.data, grid)
+    sres = max(_stencil_residual(w0, d_w0[1], coefs.a_coef),
+               _stencil_residual(w0t, d_w0t[0], coefs.b_coef))
+    amp = CgoAmplitude(w0=w0, w0_tilde=w0t, seed=seed, seed_tilde=seed_tilde,
+                       residual=max(res_a, res_b), stencil_residual=sres)
+    amp._derived.update(holo=d_w0, anti=d_w0t)
+    return amp
 
 
 @dataclass(frozen=True)
@@ -176,19 +180,23 @@ def build_cgo_solution(amplitude: CgoAmplitude, weight: HolomorphicWeight,
 
 def _apply_operator(v: np.ndarray, coefs: CoefficientTriple) -> np.ndarray:
     grid = coefs.grid
+    dz, dzbar = wirtinger_pair(v, grid)
     return (laplacian_array(v, grid)
-            + 2 * pointwise(coefs.a_coef.data, dz_array(v, grid))
-            + 2 * pointwise(coefs.b_coef.data, dzbar_array(v, grid))
+            + 2 * pointwise(coefs.a_coef.data, dz)
+            + 2 * pointwise(coefs.b_coef.data, dzbar)
             + pointwise(coefs.q_coef.data, v))
 
 
 def _sides(coefs: CoefficientTriple, piece: str):
-    """((A, dz), (B, dzbar)) for 'holo', swapped for 'anti'; the first pair carries the phase."""
-    holo, anti = (coefs.a_coef, dz_array), (coefs.b_coef, dzbar_array)
+    """(A, B, 0) for 'holo', (B, A, 1) for 'anti'.
+
+    The first coefficient carries the phase; its derivative is slot k of
+    a (dz, dzbar) pair, the other coefficient's is slot 1 - k.
+    """
     if piece == "holo":
-        return holo, anti
+        return coefs.a_coef, coefs.b_coef, 0
     if piece == "anti":
-        return anti, holo
+        return coefs.b_coef, coefs.a_coef, 1
     raise LabError(f"unknown piece {piece!r}")
 
 
@@ -196,7 +204,8 @@ def _first_order_part(coefs: CoefficientTriple, piece: str) -> np.ndarray:
     """Q - S = 2 dz A + B A for 'holo', 2 dzbar B + A B for 'anti'; cached on the triple."""
     key = ("first_order_part", piece)
     if key not in coefs._derived:
-        (m, d), (m_other, _) = _sides(coefs, piece)
+        m, m_other, k = _sides(coefs, piece)
+        d = (dz_array, dzbar_array)[k]
         part = 2 * d(m.data, coefs.grid) + m_other.matmat(m).data
         part.flags.writeable = False
         coefs._derived[key] = part
@@ -222,28 +231,33 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     where the transform quadrature is first-order accurate.  Applying
     the stencils to the oscillating product instead would bury the
     identity under truncation error growing like tau^4.  residual_raw is
-    the max-norm of the same defect.  The tau-independent terms are cached
-    on the amplitude per piece and coefficient triple (by identity).
+    the max-norm of the same defect.  dz w0 and dzbar w0 come from
+    build_amplitude; the Laplacian is cached on the amplitude per piece, and
+    the terms in the coefficients per piece and triple (by identity).
     """
     grid = coefs.grid
     amp = sol.amplitude
     if grid != amp.w0.grid:
         raise LabError("solution and coefficients live on different grids")
-    (m_osc, d_osc), (m_flat, d_flat) = _sides(coefs, piece)
+    m_osc, m_flat, k = _sides(coefs, piece)
     # the holo branch carries exp(tau Phi), the anti branch exp(tau conj(Phi))
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
     if piece == "holo":
         w = amp.w0.data
     else:
         w, dphi = amp.w0_tilde.data, np.conj(dphi)
-    cached = amp._derived.get(piece)
+    if piece not in amp._derived:  # an amplitude not made by build_amplitude
+        amp._derived[piece] = wirtinger_pair(w, grid)
+    d_osc_w, dw = amp._derived[piece][k], amp._derived[piece][1 - k]
+    lap = amp._derived.get((piece, "lap"))
+    if lap is None:
+        lap = amp._derived[piece, "lap"] = laplacian_array(w, grid)
+    cached = amp._derived.get((piece, "coefs"))
     if cached is None or cached[0] is not coefs:
-        dw = d_flat(w, grid)
-        cached = (coefs, d_osc(w, grid), dw, 2 * pointwise(m_flat.data, dw),
-                  laplacian_array(w, grid),
-                  pointwise(_first_order_part(coefs, piece), w))
-        amp._derived[piece] = cached
-    _, d_osc_w, dw, flat, lap, zero_order = cached
+        cached = amp._derived[piece, "coefs"] = (
+            coefs, 2 * pointwise(m_flat.data, dw),
+            pointwise(_first_order_part(coefs, piece), w))
+    _, flat, zero_order = cached
     first = (2 * pointwise(m_osc.data, d_osc_w + sol.tau * dphi * w)
              + flat + 4 * sol.tau * dphi * dw)
     defect = lap + first + zero_order
@@ -288,25 +302,3 @@ def factorization_check(coefs: CoefficientTriple) -> dict:
             "discrepancy_2": float(np.max(np.abs((f2 - direct)[sl]))),
             "relative_1": float(np.max(np.abs((f1 - direct)[sl]))) / scale,
             "relative_2": float(np.max(np.abs((f2 - direct)[sl]))) / scale}
-
-
-def gauge_conjugated_cgo(amplitude: CgoAmplitude, gauge: GaugeSpec,
-                         coefs: CoefficientTriple) -> dict:
-    """Push an amplitude pair through the scalar gauge e^{s eta}.
-
-    e^{s eta} w0 is annihilated by 2 dzbar + (A - 2 s eta_zbar), the
-    coefficient produced by the gauge map at strength -s; same on the
-    mirrored side.  Returns the transformed pair, the transformed triple,
-    and the stencil residual of the transformed amplitude system.
-    """
-    grid = coefs.grid
-    ex = gauge.s * gauge.eta(grid)
-    if np.max(np.abs(ex)) > _EXP_GUARD:
-        raise OverflowGuardError("gauge exponent too large")
-    fac = np.exp(ex)[:, :, None]
-    w0 = amplitude.w0.with_data(amplitude.w0.data * fac)
-    w0t = amplitude.w0_tilde.with_data(amplitude.w0_tilde.data * fac)
-    t2 = gauge_transform(coefs, GaugeSpec(-gauge.s))
-    sres = max(_stencil_residual(w0, dzbar_array, t2.a_coef),
-               _stencil_residual(w0t, dz_array, t2.b_coef))
-    return {"w0": w0, "w0_tilde": w0t, "coefs": t2, "stencil_residual": sres}

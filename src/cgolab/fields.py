@@ -68,8 +68,7 @@ class _Field:
     def l2(self) -> float:
         """Discrete L2 norm over the domain (trapezoid-weighted)."""
         w = self.grid.quad_weights()
-        w = w.reshape(w.shape + (1,) * self._rank)
-        return float(np.sqrt(np.sum(w * np.abs(self.data) ** 2)))
+        return weighted_l2(self.data, w.reshape(w.shape + (1,) * self._rank))
 
 
 class VectorField(_Field):
@@ -106,10 +105,9 @@ def _check_same(a, b) -> None:
         raise GridError("fields live on different grids or system sizes")
 
 
-def constant_matrix(grid: Grid2D, mat) -> MatrixField:
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    n = mat.shape[0]
-    return MatrixField(grid, np.broadcast_to(mat, (grid.nx, grid.ny, n, n)).copy())
+def weighted_l2(x: np.ndarray, w: np.ndarray) -> float:
+    """sqrt(sum(w |x|^2)), with ``w`` broadcast against ``x``."""
+    return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
 def as_data(g) -> np.ndarray:

@@ -38,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import GridError, SingularSystemError
 from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices
-from .fields import VectorField, MatrixField
+from .fields import VectorField, MatrixField, weighted_l2
 from .calculus import normal_derivative, trace_boundary
 
 # GMRES on K, preconditioned by the trace-part factor, stops at this residual
@@ -362,10 +362,8 @@ def cauchy_distance(c1: PartialCauchyData, c2: PartialCauchyData) -> float:
     """Max over entries of ||dN||_{L2(observed)} / ||dirichlet||_{L2(observed)}."""
     if c1.basis_id != c2.basis_id or c1.partition != c2.partition:
         raise GridError("Cauchy data sets use different bases or partitions")
-    w = c1.partition.arc_weights(GAMMA_TILDE)
+    w = c1.partition.arc_weights(GAMMA_TILDE)[:, None]
     worst = 0.0
     for d1, n1, n2 in zip(c1.dirichlet, c1.neumann, c2.neumann):
-        dn = np.sqrt(np.sum(w[:, None] * np.abs(n1 - n2) ** 2))
-        dd = np.sqrt(np.sum(w[:, None] * np.abs(d1) ** 2))
-        worst = max(worst, float(dn / max(dd, 1e-300)))
+        worst = max(worst, weighted_l2(n1 - n2, w) / max(weighted_l2(d1, w), 1e-300))
     return worst

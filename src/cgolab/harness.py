@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GridError, LabError, OverflowGuardError
 from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
-from .fields import MatrixField, VectorField, pointwise
+from .fields import MatrixField, VectorField, pointwise, weighted_l2
 from .calculus import dz_array, dzbar_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
 from .forward import CoefficientTriple, cauchy_data, cauchy_distance
@@ -220,10 +220,22 @@ _PROBE_WEIGHTS = {"first_order_dz": CarlemanConvexWeight,
                   "full_operator": HolomorphicWeight}
 
 
-def _weighted_l2(data: np.ndarray, wexp: np.ndarray, grid: Grid2D) -> float:
-    qw = grid.quad_weights()
-    flat = np.abs(data.reshape(data.shape[0], data.shape[1], -1)) ** 2
-    return float(np.sqrt(np.sum(qw[:, :, None] * (wexp ** 2)[:, :, None] * flat)))
+def _check_phase(weight: HolomorphicWeight, partition: BoundaryPartition) -> None:
+    """Refuse a full_operator weight that breaks the paper's hypotheses on Phi.
+
+    Im Phi vanishes on gamma_0, and the critical points are nondegenerate
+    and off gamma_tilde, all on the probe's own partition.
+    """
+    z = partition.grid.nodes_z()
+    crit = weight.closed_form_critical_points()
+    if (GAMMA_0 in partition.labels.values()
+            and not np.max(np.abs(weight.psi(z[partition.nodes(GAMMA_0)]))) < 1e-12):
+        raise LabError("full_operator weight: Im Phi does not vanish on gamma_0")
+    if not all(abs(weight.d2Phi(np.asarray(p))) > 1e-12 for p in crit):
+        raise LabError("full_operator weight has a degenerate critical point")
+    zt = z[partition.nodes(GAMMA_TILDE)]
+    if not all(np.min(np.abs(zt - p)) > 1e-8 for p in crit):
+        raise LabError("full_operator weight has a critical point on gamma_tilde")
 
 
 def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
@@ -236,7 +248,9 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     scalar/vector test functions), 'system_zero_order' (convex weight,
     matrix unknowns, coefficient pair ``b_pair``), 'full_operator'
     (holomorphic weight phi, full elliptic operator, needs ``coefs`` and
-    ``partition``).
+    ``partition``, and refuses a weight that breaks the paper's hypotheses
+    on Phi over that partition).  A rung on which every member of the
+    test family is vacuous (both sides 0) is refused.
 
     PASS surrogate for the existential constant: the sup ratio over the
     upper half of the ladder must not exceed the sup over the lower half.
@@ -251,8 +265,10 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
         raise LabError(f"{kind} needs a {_PROBE_WEIGHTS[kind].__name__}")
     if kind == "system_zero_order" and b_pair is None:
         raise LabError("system_zero_order probe needs a coefficient pair b_pair")
-    if kind == "full_operator" and (partition is None or coefs is None):
-        raise LabError("full_operator probe needs a partition and coefficients")
+    if kind == "full_operator":
+        if partition is None or coefs is None:
+            raise LabError("full_operator probe needs a partition and coefficients")
+        _check_phase(weight, partition)
     test_family = list(test_family)
     if not test_family:
         raise LabError("empty test family: every ratio would be vacuous")
@@ -265,7 +281,7 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     ratios = []
     for tau in taus:
         wexp = np.exp(tau * phi)
-        sup = 0.0
+        sup, vacuous = 0.0, True
         for tf in test_family:
             num, den = _probe_sides(kind, tf, tau, wexp, grid, partition,
                                     coefs, b_pair, weight)
@@ -274,6 +290,9 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
             if den == 0.0:
                 raise LabError("zero right-hand side with nonzero left side")
             sup = max(sup, num / den)
+            vacuous = False
+        if vacuous:
+            raise LabError(f"every test-family member is vacuous at tau {tau:g}")
         ratios.append(sup)
     half = len(taus) // 2
     sup_low, sup_high = max(ratios[:half]), max(ratios[half:])
@@ -286,6 +305,11 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
 
 
 def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
+    qw = grid.quad_weights()[:, :, None] * (wexp ** 2)[:, :, None]
+
+    def norm(x):
+        return weighted_l2(x.reshape(x.shape[0], x.shape[1], -1), qw)
+
     w = tf.sample(grid)
     if kind != "full_operator":
         # sqrt(tau) |w| against |f|, f the first-order image of w
@@ -295,7 +319,7 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
                  - pointwise(w, b1.data))
         else:
             f = (tf.dz if kind == "first_order_dz" else tf.dzbar)(grid)
-        return np.sqrt(tau) * _weighted_l2(w, wexp, grid), _weighted_l2(f, wexp, grid)
+        return np.sqrt(tau) * norm(w), norm(f)
     lap = tf.lap(grid)
     lu = (lap + 2 * pointwise(coefs.a_coef.data, tf.dz(grid))
           + 2 * pointwise(coefs.b_coef.data, tf.dzbar(grid))
@@ -306,12 +330,12 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
     # grad(u e^{tau phi}) = (grad u + tau u grad phi) e^{tau phi};
     # grad phi = (Re dPhi, -Im dPhi) for holomorphic Phi
     px, py = dphi.real, -dphi.imag
-    h1 = (_weighted_l2(w, wexp, grid) ** 2
-          + _weighted_l2(gx + tau * px[:, :, None] * w, wexp, grid) ** 2
-          + _weighted_l2(gy + tau * py[:, :, None] * w, wexp, grid) ** 2)
-    lhs = (tau * _weighted_l2(w, wexp, grid) ** 2 + h1
-           + tau ** 2 * _weighted_l2(np.abs(dphi)[:, :, None] * w, wexp, grid) ** 2)
-    rhs = _weighted_l2(lu, wexp, grid) ** 2
+    h1 = (norm(w) ** 2
+          + norm(gx + tau * px[:, :, None] * w) ** 2
+          + norm(gy + tau * py[:, :, None] * w) ** 2)
+    lhs = (tau * norm(w) ** 2 + h1
+           + tau ** 2 * norm(np.abs(dphi)[:, :, None] * w) ** 2)
+    rhs = norm(lu) ** 2
     uf = VectorField(grid, w)
     for label in (GAMMA_0, GAMMA_TILDE):
         if label not in partition.labels.values():
@@ -338,43 +362,5 @@ def full_operator_setup(grid: Grid2D):
     """
     part = BoundaryPartition(grid, {"left": GAMMA_0, "bottom": GAMMA_TILDE,
                                     "right": GAMMA_TILDE, "top": GAMMA_TILDE})
-    w = weight_catalog("quadratic", {"c": 0.5j}, partition=part)
+    w = weight_catalog("quadratic", {"c": 0.5j})
     return part, w
-
-
-# ---------------------------------------------------------------------------
-# Corollary residual logic
-
-def corollary_pipeline(case: str, t1: CoefficientTriple,
-                       t2: CoefficientTriple) -> dict:
-    """Case-reduced residual equations of the uniqueness corollary.
-
-    Given the case's shared coefficient, evaluates the equations the two
-    relations collapse to; this is residual logic, not a uniqueness proof.
-    """
-    (dA, dB, dQ), (lead1, cross1), (lead2, cross2) = _relation_terms(t1, t2)
-
-    def summarize(name, r):
-        f = MatrixField(t1.grid, r)
-        return name, {"l2": f.l2(), "max": f.max_abs()}
-
-    tol = 1e-12
-    if case == "Q_known":
-        if np.max(np.abs(dQ)) > tol:
-            raise LabError("Q coefficients differ; Q_known case rejected")
-        res = dict([summarize("coupled_first", lead1 + cross1),
-                    summarize("coupled_second", lead2 + cross2)])
-    elif case == "B_known":
-        if np.max(np.abs(dB)) > tol:
-            raise LabError("B coefficients differ; B_known case rejected")
-        # with dB = 0: first minus second relation, and the second alone
-        res = dict([summarize("case_reduced", lead1 - cross2),
-                    summarize("substitution", cross2 - dQ)])
-    elif case == "A_known":
-        if np.max(np.abs(dA)) > tol:
-            raise LabError("A coefficients differ; A_known case rejected")
-        res = dict([summarize("case_reduced", lead2 - cross1),
-                    summarize("substitution", cross1 - dQ)])
-    else:
-        raise LabError(f"unknown case {case!r}")
-    return {"case": case, "residuals": res}

@@ -2,21 +2,21 @@
 
 A weight is Phi(z) = phi + i*psi with closed-form first and second
 z-derivatives.  Its imaginary part is a harmonic Morse function whose
-saddles drive the oscillatory-integral asymptotics; the catalog carries
-honest condition flags for each instance instead of the existence
-constructions they replace.
+saddles drive the oscillatory-integral asymptotics.  The paper's
+hypotheses on Phi relative to a boundary partition are checked where a
+partition is in play: by the full_operator Carleman probe.
 """
 
 from __future__ import annotations
 
 import cmath
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, LabError
-from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
+from .grid import Grid2D
 
 
 # per catalog kind: its parameter names, Phi, dPhi, d2Phi and critical
@@ -57,7 +57,6 @@ class HolomorphicWeight:
 
     kind: str
     params: dict
-    condition_flags: dict = field(default_factory=dict)
 
     def Phi(self, z):
         return _KINDS[self.kind]["Phi"](np.asarray(z, dtype=complex), self.params)
@@ -127,13 +126,8 @@ def _domain_contains(grid: Grid2D, z: complex) -> bool:
             and grid.y_min <= z.imag <= grid.y_max)
 
 
-def weight_catalog(kind: str, params: dict,
-                   partition: BoundaryPartition | None = None) -> HolomorphicWeight:
-    """Build a catalog weight and evaluate its condition flags honestly.
-
-    Flags are evaluated against the given boundary partition (default:
-    the unit square with observed top/bottom edges).
-    """
+def weight_catalog(kind: str, params: dict) -> HolomorphicWeight:
+    """Build a catalog weight; a center ``c`` must lie in the closed unit square."""
     if kind not in _KINDS:
         raise LabError(f"unknown weight kind {kind!r}; "
                        f"choose one of {', '.join(_KINDS)}")
@@ -142,36 +136,11 @@ def weight_catalog(kind: str, params: dict,
     if set(params) != set(names):
         raise LabError(f"{kind} weight takes the parameters {', '.join(names)}; "
                        f"got {', '.join(sorted(map(str, params))) or 'none'}")
-    if partition is None:
-        partition = remark_partition(Grid2D(nx=33, ny=33))
-    grid = partition.grid
     if "c" in params:
         c = complex(params["c"])
-        if not _domain_contains(grid, c):
+        if not _domain_contains(Grid2D(nx=33, ny=33), c):
             raise LabError(f"{kind} center {c} outside the closed domain")
-
-    w = HolomorphicWeight(kind=kind, params=params)
-    crit = w.closed_form_critical_points()
-
-    flags = {"holomorphic": True}  # closed-form: dPhi/dzbar vanishes identically
-
-    i0, j0 = partition.nodes(GAMMA_0) if GAMMA_0 in partition.labels.values() else (None,) * 2
-    Z = grid.nodes_z()
-    if i0 is not None:
-        flags["im_vanishes_on_gamma0"] = bool(
-            np.max(np.abs(w.psi(Z[i0, j0]))) < 1e-12)
-    else:
-        flags["im_vanishes_on_gamma0"] = True  # vacuous
-
-    flags["nondegenerate_critical_points"] = all(
-        abs(w.d2Phi(np.asarray(p))) > 1e-12 for p in crit)
-
-    it, jt = partition.nodes(GAMMA_TILDE)
-    zt = Z[it, jt]
-    flags["critical_points_off_gamma_tilde"] = all(
-        np.min(np.abs(zt - p)) > 1e-8 for p in crit)
-
-    return HolomorphicWeight(kind=kind, params=params, condition_flags=flags)
+    return HolomorphicWeight(kind=kind, params=params)
 
 
 def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoint]:

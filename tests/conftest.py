@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cgolab import Grid2D, TransformPlan, CoefficientTriple, random_coefficient_specs
+from cgolab import (Grid2D, TransformPlan, CoefficientTriple, MatrixField,
+                    random_coefficient_specs)
 from cgolab import transforms
 
 
@@ -9,6 +10,13 @@ def make_triple(seed, n_sys, grid, amplitude=0.3):
     sa, sb, sq = random_coefficient_specs(seed, n_sys, amplitude)
     return CoefficientTriple(sa.matrix_field(grid), sb.matrix_field(grid),
                              sq.matrix_field(grid))
+
+
+def constant_matrix(grid, mat):
+    """The matrix ``mat`` at every node, as a MatrixField."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
+    n = mat.shape[0]
+    return MatrixField(grid, np.broadcast_to(mat, (grid.nx, grid.ny, n, n)).copy())
 
 
 def outward_normals(grid, ii, jj):

@@ -3,7 +3,9 @@
 The benchmark wraps layer functions by name and builds its workloads from
 the public API, so deleting or renaming one of those names breaks it.
 These checks make such a deletion fail here as well as in the
-benchmark's own suite.  They read ``perfbench/`` and change nothing in it.
+benchmark's own suite, and each workload's experiment must still pass
+its own output check on the smoke inputs.  They read ``perfbench/`` and
+change nothing in it.
 """
 
 import sys
@@ -28,3 +30,10 @@ def test_every_traced_binding_resolves():
 def test_workload_setup_builds(name, tmp_path):
     w = WORKLOADS[name]
     assert w.setup(w.default_seed, tmp_path, smoke=True)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_experiment_passes_its_check(name, tmp_path):
+    w = WORKLOADS[name]
+    out = w.experiment(w.setup(w.default_seed, tmp_path, smoke=True))
+    assert w.check(out) == []

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgolab import Grid2D, VectorField, remark_partition, GAMMA_TILDE, GAMMA_0
+from cgolab import (Grid2D, VectorField, remark_partition, GAMMA_TILDE, GAMMA_0,
+                    random_trig_spec)
 from cgolab.calculus import (dz_array, dzbar_array, laplacian_array,
-                             trace_boundary, normal_derivative)
+                             trace_boundary, normal_derivative, wirtinger_pair)
 
 from conftest import outward_normals
 
@@ -20,6 +21,15 @@ def test_dzbar_kills_holomorphic_polynomial():
     # interior rows use the centered 4th-order stencil, exact on cubics;
     # the one-sided closures near the boundary are 2nd order only
     assert np.max(np.abs(dzbar_array(f, grid)[2:-2, 2:-2])) < 1e-11
+
+
+@pytest.mark.parametrize("value_shape", [(2,), (2, 2)])
+def test_wirtinger_pair_is_dz_and_dzbar_bit_for_bit(value_shape):
+    grid = Grid2D(nx=33, ny=41)
+    data = random_trig_spec(np.random.default_rng(4), value_shape, 1.0).sample(grid)
+    dz, dzbar = wirtinger_pair(data, grid)
+    assert np.array_equal(dz, dz_array(data, grid))
+    assert np.array_equal(dzbar, dzbar_array(data, grid))
 
 
 def test_dz_of_cubic_is_exact():

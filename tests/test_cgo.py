@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cgolab import (Grid2D, TransformPlan, VectorField, build_amplitude,
                     build_cgo_solution, cgo_residual, factorization_check,
-                    zero_order_remainder, gauge_conjugated_cgo,
-                    weight_catalog, GaugeSpec,
+                    zero_order_remainder, weight_catalog, GaugeSpec,
                     gauge_transform, make_vekua_operator,
                     LabError, OverflowGuardError)
 from cgolab import transforms
+from cgolab.calculus import dz_array, dzbar_array
+from cgolab.cgo import _stencil_residual
 from cgolab.harness import refinement_orders
 
 from conftest import make_triple, count_transforms
@@ -126,6 +129,18 @@ def test_residual_reuses_tau_independent_terms_per_triple(grid33, plan33):
     assert rec2 != cgo_residual(sol, t) == fresh(t, 8.0, "holo")
 
 
+@pytest.mark.parametrize("piece", ["holo", "anti"])
+def test_residual_is_the_same_on_the_call_that_fills_the_cache(grid33, plan33, piece):
+    t = make_triple(5, 2, grid33)
+    amp, w = build_amplitude(t, plan33), weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    first = cgo_residual(build_cgo_solution(amp, w, 8.0), t, piece=piece)
+    assert cgo_residual(build_cgo_solution(amp, w, 8.0), t, piece=piece) == first
+    # an amplitude made without build_amplitude takes its own derivatives
+    bare = replace(amp)
+    assert not bare._derived
+    assert cgo_residual(build_cgo_solution(bare, w, 8.0), t, piece=piece) == first
+
+
 def test_weighted_residual_record_fields(grid33, plan33):
     t = make_triple(5, 2, grid33)
     amp = build_amplitude(t, plan33)
@@ -156,16 +171,26 @@ def test_factorization_discrepancy_refines():
     assert min(refinement_orders(errs2)) > 1.8
 
 
+def _gauge_conjugated_residual(amp, gauge, t):
+    """Stencil residual of e^{s eta} (w0, w0~) under 2 dzbar + (A - 2 s eta_zbar)
+    and its mirror: the coefficients of the gauge map at strength -s."""
+    grid = t.grid
+    fac = np.exp(gauge.s * gauge.eta(grid))[:, :, None]
+    w0, w0t = amp.w0.data * fac, amp.w0_tilde.data * fac
+    t2 = gauge_transform(t, GaugeSpec(-gauge.s))
+    return max(
+        _stencil_residual(amp.w0.with_data(w0), dzbar_array(w0, grid), t2.a_coef),
+        _stencil_residual(amp.w0_tilde.with_data(w0t), dz_array(w0t, grid), t2.b_coef))
+
+
 def test_gauge_conjugated_amplitude_still_annihilated(grid33, plan33):
     t = make_triple(7, 1, grid33)
     amp = build_amplitude(t, plan33)
-    out = gauge_conjugated_cgo(amp, GaugeSpec(0.6), t)
     # transformed pair solves the transformed system to stencil accuracy
-    assert out["stencil_residual"] < 5e-2
-    base = np.abs(amp.w0.data)
-    eta = GaugeSpec(0.6).eta(grid33)
-    expect = base * np.exp(0.6 * eta)[:, :, None]
-    assert np.allclose(np.abs(out["w0"].data), expect, atol=1e-12)
+    assert _gauge_conjugated_residual(amp, GaugeSpec(0.6), t) < 5e-2
+    # the zero gauge leaves the amplitude system as build_amplitude scored it
+    assert np.isclose(_gauge_conjugated_residual(amp, GaugeSpec(0.0), t),
+                      amp.stencil_residual, rtol=1e-12, atol=0)
 
 
 def test_gauge_conjugated_residual_refines():
@@ -175,5 +200,5 @@ def test_gauge_conjugated_residual_refines():
         grid = Grid2D(nx=nx, ny=nx)
         t = make_triple(7, 1, grid)
         amp = build_amplitude(t, TransformPlan(grid))
-        errs.append(gauge_conjugated_cgo(amp, gauge, t)["stencil_residual"])
+        errs.append(_gauge_conjugated_residual(amp, gauge, t))
     assert min(refinement_orders(errs)) > 1.5

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, BoundaryPartition, GridError, remark_partition,
                     GAMMA_TILDE, GAMMA_0, VectorField, MatrixField,
-                    constant_matrix, bump_cutoff, plateau_cutoff,
-                    random_trig_spec)
+                    bump_cutoff, plateau_cutoff, random_trig_spec)
 from cgolab.synthetic import N_MODES, _basis_1d
+
+from conftest import constant_matrix
 
 
 def test_grid_rejects_tiny_resolutions():

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
                     gauge_transform, check_relations,
-                    coefficient_gap, corollary_pipeline, carleman_probe,
-                    random_h01_spec, CarlemanConvexWeight, full_operator_setup,
-                    GaugeSpec, LabError, random_trig_spec)
+                    coefficient_gap, carleman_probe, random_h01_spec,
+                    CarlemanConvexWeight, full_operator_setup, BoundaryPartition,
+                    GaugeSpec, LabError, TrigSpec, random_trig_spec,
+                    weight_catalog)
 from cgolab import cli, harness
 from cgolab.harness import refinement_orders
 
@@ -91,44 +92,6 @@ def test_single_term_perturbation_reproduces_bump_norm(grid33):
     assert res.norms["r_a2_max"] == dq.max_abs()
 
 
-def test_corollary_case_preconditions(grid33):
-    t1 = make_triple(7, 1, grid33)
-    t2 = gauge_transform(t1, GaugeSpec(0.5))
-    with pytest.raises(LabError):
-        corollary_pipeline("Q_known", t1, t2)  # Q differs
-    with pytest.raises(LabError):
-        corollary_pipeline("nonsense", t1, t1)
-
-
-def test_corollary_b_known_reduction(grid33):
-    """With B shared and Q adjusted to the substitution identity, the
-    case-reduced equation residual is pure differencing error."""
-    t1 = make_triple(8, 2, grid33)
-    # build t2 sharing B, with A2 = A1 + delta for a constant-in-space delta
-    rng = np.random.default_rng(1)
-    delta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    a2 = MatrixField(grid33, t1.a_coef.data - delta)
-    dA = np.broadcast_to(delta, (33, 33, 2, 2))
-    q2 = MatrixField(grid33, t1.q_coef.data
-                     - np.einsum("xyab,xybc->xyac", dA, t1.b_coef.data))
-    t2 = CoefficientTriple(a2, t1.b_coef, q2)
-    rep = corollary_pipeline("B_known", t1, t2)
-    assert rep["residuals"]["substitution"]["max"] < 1e-12
-    # 2 dz(const) = 0, so only the commutator term survives analytically;
-    # check the reported residual equals it
-    comm = (np.einsum("xyab,xybc->xyac", t2.b_coef.data, dA)
-            - np.einsum("xyab,xybc->xyac", dA, t1.b_coef.data))
-    assert rep["residuals"]["case_reduced"]["max"] == pytest.approx(
-        np.max(np.abs(comm)), rel=1e-12)
-
-
-def test_corollary_a_known_mirror(grid33):
-    t1 = make_triple(9, 1, grid33)
-    rep = corollary_pipeline("A_known", t1, t1)
-    assert rep["residuals"]["case_reduced"]["max"] == 0.0
-    assert rep["residuals"]["substitution"]["max"] == 0.0
-
-
 def test_carleman_first_order_probe_decays(grid33):
     cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
     rng = np.random.default_rng(2)
@@ -160,28 +123,45 @@ def test_carleman_probe_kind_weight_mismatch(grid33):
     ("no coefs", "needs a partition and coefficients"),
     ("empty convex family", "empty test family"),
     ("empty full family", "empty test family"),
+    ("Im Phi on gamma_0", "Im Phi does not vanish on gamma_0"),
+    ("degenerate critical point", "degenerate critical point"),
+    ("critical point on gamma_tilde", "critical point on gamma_tilde"),
+    ("vacuous family", "every test-family member is vacuous at tau 8$"),
 ])
 def test_carleman_probe_refuses_incomplete_input_before_any_work(
         grid33, monkeypatch, case, message):
     cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
     part, hw = full_operator_setup(grid33)
+    observed = BoundaryPartition(grid33)  # every edge observed: no gamma_0
     t = make_triple(0, 1, grid33)
     rng = np.random.default_rng(0)
     vec, mat = random_h01_spec(rng, (1,), 1.0), random_h01_spec(rng, (1, 1), 1.0)
+    full = {"partition": part, "coefs": t}
     kind, weight, family, kw = {
         "unknown kind": ("nonsense", cw, [vec], {}),
         "no b_pair": ("system_zero_order", cw, [mat], {}),
         "no partition": ("full_operator", hw, [vec], {"coefs": t}),
         "no coefs": ("full_operator", hw, [vec], {"partition": part}),
         "empty convex family": ("first_order_dz", cw, [], {}),
-        "empty full family": ("full_operator", hw, [],
-                              {"partition": part, "coefs": t}),
+        "empty full family": ("full_operator", hw, [], full),
+        "Im Phi on gamma_0": ("full_operator",
+                              weight_catalog("quadratic", {"c": 0.5 + 0.5j}),
+                              [vec], full),
+        "degenerate critical point": (
+            "full_operator", weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 0}),
+            [vec], {"partition": observed, "coefs": t}),
+        "critical point on gamma_tilde": (
+            "full_operator", weight_catalog("quadratic", {"c": 0.5}),
+            [vec], {"partition": observed, "coefs": t}),
+        "vacuous family": ("first_order_dz", cw, [TrigSpec(0 * vec.coeffs)], {}),
     }[case]
 
     def no_work(*args, **kwargs):
         raise AssertionError("probe evaluated before its inputs were checked")
 
-    monkeypatch.setattr(harness, "_probe_sides", no_work)
+    # a vacuous family shows itself only once the first rung is evaluated
+    if case != "vacuous family":
+        monkeypatch.setattr(harness, "_probe_sides", no_work)
     with pytest.raises(LabError, match=message):
         carleman_probe(kind, weight, [8.0, 16.0], family, grid33, **kw)
 
@@ -194,7 +174,7 @@ def test_h01_spec_vanishes_on_boundary(grid33):
 
 
 def test_full_operator_setup_flags():
+    """The setup pair meets the hypotheses on Phi that the full probe checks."""
     part, w = full_operator_setup(Grid2D(nx=33, ny=33))
-    assert w.condition_flags["im_vanishes_on_gamma0"]
-    assert w.condition_flags["critical_points_off_gamma_tilde"]
+    harness._check_phase(w, part)
     assert part.labels["left"] == "gamma_0"

@@ -4,15 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
                     make_vekua_operator, vekua_solve, neumann_series_apply,
-                    r_tau, r_tau_b,
-                    constant_matrix, bump_cutoff, plateau_cutoff,
+                    r_tau, r_tau_b, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, DivergenceError,
                     GridError)
 from cgolab import transforms
 from cgolab.calculus import dzbar_array, dz_array
 from cgolab.harness import refinement_orders
 
-from conftest import make_triple, inset_slice, count_transforms
+from conftest import make_triple, inset_slice, count_transforms, constant_matrix
 
 
 def test_kernel_table_self_cell_is_exactly_zero(grid33):

@@ -4,17 +4,20 @@ import pytest
 from cgolab import (Grid2D, weight_catalog, find_critical_points,
                     oscillatory_integral, stationary_phase_leading,
                     resolution_nodes_per_period, CarlemanConvexWeight,
-                    LabError, random_trig_spec, bump_cutoff)
+                    LabError, random_trig_spec, bump_cutoff,
+                    BoundaryPartition, remark_partition)
+from cgolab.harness import _check_phase
 
 
 def test_catalog_kinds_and_flags():
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    assert w.condition_flags["holomorphic"]
-    assert w.condition_flags["nondegenerate_critical_points"]
-    assert w.condition_flags["critical_points_off_gamma_tilde"]
+    grid = Grid2D(nx=33, ny=33)
+    # nondegenerate critical point off gamma_tilde: passes with no gamma_0
+    _check_phase(w, BoundaryPartition(grid))
     # the generic quadratic phase does not satisfy the hidden-arc
-    # flatness requirement on the side edges, and the flag says so
-    assert not w.condition_flags["im_vanishes_on_gamma0"]
+    # flatness requirement on the side edges, and the probe says so
+    with pytest.raises(LabError, match="Im Phi does not vanish on gamma_0"):
+        _check_phase(w, remark_partition(grid))
 
 
 def test_catalog_rejects_center_outside_domain():
