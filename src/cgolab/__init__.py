@@ -19,10 +19,10 @@ from .weights import (HolomorphicWeight, CriticalPoint, CarlemanConvexWeight,
                       resolution_nodes_per_period)
 from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
                          make_vekua_operator, neumann_series_apply,
-                         vekua_solve, r_tau, r_tau_b, ones_cutoff)
+                         vekua_solve, r_tau, r_tau_b)
 from .forward import (CoefficientTriple, OperatorFactorization,
-                      solve_dirichlet, fourier_profiles,
-                      PartialCauchyData, cauchy_data, cauchy_distance)
+                      fourier_profiles, PartialCauchyData, cauchy_data,
+                      cauchy_distance)
 from .harness import (GaugeSpec, gauge_transform, RelationResidual,
                       check_relations, coefficient_gap,
                       gauge_equivalence_experiment, off_gauge_separation,
@@ -30,6 +30,6 @@ from .harness import (GaugeSpec, gauge_transform, RelationResidual,
 from .cgo import (CgoAmplitude, CgoSolution, holomorphic_seed, build_amplitude,
                   build_cgo_solution, cgo_residual, zero_order_remainder,
                   factorization_check)
-from .cli import ScenarioConfig, DecayFit, fit_decay, fit_power_law, run, main
+from .cli import ScenarioConfig, fit_power_law, run, main
 
 __version__ = "0.1.0"

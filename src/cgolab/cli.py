@@ -120,15 +120,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares power law y = exp(intercept) * x**slope in log-log."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-
-
 def fit_power_law(samples) -> tuple[np.ndarray, float]:
     """Least-squares power law y = exp(c) * x_1**e_1 * ... * x_K**e_K in log-log.
 
@@ -153,12 +144,6 @@ def fit_power_law(samples) -> tuple[np.ndarray, float]:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return coef, r2
-
-
-def fit_decay(samples) -> DecayFit:
-    """Fit a power law to (x, y) samples; needs >= 3 strictly positive pairs."""
-    coef, r2 = fit_power_law(samples)
-    return DecayFit(slope=float(coef[0]), intercept=float(coef[1]), r_squared=r2)
 
 
 def _triple(cfg: ScenarioConfig, grid: Grid2D) -> CoefficientTriple:
@@ -267,9 +252,10 @@ def _run_stationary_phase(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
         rows.append({"tau": float(tau), "relative_error": float(rel),
                      "nodes_per_period":
                          float(resolution_nodes_per_period(w, grid, float(tau)))})
-    fit = fit_decay([(r["tau"], r["relative_error"]) for r in rows])
-    metrics = {"records": rows, "slope": fit.slope, "r_squared": fit.r_squared}
-    criteria = {"error_slope_le_-0.8": bool(fit.slope <= -0.8)}
+    coef, r2 = fit_power_law([(r["tau"], r["relative_error"]) for r in rows])
+    slope = float(coef[0])
+    metrics = {"records": rows, "slope": slope, "r_squared": r2}
+    criteria = {"error_slope_le_-0.8": bool(slope <= -0.8)}
     return metrics, criteria, rows
 
 
@@ -380,12 +366,12 @@ def _read_pairs(path: str, x: str, y: str) -> list:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     try:
-        fit = fit_decay(_read_pairs(args.table, args.x, args.y))
+        (slope, intercept), r2 = fit_power_law(
+            _read_pairs(args.table, args.x, args.y))
     except LabError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
-    print(f"slope {fit.slope:.6f}  intercept {fit.intercept:.6f}  "
-          f"r_squared {fit.r_squared:.6f}")
+    print(f"slope {slope:.6f}  intercept {intercept:.6f}  r_squared {r2:.6f}")
     return 0
 
 

@@ -110,9 +110,13 @@ def weighted_l2(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
-def as_data(g) -> np.ndarray:
-    """Complex samples of a field, or of a raw array."""
-    return np.asarray(getattr(g, "data", g), dtype=complex)
+def as_data(g, grid: Grid2D) -> np.ndarray:
+    """Complex samples of a field, or of a raw array; refused unless on ``grid``."""
+    data = np.asarray(getattr(g, "data", g), dtype=complex)
+    if data.shape[:2] != grid.shape:
+        raise GridError(f"samples of shape {data.shape} on a {grid.nx} x "
+                        f"{grid.ny} grid")
+    return data
 
 
 def same_kind(template, grid: Grid2D, data: np.ndarray):

@@ -234,52 +234,37 @@ class OperatorFactorization:
 
     def solve(self, boundary_values: np.ndarray | None,
               rhs: VectorField | None) -> VectorField:
-        """Solve L u = rhs with Dirichlet data; see ``solve_dirichlet``."""
-        data = _dirichlet_data(self.grid, self.n_sys, boundary_values, rhs)
-        return VectorField(self.grid, self._solve_block(*data)[..., 0])
+        """Solve L u = rhs with Dirichlet data on the whole boundary.
+
+        ``boundary_values`` follows the canonical boundary node order of
+        BoundaryPartition(grid) (all edges observed), shape (n_b,) for one
+        profile on every component or (n_b, N); None means zero data.
+        Data of another shape, non-finite data and an ``rhs`` of another
+        grid or N are refused with ``GridError`` before any solve.
+        """
+        n, nb = self.n_sys, len(self._boundary_nodes[0])
+        bv = np.zeros((nb, n), dtype=complex) if boundary_values is None \
+            else np.asarray(boundary_values, dtype=complex)
+        if bv.shape not in ((nb,), (nb, n)):
+            raise GridError(f"boundary values of shape {bv.shape}; expected "
+                            f"({nb},) or ({nb}, {n}) in canonical boundary order")
+        if not np.isfinite(bv).all():
+            raise GridError("boundary values are not all finite")
+        if bv.ndim == 1:  # one profile for every component
+            bv = bv[:, None]
+        source = None
+        if rhs is not None:
+            if rhs.grid != self.grid or rhs.n_sys != n:
+                raise GridError("rhs field does not match the coefficient grid")
+            source = rhs.data[..., None]
+        u = self._solve_block(np.broadcast_to(bv, (nb, n))[..., None], source)
+        return VectorField(self.grid, u[..., 0])
 
 
 def _static_splu(matrix):
     """SuperLU in symmetric mode: minimum degree on A'+A, diagonal pivots."""
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
-
-
-def _dirichlet_data(grid: Grid2D, n: int, boundary_values, rhs):
-    """Checked (boundary (n_b, N, 1), source (nx, ny, N, 1) or None) of a solve."""
-    nb = 2 * (grid.nx + grid.ny) - 4
-    bv = np.zeros((nb, n), dtype=complex) if boundary_values is None \
-        else np.asarray(boundary_values, dtype=complex)
-    if bv.shape not in ((nb,), (nb, n)):
-        raise GridError(f"boundary values of shape {bv.shape}; expected "
-                        f"({nb},) or ({nb}, {n}) in canonical boundary order")
-    if not np.isfinite(bv).all():
-        raise GridError("boundary values are not all finite")
-    if bv.ndim == 1:  # one profile for every component
-        bv = bv[:, None]
-    bv = np.broadcast_to(bv, (nb, n))[..., None]
-    if rhs is None:
-        return bv, None
-    if rhs.grid != grid or rhs.n_sys != n:
-        raise GridError("rhs field does not match the coefficient grid")
-    return bv, rhs.data[..., None]
-
-
-def solve_dirichlet(coefs: CoefficientTriple,
-                    boundary_values: np.ndarray | None = None,
-                    rhs: VectorField | None = None,
-                    factorization: OperatorFactorization | None = None) -> VectorField:
-    """Solve L u = rhs with Dirichlet data on the whole boundary.
-
-    ``boundary_values`` follows the canonical boundary node order of
-    BoundaryPartition(grid) (all edges observed), shape (n_b,) for one
-    profile on every component or (n_b, N); None means zero data.  Data
-    of another shape, non-finite data and an ``rhs`` of another grid or
-    N are refused with ``GridError`` before anything is factored.
-    """
-    data = _dirichlet_data(coefs.grid, coefs.n_sys, boundary_values, rhs)
-    fac = factorization or OperatorFactorization(coefs)
-    return VectorField(fac.grid, fac._solve_block(*data)[..., 0])
 
 
 def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
@@ -329,32 +314,27 @@ class PartialCauchyData:
 
 
 def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
-                basis_size: int, components: str = "first") -> PartialCauchyData:
+                basis_size: int) -> PartialCauchyData:
     """Assemble the finite-basis surrogate of the partial Cauchy data set.
 
     The basis is the first ``basis_size`` sine profiles of
-    ``fourier_profiles``.  Each scalar boundary profile is applied to the first system component
-    (components='first') or to every component in turn (components='all',
-    giving basis_size * N entries).
+    ``fourier_profiles``; each is applied to the first system component.
     """
     if coefs.grid != partition.grid:
         raise GridError("coefficients and partition on different grids")
     profiles = fourier_profiles(partition, basis_size)
-    n = coefs.n_sys
-    comps = range(n) if components == "all" else (0,)
-    # one column of boundary data per entry, profile-major
-    entries = [(prof, c) for prof in profiles for c in comps]
     fac = OperatorFactorization(coefs)
-    boundary = np.zeros((len(fac._boundary_nodes[0]), n, len(entries)),
-                        dtype=complex)
-    for j, (prof, c) in enumerate(entries):
-        boundary[:, c, j] = prof
+    # one column of boundary data per profile
+    boundary = np.zeros((len(fac._boundary_nodes[0]), coefs.n_sys,
+                         len(profiles)), dtype=complex)
+    for j, prof in enumerate(profiles):
+        boundary[:, 0, j] = prof
     u = fac._solve_block(boundary, None)
-    fields = [VectorField(fac.grid, u[..., j]) for j in range(len(entries))]
+    fields = [VectorField(fac.grid, u[..., j]) for j in range(len(profiles))]
     dir_traces = [trace_boundary(f, partition, GAMMA_TILDE) for f in fields]
     neu_traces = [normal_derivative(f, partition, GAMMA_TILDE) for f in fields]
     return PartialCauchyData(partition=partition,
-                             basis_id=f"fourier:{basis_size}:{components}",
+                             basis_id=f"fourier:{basis_size}",
                              dirichlet=dir_traces, neumann=neu_traces)
 
 

@@ -268,6 +268,9 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     if kind == "full_operator":
         if partition is None or coefs is None:
             raise LabError("full_operator probe needs a partition and coefficients")
+        if partition.grid != grid or coefs.grid != grid:
+            raise LabError("full_operator partition and coefficients must "
+                           "live on the probe's grid")
         _check_phase(weight, partition)
     test_family = list(test_family)
     if not test_family:

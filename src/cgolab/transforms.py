@@ -17,8 +17,10 @@ The Vekua inverse solves the integral form w + (1/2) d_side^{-1}(B w) =
 (1/2) d_side^{-1} g by its Neumann series, handing over to GMRES when the
 series contracts too slowly.  Building an operator applies no transform.
 The conjugated inverses R_{tau,B} are one such solve under a phase
-conjugation.  The cutoff series of v -> (1/2) d_side^{-1}(e B v) is kept
-to observe the smallness-of-support mechanism; it is gated on the norm
+conjugation.  Every entry point refuses samples whose first two axes are
+not the plan's grid.  The series of v -> (1/2) d_side^{-1}(e B v) for a
+cutoff e that its caller passes (``neumann_series_apply``) is kept to
+observe the smallness-of-support mechanism; it is gated on the norm
 ratios of its own terms.
 """
 
@@ -88,15 +90,12 @@ def _apply_kernel(plan: TransformPlan, samples: np.ndarray) -> np.ndarray:
 
 def dzbar_inv(g, plan: TransformPlan):
     """Solid Cauchy transform inverting d/dzbar on the rectangle."""
-    gd = as_data(g)
-    if gd.shape[:2] != plan.grid.shape:
-        raise GridError("sample shape does not match the transform plan")
-    return same_kind(g, plan.grid, _apply_kernel(plan, gd))
+    return same_kind(g, plan.grid, _apply_kernel(plan, as_data(g, plan.grid)))
 
 
 def dz_inv(g, plan: TransformPlan):
     """Conjugate-kernel transform inverting d/dz; dz_inv(g) = conj(dzbar_inv(conj g))."""
-    out = np.conj(_apply_kernel(plan, np.conj(as_data(g))))
+    out = np.conj(_apply_kernel(plan, np.conj(as_data(g, plan.grid))))
     return same_kind(g, plan.grid, out)
 
 
@@ -108,50 +107,38 @@ def _inv_for_side(side: str):
     raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
 
 
-def ones_cutoff(grid: Grid2D) -> CutoffFunction:
-    """Cutoff identically one; collapses the series operators to the full-B case."""
-    return CutoffFunction(grid, np.ones(grid.shape),
-                          (grid.x_min, grid.x_max, grid.y_min, grid.y_max))
-
-
 @dataclass(frozen=True)
 class VekuaOperator:
     """Inverse of (2*d_side + B) built from the solid Cauchy transform."""
 
     b_coef: MatrixField
     side: str
-    cutoff: CutoffFunction
     plan: TransformPlan
 
-    def series_map(self, v: np.ndarray) -> np.ndarray:
-        """One application of the series map  v -> (1/2) inv(e B v)."""
-        inv = _inv_for_side(self.side)
-        e = self.cutoff.values.reshape(self.cutoff.values.shape + (1,) * (v.ndim - 2))
-        return 0.5 * inv(e * pointwise(self.b_coef.data, v), self.plan)
-
     def full_map(self, v: np.ndarray) -> np.ndarray:
-        """v -> (1/2) inv(B v), without the cutoff."""
+        """v -> (1/2) inv(B v), the map K of the integral form w + K w."""
         inv = _inv_for_side(self.side)
         return 0.5 * inv(pointwise(self.b_coef.data, v), self.plan)
 
 
-def make_vekua_operator(b_coef: MatrixField, side: str, plan: TransformPlan,
-                        cutoff: CutoffFunction | None = None) -> VekuaOperator:
+def make_vekua_operator(b_coef: MatrixField, side: str,
+                        plan: TransformPlan) -> VekuaOperator:
     """Build the operator; no transform is applied.
 
     Whether a Neumann series of the operator converges is judged by the
     series itself, from the norm ratios of its own terms (see
     neumann_series_apply and vekua_solve).
     """
-    if cutoff is None:
-        cutoff = ones_cutoff(b_coef.grid)
-    return VekuaOperator(b_coef=b_coef, side=side, cutoff=cutoff, plan=plan)
+    return VekuaOperator(b_coef=b_coef, side=side, plan=plan)
 
 
-def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | VectorField | MatrixField:
+def neumann_series_apply(op: VekuaOperator, g, terms: int,
+                         cutoff: CutoffFunction | None = None
+                         ) -> np.ndarray | VectorField | MatrixField:
     """Partial sum of (1/2) sum_j (-1)^j ((1/2) d_side^{-1} e B)^j d_side^{-1} g.
 
-    Stops after the first term with norm <= 1e-3 eps times the norm of the
+    ``e`` holds the values of ``cutoff``; no cutoff means e = 1.  Stops
+    after the first term with norm <= 1e-3 eps times the norm of the
     running sum, or after `terms` terms, whichever comes first; `terms` is
     a cap.  Zero g costs one transform.  The series judges its own
     convergence: it raises DivergenceError, naming the ratios, when three
@@ -159,7 +146,9 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | Vecto
     terms is the transient growth of a non-normal map and is summed on.
     """
     inv = _inv_for_side(op.side)
-    term = 0.5 * inv(as_data(g), op.plan)
+    term = 0.5 * inv(as_data(g, op.plan.grid), op.plan)
+    e = 1.0 if cutoff is None else \
+        cutoff.values.reshape(cutoff.values.shape + (1,) * (term.ndim - 2))
     total = term.copy()
     prev_norm = np.linalg.norm(term)
     stop = _CUTOFF_STOP * np.finfo(float).eps
@@ -167,7 +156,7 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int) -> np.ndarray | Vecto
     for _ in range(1, terms):
         if prev_norm <= stop * np.linalg.norm(total):
             break
-        term = -op.series_map(term)
+        term = -(0.5 * inv(e * pointwise(op.b_coef.data, term), op.plan))
         total += term
         nrm = np.linalg.norm(term)
         if prev_norm > 0 and nrm >= prev_norm:
@@ -192,7 +181,7 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     cap or misses the residual check.  The residual contract is on that
     discrete operator.
     """
-    w, _, _ = _vekua_solve(op, as_data(g), tol)
+    w, _, _ = _vekua_solve(op, as_data(g, op.plan.grid), tol)
     return same_kind(g, op.plan.grid, w)
 
 
@@ -270,7 +259,7 @@ def r_tau(g, weight: HolomorphicWeight, tau: float, plan: TransformPlan,
     R~_tau g   = (1/2) e^{-2 i tau psi} dz_inv(g e^{2 i tau psi}),
     using Phi - conj(Phi) = 2 i psi.
     """
-    gd = as_data(g)
+    gd = as_data(g, plan.grid)
     conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
     out = 0.5 * conj_out * _inv_for_side(side)(gd * conj_in, plan)
     return same_kind(g, plan.grid, out)
@@ -286,7 +275,9 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
     Both are one vekua_solve, at its default tolerance, under the phase
     conjugation of r_tau; with B identically zero this reduces to r_tau.
 
-    `cutoff` is accepted and ignored.  The paper's composite
+    `cutoff` is accepted and ignored: the benchmark's rtau_ladder
+    workload still passes it, until the benchmark rewrite of ROADMAP
+    item 1 drops that argument.  The paper's composite
     T_B g = S_B g - T_B((1 - e) B S_B g), with S_B the cutoff series,
     solves the same discrete equation (I + K) w = (1/2) d_side^{-1} g as
     vekua_solve for every cutoff e: (I + K) - (I + K_e) is
@@ -295,7 +286,7 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
     """
     if np.count_nonzero(b_coef.data) == 0:
         return r_tau(g, weight, tau, plan, side=side)
-    gd = as_data(g)
+    gd = as_data(g, plan.grid)
     conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
     op = make_vekua_operator(b_coef, side, plan)
     out = conj_out * vekua_solve(op, conj_in * gd)

@@ -10,6 +10,7 @@ partition is in play: by the full_operator Carleman probe.
 from __future__ import annotations
 
 import cmath
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -121,13 +122,11 @@ class CarlemanConvexWeight:
         return np.exp(self.lam * self.psi_c(X, Y))
 
 
-def _domain_contains(grid: Grid2D, z: complex) -> bool:
-    return (grid.x_min <= z.real <= grid.x_max
-            and grid.y_min <= z.imag <= grid.y_max)
-
-
 def weight_catalog(kind: str, params: dict) -> HolomorphicWeight:
-    """Build a catalog weight; a center ``c`` must lie in the closed unit square."""
+    """Build a catalog weight from finite numeric parameters.
+
+    A center ``c`` must lie in the closed unit square.
+    """
     if kind not in _KINDS:
         raise LabError(f"unknown weight kind {kind!r}; "
                        f"choose one of {', '.join(_KINDS)}")
@@ -136,9 +135,15 @@ def weight_catalog(kind: str, params: dict) -> HolomorphicWeight:
     if set(params) != set(names):
         raise LabError(f"{kind} weight takes the parameters {', '.join(names)}; "
                        f"got {', '.join(sorted(map(str, params))) or 'none'}")
+    for name in names:
+        v = params[name]
+        if (not isinstance(v, numbers.Number) or isinstance(v, bool)
+                or not cmath.isfinite(v)):
+            raise LabError(f"{kind} weight parameter {name} must be a finite "
+                           f"number, got {v!r}")
     if "c" in params:
         c = complex(params["c"])
-        if not _domain_contains(Grid2D(nx=33, ny=33), c):
+        if not (0.0 <= c.real <= 1.0 and 0.0 <= c.imag <= 1.0):
             raise LabError(f"{kind} center {c} outside the closed domain")
     return HolomorphicWeight(kind=kind, params=params)
 
@@ -147,7 +152,8 @@ def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoi
     """The weight's closed-form critical points that lie in the closed rectangle."""
     out = []
     for z in w.closed_form_critical_points():
-        if _domain_contains(grid, z):
+        if (grid.x_min <= z.real <= grid.x_max
+                and grid.y_min <= z.imag <= grid.y_max):
             z0 = np.asarray(z)
             out.append(CriticalPoint(location=z, psi_value=float(w.psi(z0)),
                                      hessian=w.psi_hessian(z),

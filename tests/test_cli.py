@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgolab import ConfigError, Grid2D, LabError, cli, weight_catalog
 from cgolab.weights import resolution_nodes_per_period
-from cgolab.cli import (SCENARIOS, ScenarioConfig, load_config, fit_decay,
+from cgolab.cli import (SCENARIOS, ScenarioConfig, load_config,
                         fit_power_law, run, main)
 
 
@@ -166,19 +166,19 @@ def test_fit_power_law_recovers_two_exponents():
     assert r2 == pytest.approx(1.0)
 
 
-def test_fit_decay_recovers_power_law():
+def test_fit_power_law_recovers_one_variable_law():
     xs = [2.0, 4.0, 8.0, 16.0]
-    fit = fit_decay([(x, 3.0 * x ** -1.5) for x in xs])
-    assert fit.slope == pytest.approx(-1.5, abs=1e-12)
-    assert np.exp(fit.intercept) == pytest.approx(3.0)
-    assert fit.r_squared == pytest.approx(1.0)
+    (slope, intercept), r2 = fit_power_law([(x, 3.0 * x ** -1.5) for x in xs])
+    assert slope == pytest.approx(-1.5, abs=1e-12)
+    assert np.exp(intercept) == pytest.approx(3.0)
+    assert r2 == pytest.approx(1.0)
 
 
-def test_fit_decay_input_contracts():
+def test_fit_power_law_input_contracts():
     with pytest.raises(LabError):
-        fit_decay([(1.0, 1.0), (2.0, 0.5)])
+        fit_power_law([(1.0, 1.0), (2.0, 0.5)])
     with pytest.raises(LabError):
-        fit_decay([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
+        fit_power_law([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
 
 
 def test_run_transforms_scenario(tmp_path):

@@ -7,7 +7,7 @@ import cgolab.forward
 from cgolab.grid import EDGES
 from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
                     remark_partition, GAMMA_TILDE, GAMMA_0,
-                    OperatorFactorization, solve_dirichlet, cauchy_data,
+                    OperatorFactorization, cauchy_data,
                     cauchy_distance, fourier_profiles,
                     CoefficientTriple, random_trig_spec, GridError,
                     SingularSystemError, normal_derivative, trace_boundary,
@@ -36,13 +36,13 @@ def random_data(rng, shape):
 def test_manufactured_solution_small_grid(grid33):
     t = make_triple(11, 2, grid33)
     u_ex, bv, rhs = manufactured(grid33, t)
-    uh = solve_dirichlet(t, boundary_values=bv, rhs=rhs)
+    uh = OperatorFactorization(t).solve(bv, rhs)
     assert np.max(np.abs(uh.data - u_ex)) < 3e-4
 
 
 def test_zero_data_gives_zero_solution(grid33):
     t = make_triple(11, 1, grid33)
-    uh = solve_dirichlet(t)
+    uh = OperatorFactorization(t).solve(None, None)
     assert np.max(np.abs(uh.data)) == 0.0
 
 
@@ -50,8 +50,9 @@ def test_factorization_reuse_is_consistent(grid33):
     t = make_triple(12, 1, grid33)
     fac = OperatorFactorization(t)
     _, bv, rhs = manufactured(grid33, t)
-    u1 = solve_dirichlet(t, boundary_values=bv, rhs=rhs)
-    u2 = solve_dirichlet(t, boundary_values=bv, rhs=rhs, factorization=fac)
+    u1 = OperatorFactorization(t).solve(bv, rhs)
+    fac.solve(bv, None)  # the factor serves an earlier solve first
+    u2 = fac.solve(bv, rhs)
     assert np.allclose(u1.data, u2.data)
 
 
@@ -98,8 +99,6 @@ def test_solve_refuses_bad_input_before_any_work(grid33, monkeypatch, case):
     monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_work)
     with pytest.raises(GridError):
         fac.solve(bv, rhs)
-    with pytest.raises(GridError):
-        solve_dirichlet(t, bv, rhs)
 
 
 def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch):
@@ -183,7 +182,8 @@ def test_singular_system_raises():
     grid = Grid2D(nx=17, ny=17)
     ii, _ = BoundaryPartition(grid).nodes()
     with pytest.raises(SingularSystemError):
-        solve_dirichlet(zero_column_triple(grid), np.ones(len(ii)))
+        fac = OperatorFactorization(zero_column_triple(grid))
+        fac.solve(np.ones(len(ii)), None)
 
 
 def test_operator_is_factored_when_its_trace_part_is_singular():
@@ -320,22 +320,20 @@ system = st.tuples(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
 
 @settings(max_examples=30, deadline=None)
 @given(system, st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
-       st.sampled_from(["first", "all"]), st.integers(1, 4))
-def test_block_solve_equals_column_solves(sys_, observed, components, m):
+       st.integers(1, 4))
+def test_block_solve_equals_column_solves(sys_, observed, m):
     nx, ny, n, seed = sys_
     grid = Grid2D(nx=nx, ny=ny)
     t = make_triple(seed, n, grid)
     part = BoundaryPartition(grid, {e: GAMMA_TILDE if o else GAMMA_0
                                     for e, o in zip(EDGES, observed)})
     profiles = fourier_profiles(part, m)  # modes <= 4 fit every edge of 9 nodes
-    cd = cauchy_data(t, part, m, components=components)
+    cd = cauchy_data(t, part, m)
     fac = OperatorFactorization(t)
-    comps = range(n) if components == "all" else (0,)
-    cols = [(p, c) for p in profiles for c in comps]
-    assert len(cd) == len(cols)
-    for (p, c), d, nt in zip(cols, cd.dirichlet, cd.neumann):
+    assert len(cd) == len(profiles)
+    for p, d, nt in zip(profiles, cd.dirichlet, cd.neumann):
         bv = np.zeros((len(p), n), dtype=complex)
-        bv[:, c] = p
+        bv[:, 0] = p
         u = fac.solve(bv, None)
         for got, want in ((d, trace_boundary(u, part, GAMMA_TILDE)),
                           (nt, normal_derivative(u, part, GAMMA_TILDE))):
@@ -440,9 +438,8 @@ def test_cauchy_distance_rejects_basis_mismatch(grid33):
     t = make_triple(3, 2, grid33)
     part = remark_partition(grid33)
     c1 = cauchy_data(t, part, 3)
-    for c2 in (cauchy_data(t, part, 2), cauchy_data(t, part, 3, components="all")):
-        with pytest.raises(GridError):
-            cauchy_distance(c1, c2)
+    with pytest.raises(GridError):
+        cauchy_distance(c1, cauchy_data(t, part, 2))
 
 
 def test_cauchy_distance_separates_different_potentials(grid33):

@@ -127,6 +127,8 @@ def test_carleman_probe_kind_weight_mismatch(grid33):
     ("degenerate critical point", "degenerate critical point"),
     ("critical point on gamma_tilde", "critical point on gamma_tilde"),
     ("vacuous family", "every test-family member is vacuous at tau 8$"),
+    ("partition on another grid", "must live on the probe's grid"),
+    ("coefs on another grid", "must live on the probe's grid"),
 ])
 def test_carleman_probe_refuses_incomplete_input_before_any_work(
         grid33, monkeypatch, case, message):
@@ -154,6 +156,13 @@ def test_carleman_probe_refuses_incomplete_input_before_any_work(
             "full_operator", weight_catalog("quadratic", {"c": 0.5}),
             [vec], {"partition": observed, "coefs": t}),
         "vacuous family": ("first_order_dz", cw, [TrigSpec(0 * vec.coeffs)], {}),
+        "partition on another grid": (
+            "full_operator", hw, [vec],
+            {"partition": full_operator_setup(Grid2D(nx=17, ny=17))[0],
+             "coefs": t}),
+        "coefs on another grid": (
+            "full_operator", hw, [vec],
+            {"partition": part, "coefs": make_triple(0, 1, Grid2D(nx=17, ny=17))}),
     }[case]
 
     def no_work(*args, **kwargs):

@@ -9,6 +9,7 @@ from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
                     GridError)
 from cgolab import transforms
 from cgolab.calculus import dzbar_array, dz_array
+from cgolab.fields import pointwise
 from cgolab.harness import refinement_orders
 
 from conftest import make_triple, inset_slice, count_transforms, constant_matrix
@@ -169,19 +170,22 @@ def test_series_rides_out_transient_growth(grid33, plan33):
     assert np.linalg.norm(series - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
-@pytest.mark.parametrize("case", ["constant", "system", "bump"])
+@pytest.mark.parametrize("case", ["constant", "system"])
 def test_building_an_operator_costs_no_transform(grid33, plan33, monkeypatch,
                                                  case):
     calls = count_transforms(monkeypatch)
-    cutoff = None
     if case == "system":
         b = random_trig_spec(np.random.default_rng(6), (2, 2), 0.4).matrix_field(grid33)
     else:
         b = constant_matrix(grid33, [[2.0]])
-        if case == "bump":
-            cutoff = bump_cutoff(grid33, 0.5 + 0.5j, 0.25)
-    make_vekua_operator(b, "zbar", plan33, cutoff=cutoff)
+    make_vekua_operator(b, "zbar", plan33)
     assert len(calls) == 0
+
+
+def cutoff_map(b, cutoff, plan, v):
+    """One step of the cutoff series: v -> (1/2) dzbar_inv(e B v)."""
+    e = cutoff.values.reshape(cutoff.values.shape + (1,) * (v.ndim - 2))
+    return 0.5 * dzbar_inv(e * pointwise(b.data, v), plan)
 
 
 def test_term_ratios_shrink_with_cutoff_support(grid33, plan33):
@@ -191,13 +195,12 @@ def test_term_ratios_shrink_with_cutoff_support(grid33, plan33):
     g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33)
     sups = []
     for r in (0.45, 0.25, 0.1):
-        op = make_vekua_operator(b, "zbar", plan33,
-                                 cutoff=bump_cutoff(grid33, 0.5 + 0.5j, r))
+        cut = bump_cutoff(grid33, 0.5 + 0.5j, r)
         # norm ratios of successive Neumann-series terms
         term = 0.5 * dzbar_inv(g.data, plan33)
         ratios = []
         for _ in range(4):
-            nxt = op.series_map(term)
+            nxt = cutoff_map(b, cut, plan33, term)
             ratios.append(np.linalg.norm(nxt) / np.linalg.norm(term))
             term = nxt
         sups.append(max(ratios))
@@ -253,24 +256,25 @@ def test_r_tau_b_transform_count(monkeypatch):
     assert 0 < len(calls) <= 8
 
 
-@pytest.mark.parametrize("case", ["field", "zero"])
+@pytest.mark.parametrize("case", ["field", "zero", "system"])
 def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
     # a plateau cutoff around the quadratic weight's critical point
     cut = plateau_cutoff(grid33, 0.5 + 0.5j, 0.3, 0.45)
     rng = np.random.default_rng(2)
-    b = random_trig_spec(rng, (1, 1), 0.5).matrix_field(grid33)
-    op = make_vekua_operator(b, "zbar", plan33, cutoff=cut)
-    g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33).data
+    n = 2 if case == "system" else 1
+    b = random_trig_spec(rng, (n, n), 0.5).matrix_field(grid33)
+    op = make_vekua_operator(b, "zbar", plan33)
+    g = random_trig_spec(rng, (n,), 1.0).vector_field(grid33).data
     if case == "zero":
         g = np.zeros_like(g)
     term = 0.5 * dzbar_inv(g, plan33)
     reference = term.copy()
     for _ in range(1, 40):
-        term = -op.series_map(term)
+        term = -cutoff_map(b, cut, plan33, term)
         reference += term
 
     calls = count_transforms(monkeypatch)
-    total = neumann_series_apply(op, g, 40)
+    total = neumann_series_apply(op, g, 40, cutoff=cut)
     if case == "zero":
         assert len(calls) == 1
     else:
@@ -283,6 +287,35 @@ def test_r_tau_rejects_zero_tau(grid33, plan33):
     g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
     with pytest.raises(GridError):
         r_tau(g, w, 0.0, plan33)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (33, 1, 2), (17, 17, 1)])
+@pytest.mark.parametrize("entry", [
+    "dzbar_inv", "dz_inv", "r_tau zbar", "r_tau z", "r_tau_b zbar",
+    "r_tau_b z", "vekua_solve zbar", "vekua_solve z", "neumann_series_apply"])
+def test_entry_points_refuse_samples_off_the_plan_grid(grid33, plan33,
+                                                       monkeypatch, entry, shape):
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    b = constant_matrix(grid33, [[2.0]])
+    name, _, side = entry.partition(" ")
+    call = {
+        "dzbar_inv": lambda g: dzbar_inv(g, plan33),
+        "dz_inv": lambda g: dz_inv(g, plan33),
+        "r_tau": lambda g: r_tau(g, w, 4.0, plan33, side=side),
+        "r_tau_b": lambda g: r_tau_b(g, w, 4.0, b, plan33, side=side),
+        "vekua_solve": lambda g: vekua_solve(
+            make_vekua_operator(b, side, plan33), g),
+        "neumann_series_apply": lambda g: neumann_series_apply(
+            make_vekua_operator(b, "zbar", plan33), g, 10),
+    }[name]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on samples of the wrong shape")
+
+    monkeypatch.setattr(transforms, "_phase_pair", no_work)
+    monkeypatch.setattr(transforms, "_apply_kernel", no_work)
+    with pytest.raises(GridError, match=r"samples of shape .* on a 33 x 33 grid"):
+        call(np.ones(shape, dtype=complex))
 
 
 def test_r_tau_b_reduces_to_r_tau_for_zero_b(grid33, plan33):

@@ -34,6 +34,20 @@ def test_catalog_refuses_a_missing_or_extra_parameter(kind, params):
         weight_catalog(kind, params)
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("cubic", {"c": 0.5, "m": "x"}, "m"),
+    ("linear", {"alpha": None}, "alpha"),
+    ("quadratic", {"c": "x"}, "c"),
+    ("quadratic", {"c": True}, "c"),
+    ("quadratic", {"c": complex("nan")}, "c"),
+    ("linear", {"alpha": float("inf")}, "alpha")])
+def test_catalog_refuses_a_parameter_that_is_not_a_finite_number(kind, params,
+                                                                 name):
+    with pytest.raises(LabError, match=f"{kind} weight parameter {name} must "
+                                       "be a finite number"):
+        weight_catalog(kind, params)
+
+
 def test_catalog_refuses_an_unknown_kind():
     with pytest.raises(LabError, match="unknown weight kind 'sextic'"):
         weight_catalog("sextic", {"c": 0.5 + 0.5j})
