@@ -32,9 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
-from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import GridError, SingularSystemError
 from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices
@@ -110,6 +107,8 @@ class OperatorFactorization:
     """
 
     def __init__(self, coefs: CoefficientTriple):
+        import scipy.sparse as sp  # the first solver built loads scipy
+
         grid = coefs.grid
         nx, ny, n = grid.nx, grid.ny, coefs.n_sys
         ii, jj = BoundaryPartition(grid).nodes()
@@ -192,11 +191,14 @@ class OperatorFactorization:
         self._iterations = 0
         if self._rung != "trace":
             return self._lu.solve(b)
+        import scipy.sparse.linalg
+
         # the k columns stacked as one vector: one Krylov space, and one
         # preconditioner solve per step, serve the whole block
         shape = b.shape
-        op, prec = (LinearOperator((b.size,) * 2, dtype=complex,
-                                   matvec=lambda v, f=f: f(v.reshape(shape)).ravel())
+        op, prec = (scipy.sparse.linalg.LinearOperator(
+                        (b.size,) * 2, dtype=complex,
+                        matvec=lambda v, f=f: f(v.reshape(shape)).ravel())
                     for f in (self._matrix.dot, self._precondition))
         steps = []
         # a column that stops short of the tolerance is caught by the
@@ -259,6 +261,12 @@ class OperatorFactorization:
             source = rhs.data[..., None]
         u = self._solve_block(np.broadcast_to(bv, (nb, n))[..., None], source)
         return VectorField(self.grid, u[..., 0])
+
+
+def splu(*args, **kwargs):
+    """scipy.sparse.linalg.splu, whose module is imported on the first call."""
+    from scipy.sparse.linalg import splu as scipy_splu
+    return scipy_splu(*args, **kwargs)
 
 
 def _static_splu(matrix):

@@ -263,8 +263,12 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
                        f"choose one of {', '.join(_PROBE_WEIGHTS)}")
     if not isinstance(weight, _PROBE_WEIGHTS[kind]):
         raise LabError(f"{kind} needs a {_PROBE_WEIGHTS[kind].__name__}")
-    if kind == "system_zero_order" and b_pair is None:
-        raise LabError("system_zero_order probe needs a coefficient pair b_pair")
+    if kind == "system_zero_order":
+        if b_pair is None:
+            raise LabError("system_zero_order probe needs a coefficient pair b_pair")
+        if any(b.grid != grid for b in b_pair):
+            raise LabError("system_zero_order coefficient pair must live on "
+                           "the probe's grid")
     if kind == "full_operator":
         if partition is None or coefs is None:
             raise LabError("full_operator probe needs a partition and coefficients")

@@ -8,17 +8,29 @@ is simply dropped.
 
 The transform of a field is a fixed finite sum per target node, a
 discrete convolution with the difference kernel.  The plan places that
-kernel circularly on an FFT grid of at least 2n - 1 points per axis,
-where the circular convolution equals the linear one, and keeps its
-spectrum; one apply is then one forward FFT over all components, a
-product, and one inverse FFT, which reproduces the sum to round-off.
+kernel circularly on an FFT grid of L0 x L1 points, each the smallest
+11-smooth length of at least 2n - 1, where the circular convolution
+equals the linear one, and keeps its spectrum (numpy.fft along axis 0,
+then along axis 1).  One apply works on each component plane in turn,
+in the plan's work arrays: a forward FFT along axis 0 over the ny input
+columns only (the zero padding columns transform to zero), one along
+axis 1, the product with the spectrum, an inverse FFT along axis 0, the
+scaling by 1/(L0 L1), and an inverse FFT along axis 1 over the nx kept
+output rows only (Markel's FFT pruning, IEEE Trans. Audio Electroacoust.
+19, 1971).  These are the one-axis passes, in the same order and with
+the scaling at the same place, that scipy.fft's fft2 / ifft2 make over
+the padded grid, and numpy >= 2 runs the same pocketfft: the result is
+bit for bit the one of that two-dimensional pair, and no scipy module
+is loaded.
 
 The Vekua inverse solves the integral form w + (1/2) d_side^{-1}(B w) =
 (1/2) d_side^{-1} g by its Neumann series, handing over to GMRES when the
-series contracts too slowly.  Building an operator applies no transform.
-The conjugated inverses R_{tau,B} are one such solve under a phase
-conjugation.  Every entry point refuses samples whose first two axes are
-not the plan's grid.  The series of v -> (1/2) d_side^{-1}(e B v) for a
+series contracts too slowly; the GMRES fallback imports scipy on its
+first call.  Building an operator applies no transform.  The conjugated
+inverses R_{tau,B} are one such solve under a phase conjugation.  Every
+entry point refuses samples whose first two axes are not the plan's
+grid; an operator refuses a B, and the cutoff series a cutoff, on
+another grid.  The series of v -> (1/2) d_side^{-1}(e B v) for a
 cutoff e that its caller passes (``neumann_series_apply``) is kept to
 observe the smallness-of-support mechanism; it is gated on the norm
 ratios of its own terms.
@@ -29,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import GridError, ConvergenceError, DivergenceError, SingularSystemError
 from .grid import Grid2D, CutoffFunction
@@ -45,10 +55,23 @@ _SERIES_CAP = 80
 _CUTOFF_STOP = 1e-3
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth m >= n: the FFT lengths pocketfft runs fastest."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _kernel_table(grid: Grid2D) -> np.ndarray:
     """Circular kernel: the weight of source s at target t sits at (t - s) mod L.
 
-    The entry is -(1/pi) / (zeta_s - z_t); L = next_fast_len(2n - 1) per
+    The entry is -(1/pi) / (zeta_s - z_t); L = _fast_len(2n - 1) per
     axis, so no two offsets of the grid share a slot.
     """
     dx = np.arange(-(grid.nx - 1), grid.nx)
@@ -59,7 +82,7 @@ def _kernel_table(grid: Grid2D) -> np.ndarray:
     # self cell: closed-form polar/odd-symmetry integration of 1/(zeta - z)
     # over the centered singular cell gives exactly 0
     vals[grid.nx - 1, grid.ny - 1] = 0.0
-    shape = (fft.next_fast_len(2 * grid.nx - 1), fft.next_fast_len(2 * grid.ny - 1))
+    shape = (_fast_len(2 * grid.nx - 1), _fast_len(2 * grid.ny - 1))
     K = np.zeros(shape, dtype=complex)
     K[np.ix_(dx % shape[0], dy % shape[1])] = vals
     return K
@@ -67,25 +90,50 @@ def _kernel_table(grid: Grid2D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Precomputed quadrature data: node weights and the kernel spectrum."""
+    """Precomputed quadrature data: node weights and the kernel spectrum.
+
+    It also holds the work arrays of an apply, so the passes allocate
+    nothing: the zero-padded input of the forward axis-0 pass, the
+    zero-padded input of the axis-1 pass (the padding of both stays zero),
+    the L0 x L1 array that the product and the inverse axis-0 pass
+    overwrite in place, and the kept rows of the inverse axis-1 pass.  So
+    one plan serves one apply at a time.
+    """
 
     grid: Grid2D
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _work: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_spectrum", fft.fft2(_kernel_table(self.grid)))
+        nx, ny = self.grid.shape
+        spectrum = np.fft.fft(np.fft.fft(_kernel_table(self.grid), axis=0), axis=1)
+        l0, l1 = spectrum.shape
+        object.__setattr__(self, "_spectrum", spectrum)
         object.__setattr__(self, "_weights", self.grid.quad_weights())
+        object.__setattr__(self, "_work", (
+            np.zeros((l0, ny), dtype=complex), np.zeros((l0, l1), dtype=complex),
+            np.empty((l0, l1), dtype=complex), np.empty((nx, l1), dtype=complex)))
 
 
 def _apply_kernel(plan: TransformPlan, samples: np.ndarray) -> np.ndarray:
     """-(1/pi) * sum_s w_s g_s / (zeta_s - z_t) for every target node t."""
-    trail = (1,) * (samples.ndim - 2)
-    f = fft.fft2(samples * plan._weights.reshape(plan.grid.shape + trail),
-                 s=plan._spectrum.shape, axes=(0, 1))
-    f *= plan._spectrum.reshape(plan._spectrum.shape + trail)
-    out = fft.ifft2(f, axes=(0, 1), overwrite_x=True)
-    return np.ascontiguousarray(out[:plan.grid.nx, :plan.grid.ny])
+    nx, ny = plan.grid.shape
+    padded0, padded1, full, kept = plan._work
+    scale = 1.0 / full.size
+    planes = samples.reshape(nx, ny, -1)
+    out = np.empty(planes.shape, dtype=complex)
+    for k in range(planes.shape[2]):
+        np.multiply(planes[:, :, k], plan._weights, out=padded0[:nx])
+        np.fft.fft(padded0, axis=0, out=padded1[:, :ny])
+        np.fft.fft(padded1, axis=1, out=full)
+        full *= plan._spectrum
+        np.fft.ifft(full, axis=0, norm="forward", out=full)
+        rows = full[:nx].view(float)
+        rows *= scale  # each part times the factor, as pocketfft scales
+        np.fft.ifft(full[:nx], axis=1, norm="forward", out=kept)
+        out[:, :, k] = kept[:, :ny]
+    return out.reshape(samples.shape)
 
 
 def dzbar_inv(g, plan: TransformPlan):
@@ -114,6 +162,10 @@ class VekuaOperator:
     b_coef: MatrixField
     side: str
     plan: TransformPlan
+
+    def __post_init__(self):
+        if self.b_coef.grid != self.plan.grid:
+            raise GridError("Vekua coefficient B is not on the plan's grid")
 
     def full_map(self, v: np.ndarray) -> np.ndarray:
         """v -> (1/2) inv(B v), the map K of the integral form w + K w."""
@@ -145,6 +197,8 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int,
     consecutive term-norm ratios are >= 1.  A shorter run of growing
     terms is the transient growth of a non-normal map and is summed on.
     """
+    if cutoff is not None and cutoff.grid != op.plan.grid:
+        raise GridError("cutoff is not on the plan's grid")
     inv = _inv_for_side(op.side)
     term = 0.5 * inv(as_data(g, op.plan.grid), op.plan)
     e = 1.0 if cutoff is None else \
@@ -169,6 +223,12 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int,
             growth = []
         prev_norm = nrm
     return same_kind(g, op.plan.grid, total)
+
+
+def gmres(*args, **kwargs):
+    """scipy.sparse.linalg.gmres, whose module is imported on the first call."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+    return scipy_gmres(*args, **kwargs)
 
 
 def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
@@ -218,6 +278,8 @@ def _vekua_solve(op: VekuaOperator, gd: np.ndarray, tol: float):
         def mv(x):
             v = x.reshape(shape)
             return (v + op.full_map(v)).ravel()
+
+        from scipy.sparse.linalg import LinearOperator
 
         A = LinearOperator((gd.size, gd.size), matvec=mv, dtype=complex)
         x, info = gmres(A, rhs.ravel(), rtol=0.01 * tol, atol=0.0, maxiter=400,

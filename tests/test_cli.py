@@ -276,6 +276,36 @@ def test_import_does_not_load_scipy_interpolate():
     assert proc.stdout.strip() == "False"
 
 
+def _scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter holds after running ``code``."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps("
+         "sorted(m for m in sys.modules if m.startswith('scipy'))))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_module():
+    assert _scipy_modules_after("import cgolab") == []
+
+
+@pytest.mark.parametrize("scenario, loads_scipy", [
+    ("transforms", False), ("cgo", False), ("gauge", True)])
+def test_only_the_forward_solver_loads_scipy(tmp_path, scenario, loads_scipy):
+    """Transforms run on numpy.fft; the sparse solver imports scipy on first use."""
+    loaded = _scipy_modules_after(
+        "from cgolab.cli import ScenarioConfig, run\n"
+        f"run(ScenarioConfig(scenario={scenario!r}, seed=0, nx_ladder=(17, 33, 65)), "
+        f"{str(tmp_path)!r})")
+    assert ("scipy.sparse.linalg" in loaded) == loads_scipy
+    if not loads_scipy:
+        assert loaded == []
+
+
 def test_main_fit_subcommand(tmp_path, capsys):
     table = tmp_path / "t.csv"
     rows = ["tau,residual"] + [f"{t},{2.0 * t ** -2.0}" for t in (2, 4, 8, 16)]

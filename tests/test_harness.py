@@ -129,6 +129,7 @@ def test_carleman_probe_kind_weight_mismatch(grid33):
     ("vacuous family", "every test-family member is vacuous at tau 8$"),
     ("partition on another grid", "must live on the probe's grid"),
     ("coefs on another grid", "must live on the probe's grid"),
+    ("b_pair on another grid", "must live on the probe's grid"),
 ])
 def test_carleman_probe_refuses_incomplete_input_before_any_work(
         grid33, monkeypatch, case, message):
@@ -163,6 +164,9 @@ def test_carleman_probe_refuses_incomplete_input_before_any_work(
         "coefs on another grid": (
             "full_operator", hw, [vec],
             {"partition": part, "coefs": make_triple(0, 1, Grid2D(nx=17, ny=17))}),
+        "b_pair on another grid": (
+            "system_zero_order", cw, [mat],
+            {"b_pair": (make_triple(0, 1, Grid2D(nx=17, ny=17)).b_coef,) * 2}),
     }[case]
 
     def no_work(*args, **kwargs):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from cgolab import (Grid2D, TransformPlan, VectorField, dzbar_inv, dz_inv,
-                    make_vekua_operator, vekua_solve, neumann_series_apply,
+from cgolab import (Grid2D, TransformPlan, VectorField, VekuaOperator,
+                    dzbar_inv, dz_inv, make_vekua_operator, vekua_solve, neumann_series_apply,
                     r_tau, r_tau_b, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, DivergenceError,
                     GridError)
@@ -21,6 +22,36 @@ def test_kernel_table_self_cell_is_exactly_zero(grid33):
     assert K[0, 0] == 0.0  # zero offset sits at the origin of the circular table
     # every other offset of the grid holds a nonzero entry, the padding none
     assert np.count_nonzero(K) == (2 * grid33.nx - 1) * (2 * grid33.ny - 1) - 1
+
+
+def _scipy_apply_kernel(plan, samples):
+    """The former apply: one scipy.fft fft2 / ifft2 pair over the padded grid."""
+    trail = (1,) * (samples.ndim - 2)
+    f = scipy.fft.fft2(samples * plan._weights.reshape(plan.grid.shape + trail),
+                       s=plan._spectrum.shape, axes=(0, 1))
+    f *= plan._spectrum.reshape(plan._spectrum.shape + trail)
+    out = scipy.fft.ifft2(f, axes=(0, 1), overwrite_x=True)
+    return np.ascontiguousarray(out[:plan.grid.nx, :plan.grid.ny])
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 33), (33, 33), (129, 129), (257, 257)])
+def test_pruned_passes_are_the_scipy_pair_bit_for_bit(nx, ny):
+    grid = Grid2D(nx=nx, ny=ny)
+    plan = TransformPlan(grid)
+    assert np.array_equal(plan._spectrum,
+                          scipy.fft.fft2(transforms._kernel_table(grid)))
+    rng = np.random.default_rng(nx + ny)
+    for trail in [(), (2,), (2, 2)]:
+        shape = grid.shape + trail
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = transforms._apply_kernel(plan, g)
+        assert out.shape == shape and out.flags.c_contiguous
+        assert np.array_equal(out, _scipy_apply_kernel(plan, g))
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    assert [transforms._fast_len(n) for n in range(1, 1101)] == \
+        [scipy.fft.next_fast_len(n) for n in range(1, 1101)]
 
 
 def _brute_force_transform(g, grid, conj_kernel=False):
@@ -287,6 +318,28 @@ def test_r_tau_rejects_zero_tau(grid33, plan33):
     g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
     with pytest.raises(GridError):
         r_tau(g, w, 0.0, plan33)
+
+
+@pytest.mark.parametrize("case", ["make_vekua_operator", "VekuaOperator",
+                                  "cutoff"])
+def test_operator_and_cutoff_series_refuse_another_grid(grid33, plan33,
+                                                        monkeypatch, case):
+    grid17 = Grid2D(nx=17, ny=17)
+    b33, b17 = constant_matrix(grid33, [[2.0]]), constant_matrix(grid17, [[2.0]])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("applied a transform before the grid check")
+
+    monkeypatch.setattr(transforms, "_apply_kernel", no_work)
+    with pytest.raises(GridError, match="not on the plan's grid"):
+        if case == "make_vekua_operator":
+            make_vekua_operator(b17, "zbar", plan33)
+        elif case == "VekuaOperator":
+            VekuaOperator(b_coef=b17, side="z", plan=plan33)
+        else:
+            neumann_series_apply(make_vekua_operator(b33, "zbar", plan33),
+                                 np.ones((33, 33, 1)), 10,
+                                 cutoff=bump_cutoff(grid17, 0.5 + 0.5j, 0.3))
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (33, 1, 2), (17, 17, 1)])
