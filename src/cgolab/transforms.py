@@ -130,7 +130,7 @@ def _apply_kernel(plan: TransformPlan, samples: np.ndarray) -> np.ndarray:
         full *= plan._spectrum
         np.fft.ifft(full, axis=0, norm="forward", out=full)
         rows = full[:nx].view(float)
-        rows *= scale  # each part times the factor, as pocketfft scales
+        rows *= scale  # re and im times 1/(L0 L1), where and as ifft2 scales
         np.fft.ifft(full[:nx], axis=1, norm="forward", out=kept)
         out[:, :, k] = kept[:, :ny]
     return out.reshape(samples.shape)

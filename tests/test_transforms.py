@@ -4,8 +4,8 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, TransformPlan, VectorField, VekuaOperator,
-                    dzbar_inv, dz_inv, make_vekua_operator, vekua_solve, neumann_series_apply,
-                    r_tau, r_tau_b, bump_cutoff, plateau_cutoff,
+                    dzbar_inv, dz_inv, make_vekua_operator, vekua_solve,
+                    neumann_series_apply, r_tau, r_tau_b, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, DivergenceError,
                     GridError)
 from cgolab import transforms
