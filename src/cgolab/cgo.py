@@ -19,7 +19,6 @@ is not a finite number > 0 is refused.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,13 +31,11 @@ from .calculus import dz_array, dzbar_array, laplacian_array, wirtinger_pair
 from .synthetic import random_trig_spec
 from .forward import CoefficientTriple
 from .weights import HolomorphicWeight
-from .transforms import TransformPlan, make_vekua_operator, _vekua_solve
+from .transforms import TransformPlan, make_vekua_operator, _check_tau, _vekua_solve
 
 _EXP_GUARD = 300.0
 # residual tolerance of the two amplitude solves
 _AMPLITUDE_TOL = 1e-9
-# relative defect a seed may show under the annihilating stencil
-_SEED_TOL = 1e-5
 
 
 def holomorphic_seed(grid: Grid2D, n_sys: int) -> VectorField:
@@ -46,16 +43,6 @@ def holomorphic_seed(grid: Grid2D, n_sys: int) -> VectorField:
     z = grid.nodes_z()
     return VectorField(grid, np.stack([1.0 + 0.25 * (k + 1) * z
                                        for k in range(n_sys)], axis=2))
-
-
-def _check_seed(seed: VectorField, deriv, name: str, tol: float) -> None:
-    scale = seed.max_abs()
-    if scale == 0.0:
-        raise LabError(f"{name} seed vanishes identically")
-    err = np.max(np.abs(deriv(seed.data, seed.grid)[3:-3, 3:-3]))
-    if err > tol * scale:
-        raise LabError(f"{name} seed fails the annihilation check: "
-                       f"relative defect {err / scale:.2e} > {tol:.0e}")
 
 
 @dataclass(frozen=True)
@@ -98,20 +85,14 @@ def _stencil_residual(w: VectorField, dw: np.ndarray, m: MatrixField) -> float:
     return float(np.linalg.norm(r[sl]) / max(np.linalg.norm(w.data[sl]), 1e-30))
 
 
-def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan,
-                    seed: VectorField | None = None,
-                    seed_tilde: VectorField | None = None) -> CgoAmplitude:
+def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan) -> CgoAmplitude:
     """Solve both amplitude equations through the Vekua integral form.
 
-    The defaults take the affine holomorphic seed and its conjugate.
+    The seeds are the affine holomorphic seed and its conjugate.
     """
-    grid, n = coefs.grid, coefs.n_sys
-    if seed is None:
-        seed = holomorphic_seed(grid, n)
-    if seed_tilde is None:
-        seed_tilde = seed.conj()
-    _check_seed(seed, dzbar_array, "holomorphic", _SEED_TOL)
-    _check_seed(seed_tilde, dz_array, "antiholomorphic", _SEED_TOL)
+    grid = coefs.grid
+    seed = holomorphic_seed(grid, coefs.n_sys)
+    seed_tilde = seed.conj()
 
     def solve(m: MatrixField, side: str, s: VectorField):
         # w = s + v with (2 d_side + m) v = -m s; K s = -rhs bit for bit, so
@@ -165,9 +146,7 @@ class CgoSolution:
 
 def build_cgo_solution(amplitude: CgoAmplitude, weight: HolomorphicWeight,
                        tau: float) -> CgoSolution:
-    if isinstance(tau, bool) or not (isinstance(tau, numbers.Real)
-                                     and np.isfinite(tau) and tau > 0):
-        raise LabError(f"tau must be a finite number > 0, got {tau!r}")
+    _check_tau(tau)
     Phi = weight.Phi(amplitude.w0.grid.nodes_z())
     shift = float(Phi.real.max())
     if tau * (shift - float(Phi.real.min())) > _EXP_GUARD:

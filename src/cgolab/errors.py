@@ -6,7 +6,7 @@ class LabError(Exception):
 
 
 class GridError(LabError):
-    """Grid too small for a stencil, or mismatched grids."""
+    """Grid too small for a stencil, mismatched grids, or a tau or side out of range."""
 
 
 class ConvergenceError(LabError):

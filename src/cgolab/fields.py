@@ -48,16 +48,8 @@ class _Field:
     def with_data(self, data: np.ndarray):
         return type(self)(self.grid, data)
 
-    def __add__(self, other):
-        return self.with_data(self.data + other.data)
-
     def __sub__(self, other):
         return self.with_data(self.data - other.data)
-
-    def __mul__(self, scalar):
-        return self.with_data(self.data * scalar)
-
-    __rmul__ = __mul__
 
     def conj(self):
         return self.with_data(np.conj(self.data))

@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgolab import (Grid2D, TransformPlan, VectorField, build_amplitude,
+from cgolab import (Grid2D, TransformPlan, build_amplitude,
                     build_cgo_solution, cgo_residual, factorization_check,
                     zero_order_remainder, weight_catalog, GaugeSpec,
                     gauge_transform, make_vekua_operator,
                     LabError, OverflowGuardError)
 from cgolab import transforms
 from cgolab.calculus import dz_array, dzbar_array
-from cgolab.cgo import _stencil_residual
+from cgolab.cgo import _stencil_residual, holomorphic_seed
 from cgolab.harness import refinement_orders
 
 from conftest import make_triple, count_transforms
@@ -52,12 +52,15 @@ def test_amplitude_transform_count(monkeypatch):
     assert len(calls) == 14
 
 
-def test_amplitude_rejects_non_holomorphic_seed(grid33, plan33):
-    t = make_triple(3, 1, grid33)
-    Z = grid33.nodes_z()
-    bad = VectorField(grid33, np.conj(Z)[:, :, None])
-    with pytest.raises(LabError):
-        build_amplitude(t, plan33, seed=bad)
+@pytest.mark.parametrize("nx", [17, 65, 257])
+@pytest.mark.parametrize("n_sys", [1, 2, 3])
+def test_library_seeds_are_annihilated(nx, n_sys):
+    grid = Grid2D(nx=nx, ny=nx)
+    seed = holomorphic_seed(grid, n_sys)
+    scale = seed.max_abs()
+    sl = grid.interior()
+    assert np.max(np.abs(dzbar_array(seed.data, grid)[sl])) <= 1e-12 * scale
+    assert np.max(np.abs(dz_array(seed.conj().data, grid)[sl])) <= 1e-12 * scale
 
 
 def test_amplitude_annihilation_refines():
@@ -87,7 +90,7 @@ def test_overflow_guard_fires(grid33, plan33):
         build_cgo_solution(amp, w, 1e4)
 
 
-@pytest.mark.parametrize("tau", [-8.0, -1e4, float("nan"), float("inf"), 0.0])
+@pytest.mark.parametrize("tau", [-8.0, -1e4, float("nan"), float("inf"), 0.0, True])
 def test_solution_refuses_tau_that_is_not_finite_positive(grid33, plan33, tau):
     amp = build_amplitude(make_triple(4, 1, grid33), plan33)
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})

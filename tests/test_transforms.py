@@ -320,8 +320,46 @@ def test_r_tau_rejects_zero_tau(grid33, plan33):
         r_tau(g, w, 0.0, plan33)
 
 
+def _no_transform(*args, **kwargs):
+    raise AssertionError("applied a transform before the check")
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -4.0, 0.0, True])
+@pytest.mark.parametrize("entry", ["r_tau", "r_tau_b"])
+def test_conjugated_inverses_refuse_tau_that_is_not_finite_positive(
+        grid33, plan33, monkeypatch, entry, tau):
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
+    b = constant_matrix(grid33, [[2.0]])
+    monkeypatch.setattr(transforms, "_apply_kernel", _no_transform)
+    with pytest.raises(GridError, match=r"^tau must be a finite number > 0, got "):
+        if entry == "r_tau":
+            r_tau(g, w, tau, plan33)
+        else:
+            r_tau_b(g, w, tau, b, plan33)
+
+
+@pytest.mark.parametrize("entry", ["VekuaOperator", "make_vekua_operator",
+                                   "r_tau", "r_tau_b"])
+def test_side_other_than_z_or_zbar_is_refused_up_front(grid33, plan33,
+                                                       monkeypatch, entry):
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
+    b = constant_matrix(grid33, [[2.0]])
+    monkeypatch.setattr(transforms, "_apply_kernel", _no_transform)
+    with pytest.raises(GridError, match=r"^side must be 'z' or 'zbar', got 'x'"):
+        if entry == "VekuaOperator":
+            VekuaOperator(b_coef=b, side="x", plan=plan33)
+        elif entry == "make_vekua_operator":
+            make_vekua_operator(b, "x", plan33)
+        elif entry == "r_tau":
+            r_tau(g, w, 4.0, plan33, side="x")
+        else:
+            r_tau_b(g, w, 4.0, b, plan33, side="x")
+
+
 @pytest.mark.parametrize("case", ["make_vekua_operator", "VekuaOperator",
-                                  "cutoff"])
+                                  "cutoff", "r_tau_b zero B"])
 def test_operator_and_cutoff_series_refuse_another_grid(grid33, plan33,
                                                         monkeypatch, case):
     grid17 = Grid2D(nx=17, ny=17)
@@ -336,6 +374,9 @@ def test_operator_and_cutoff_series_refuse_another_grid(grid33, plan33,
             make_vekua_operator(b17, "zbar", plan33)
         elif case == "VekuaOperator":
             VekuaOperator(b_coef=b17, side="z", plan=plan33)
+        elif case == "r_tau_b zero B":
+            r_tau_b(np.ones((33, 33, 1)), weight_catalog("quadratic", {"c": 0.5 + 0.5j}),
+                    4.0, constant_matrix(grid17, [[0.0]]), plan33)
         else:
             neumann_series_apply(make_vekua_operator(b33, "zbar", plan33),
                                  np.ones((33, 33, 1)), 10,
