@@ -6,15 +6,18 @@ zero-order factorization remainder.  Amplitudes are produced by the
 integral fixed point
 
     w0 + (1/2) dzbar^{-1}(A w0) = seed,        seed holomorphic,
-    w0~ + (1/2) dz^{-1}(B w0~) = seed~,        seed~ antiholomorphic,
+    w0~ + (1/2) dz^{-1}(B w0~) = seed~,        seed~ = conj(seed),
 
 whose residual is measured on the discrete integral system itself, from
 the transform that each solve's residual check applied; the stencil
 residual of the differential form is reported separately since it is
-bounded below by the differentiation error of the scheme.  One amplitude
-pair serves every tau: the tau-independent terms of the defect are cached
-on it, the branches u and u~ are formed on first access, and a tau that
-is not a finite number > 0 is refused.
+bounded below by the differentiation error of the scheme.  conj(w0~)
+solves the first equation with conj B, the A of ``coefs.mirror()``: every
+antiholomorphic quantity (u~, its residual, Q - 2 dzbar B - A B) is the
+conjugate of its holomorphic twin on the mirror.  One amplitude serves
+every tau: the tau-independent terms of the defect are cached on it, the
+branch u is formed on first access, and a tau that is not a finite
+number > 0 is refused.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ class CgoAmplitude:
     (worst of the two sides).  stencil_residual: relative interior
     residual of (2 dzbar + A) w0 and (2 dz + B) w0~ under the package
     difference stencils; it converges at the stencil order, not to zero.
-    ``_derived`` holds, per piece ('holo' for w0, 'anti' for w0~), the
-    (dz, dzbar) pair that build_amplitude took once, and caches the other
-    tau-independent terms of cgo_residual.
+    ``_derived`` holds the (dz, dzbar) pair of w0 that build_amplitude took
+    once, and caches the other tau-independent terms of cgo_residual.
     """
 
     w0: VectorField
@@ -73,11 +75,6 @@ class CgoAmplitude:
                            "exceeds the 1e-6 contract")
 
 
-def _first_order(w: np.ndarray, deriv, m: MatrixField, grid: Grid2D) -> np.ndarray:
-    """(2 deriv + m) w on raw samples."""
-    return 2 * deriv(w, grid) + pointwise(m.data, w)
-
-
 def _stencil_residual(w: VectorField, dw: np.ndarray, m: MatrixField) -> float:
     """Relative interior residual of (2 d + m) w, given dw = d w under the package stencils."""
     r = 2 * dw + pointwise(m.data, w.data)
@@ -88,41 +85,46 @@ def _stencil_residual(w: VectorField, dw: np.ndarray, m: MatrixField) -> float:
 def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan) -> CgoAmplitude:
     """Solve both amplitude equations through the Vekua integral form.
 
-    The seeds are the affine holomorphic seed and its conjugate.
+    The seeds are the affine holomorphic seed and its conjugate; w0~ is
+    the conjugate of the mirror's w0.
     """
     grid = coefs.grid
     seed = holomorphic_seed(grid, coefs.n_sys)
-    seed_tilde = seed.conj()
 
-    def solve(m: MatrixField, side: str, s: VectorField):
-        # w = s + v with (2 d_side + m) v = -m s; K s = -rhs bit for bit, so
-        # the solve's own K v gives w + K w - s = w + (K v - rhs) - s
-        op = make_vekua_operator(m, side, plan)
-        v, kv, rhs = _vekua_solve(op, m.matvec(s).data * (-1.0), _AMPLITUDE_TOL)
-        w = s.with_data(s.data + v)
-        res = np.linalg.norm(w.data + (kv - rhs) - s.data) / np.linalg.norm(s.data)
+    def solve(m: MatrixField):
+        # w = seed + v with (2 dzbar + m) v = -m seed; K seed = -rhs bit for
+        # bit, so the solve's own K v gives w + K w - seed = w + (K v - rhs) - seed
+        op = make_vekua_operator(m, plan)
+        v, kv, rhs = _vekua_solve(op, m.matvec(seed).data * (-1.0), _AMPLITUDE_TOL)
+        w = seed.with_data(seed.data + v)
+        res = np.linalg.norm(w.data + (kv - rhs) - seed.data) / np.linalg.norm(seed.data)
         return w, float(res)
 
-    # w0 solves (2 dzbar + A) w0 = 0, w0~ the mirrored system
-    w0, res_a = solve(coefs.a_coef, "zbar", seed)
-    w0t, res_b = solve(coefs.b_coef, "z", seed_tilde)
-    d_w0, d_w0t = wirtinger_pair(w0.data, grid), wirtinger_pair(w0t.data, grid)
-    sres = max(_stencil_residual(w0, d_w0[1], coefs.a_coef),
-               _stencil_residual(w0t, d_w0t[0], coefs.b_coef))
-    amp = CgoAmplitude(w0=w0, w0_tilde=w0t, seed=seed, seed_tilde=seed_tilde,
-                       residual=max(res_a, res_b), stencil_residual=sres)
-    amp._derived.update(holo=d_w0, anti=d_w0t)
+    # the mirror's side first: conj B, its solve and its one derivative are
+    # dropped before w0's derivative pair, which the amplitude keeps, is taken
+    b_bar = coefs.b_coef.conj()
+    w_mirror, res_b = solve(b_bar)
+    sres_b = _stencil_residual(w_mirror, dzbar_array(w_mirror.data, grid), b_bar)
+    del b_bar
+    w0, res_a = solve(coefs.a_coef)
+    d_w0 = wirtinger_pair(w0.data, grid)
+    sres = max(_stencil_residual(w0, d_w0[1], coefs.a_coef), sres_b)
+    amp = CgoAmplitude(w0=w0, w0_tilde=w_mirror.conj(), seed=seed,
+                       seed_tilde=seed.conj(), residual=max(res_a, res_b),
+                       stencil_residual=sres)
+    amp._derived["d"] = d_w0
     return amp
 
 
 @dataclass(frozen=True)
 class CgoSolution:
-    """One conjugated solution branch at a given tau.
+    """The holomorphic conjugated solution branch at a given tau.
 
     ``u`` is the rescaled branch w0 * exp(tau (Phi - phi_shift)), so its
-    modulus never exceeds |w0|, and ``u_tilde`` is w0~ * exp(tau
-    (conj(Phi) - phi_shift)); both are computed on first access.
-    phi_shift = max phi records the removed real constant.
+    modulus never exceeds |w0|; it is computed on first access.
+    phi_shift = max phi records the removed real constant.  The
+    antiholomorphic branch w0~ * exp(tau (conj(Phi) - phi_shift)) is the
+    conjugate of ``u`` built on the mirror triple's amplitude.
     """
 
     amplitude: CgoAmplitude
@@ -130,18 +132,11 @@ class CgoSolution:
     tau: float
     phi_shift: float
 
-    def _branch(self, w: VectorField, conj: bool) -> VectorField:
-        Phi = self.weight.Phi(w.grid.nodes_z())
-        osc = np.exp(self.tau * ((np.conj(Phi) if conj else Phi) - self.phi_shift))
-        return w.with_data(w.data * osc[:, :, None])
-
     @cached_property
     def u(self) -> VectorField:
-        return self._branch(self.amplitude.w0, conj=False)
-
-    @cached_property
-    def u_tilde(self) -> VectorField:
-        return self._branch(self.amplitude.w0_tilde, conj=True)
+        w = self.amplitude.w0
+        osc = np.exp(self.tau * (self.weight.Phi(w.grid.nodes_z()) - self.phi_shift))
+        return w.with_data(w.data * osc[:, :, None])
 
 
 def build_cgo_solution(amplitude: CgoAmplitude, weight: HolomorphicWeight,
@@ -166,39 +161,24 @@ def _apply_operator(v: np.ndarray, coefs: CoefficientTriple) -> np.ndarray:
             + pointwise(coefs.q_coef.data, v))
 
 
-def _sides(coefs: CoefficientTriple, piece: str):
-    """(A, B, 0) for 'holo', (B, A, 1) for 'anti'.
-
-    The first coefficient carries the phase; its derivative is slot k of
-    a (dz, dzbar) pair, the other coefficient's is slot 1 - k.
-    """
-    if piece == "holo":
-        return coefs.a_coef, coefs.b_coef, 0
-    if piece == "anti":
-        return coefs.b_coef, coefs.a_coef, 1
-    raise LabError(f"unknown piece {piece!r}")
-
-
-def _first_order_part(coefs: CoefficientTriple, piece: str) -> np.ndarray:
-    """Q - S = 2 dz A + B A for 'holo', 2 dzbar B + A B for 'anti'; cached on the triple."""
-    key = ("first_order_part", piece)
-    if key not in coefs._derived:
-        m, m_other, k = _sides(coefs, piece)
-        d = (dz_array, dzbar_array)[k]
-        part = 2 * d(m.data, coefs.grid) + m_other.matmat(m).data
+def _first_order_part(coefs: CoefficientTriple) -> np.ndarray:
+    """Q - S = 2 dz A + B A; cached on the triple."""
+    part = coefs._derived.get("first_order_part")
+    if part is None:
+        part = (2 * dz_array(coefs.a_coef.data, coefs.grid)
+                + coefs.b_coef.matmat(coefs.a_coef).data)
         part.flags.writeable = False
-        coefs._derived[key] = part
-    return coefs._derived[key]
+        coefs._derived["first_order_part"] = part
+    return part
 
 
-def zero_order_remainder(coefs: CoefficientTriple, piece: str = "holo") -> np.ndarray:
-    """Q - 2 dz A - B A for the holomorphic branch, Q - 2 dzbar B - A B mirrored."""
-    return coefs.q_coef.data - _first_order_part(coefs, piece)
+def zero_order_remainder(coefs: CoefficientTriple) -> np.ndarray:
+    """Q - 2 dz A - B A; the mirror's is conj(Q - 2 dzbar B - A B)."""
+    return coefs.q_coef.data - _first_order_part(coefs)
 
 
-def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
-                 piece: str = "holo") -> dict:
-    """Weighted interior residual of one oscillating branch.
+def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple) -> dict:
+    """Weighted interior residual of the holomorphic oscillating branch.
 
     Measures the conjugated defect  e^{-tau Phi} (L - S)(w0 e^{tau Phi})
     with the conjugation carried out analytically,
@@ -211,34 +191,31 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     the stencils to the oscillating product instead would bury the
     identity under truncation error growing like tau^4.  residual_raw is
     the max-norm of the same defect.  dz w0 and dzbar w0 come from
-    build_amplitude; the Laplacian is cached on the amplitude per piece, and
-    the terms in the coefficients per piece and triple (by identity).
+    build_amplitude; the Laplacian is cached on the amplitude, and the
+    terms in the coefficients per triple (by identity).  The residual of
+    the antiholomorphic branch is this one on the mirror triple and its
+    amplitude.
     """
     grid = coefs.grid
     amp = sol.amplitude
     if grid != amp.w0.grid:
         raise LabError("solution and coefficients live on different grids")
-    m_osc, m_flat, k = _sides(coefs, piece)
-    # the holo branch carries exp(tau Phi), the anti branch exp(tau conj(Phi))
+    w = amp.w0.data
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
-    if piece == "holo":
-        w = amp.w0.data
-    else:
-        w, dphi = amp.w0_tilde.data, np.conj(dphi)
-    if piece not in amp._derived:  # an amplitude not made by build_amplitude
-        amp._derived[piece] = wirtinger_pair(w, grid)
-    d_osc_w, dw = amp._derived[piece][k], amp._derived[piece][1 - k]
-    lap = amp._derived.get((piece, "lap"))
+    if "d" not in amp._derived:  # an amplitude not made by build_amplitude
+        amp._derived["d"] = wirtinger_pair(w, grid)
+    dz_w, dzbar_w = amp._derived["d"]
+    lap = amp._derived.get("lap")
     if lap is None:
-        lap = amp._derived[piece, "lap"] = laplacian_array(w, grid)
-    cached = amp._derived.get((piece, "coefs"))
+        lap = amp._derived["lap"] = laplacian_array(w, grid)
+    cached = amp._derived.get("coefs")
     if cached is None or cached[0] is not coefs:
-        cached = amp._derived[piece, "coefs"] = (
-            coefs, 2 * pointwise(m_flat.data, dw),
-            pointwise(_first_order_part(coefs, piece), w))
+        cached = amp._derived["coefs"] = (
+            coefs, 2 * pointwise(coefs.b_coef.data, dzbar_w),
+            pointwise(_first_order_part(coefs), w))
     _, flat, zero_order = cached
-    first = (2 * pointwise(m_osc.data, d_osc_w + sol.tau * dphi * w)
-             + flat + 4 * sol.tau * dphi * dw)
+    first = (2 * pointwise(coefs.a_coef.data, dz_w + sol.tau * dphi * w)
+             + flat + 4 * sol.tau * dphi * dzbar_w)
     defect = lap + first + zero_order
 
     sl = grid.interior()
@@ -246,19 +223,27 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple,
     den = float(np.linalg.norm(w[sl]))
     if den == 0.0:
         raise LabError("amplitude vanishes on the interior window")
-    rec = {"tau": sol.tau, "nx": grid.nx, "piece": piece,
-           "residual_weighted": num / den,
+    rec = {"tau": sol.tau, "nx": grid.nx, "residual_weighted": num / den,
            "residual_raw": float(np.max(np.abs(defect[sl])))}
     if not np.isfinite(rec["residual_weighted"]):
         raise OverflowGuardError("non-finite weighted residual")
     return rec
 
 
+def _factored(v: np.ndarray, coefs: CoefficientTriple) -> np.ndarray:
+    """(2 dz + B)(2 dzbar + A) v + (Q - 2 dz A - B A) v on raw samples."""
+    grid = coefs.grid
+    inner = 2 * dzbar_array(v, grid) + pointwise(coefs.a_coef.data, v)
+    return (2 * dz_array(inner, grid) + pointwise(coefs.b_coef.data, inner)
+            + pointwise(zero_order_remainder(coefs), v))
+
+
 def factorization_check(coefs: CoefficientTriple) -> dict:
     """Compare L v against both first-order factorizations on a smooth probe.
 
     factored_1: (2 dz + B)(2 dzbar + A) v + (Q - 2 dz A - B A) v
-    factored_2: (2 dzbar + A)(2 dz + B) v + (Q - 2 dzbar B - A B) v
+    factored_2: (2 dzbar + A)(2 dz + B) v + (Q - 2 dzbar B - A B) v,
+    the conjugate of factored_1 of the mirror triple on conj v.
 
     The composition of one-sided closures pollutes a band near the
     boundary, hence the max norms trimmed by 6 nodes.  The probe is a
@@ -268,12 +253,8 @@ def factorization_check(coefs: CoefficientTriple) -> dict:
     rng = np.random.default_rng(7)
     v = random_trig_spec(rng, (n,), amplitude=1.0).vector_field(grid).data
     direct = _apply_operator(v, coefs)
-    f1 = (_first_order(_first_order(v, dzbar_array, coefs.a_coef, grid),
-                       dz_array, coefs.b_coef, grid)
-          + pointwise(zero_order_remainder(coefs, "holo"), v))
-    f2 = (_first_order(_first_order(v, dz_array, coefs.b_coef, grid),
-                       dzbar_array, coefs.a_coef, grid)
-          + pointwise(zero_order_remainder(coefs, "anti"), v))
+    f1 = _factored(v, coefs)
+    f2 = np.conj(_factored(np.conj(v), coefs.mirror()))
     sl = np.s_[6:-6, 6:-6]
     scale = max(float(np.max(np.abs(direct[sl]))), 1e-30)
     return {"nx": grid.nx,

@@ -180,9 +180,7 @@ def _run_cgo(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
         amp = build_amplitude(coefs, plan)
         for tau in cfg.tau_ladder:
             sol = build_cgo_solution(amp, w, float(tau))
-            rec = cgo_residual(sol, coefs)
-            rec.pop("piece")
-            rows.append(rec)
+            rows.append(cgo_residual(sol, coefs))
     # residual ~ C tau^e_tau h^e_h: both tau and h vary across the rows
     coef, r2 = fit_power_law([(r["tau"], 1.0 / (r["nx"] - 1),
                                r["residual_weighted"]) for r in rows])
@@ -237,17 +235,12 @@ def _run_stationary_phase(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     point = find_critical_points(w, grid)[0]
     rng = np.random.default_rng(cfg.seed)
     spec = random_trig_spec(rng, (), amplitude=1.0)
-
-    def g(z):
-        zz = np.asarray(z)
-        X = np.asarray(zz.real, dtype=float).reshape(1, 1)
-        Y = np.asarray(zz.imag, dtype=float).reshape(1, 1)
-        return complex(spec.eval(X, Y)[0, 0])
-
+    z0 = point.location
+    g0 = complex(spec.eval(np.full((1, 1), z0.real), np.full((1, 1), z0.imag))[0, 0])
     rows = []
     for tau in cfg.tau_ladder:
         full = oscillatory_integral(spec.sample(grid), w, float(tau), grid)
-        lead = stationary_phase_leading(g, w, point, float(tau))
+        lead = stationary_phase_leading(g0, w, point, float(tau))
         rel = abs(full - lead) / max(abs(full), 1e-300)
         rows.append({"tau": float(tau), "relative_error": float(rel),
                      "nodes_per_period":

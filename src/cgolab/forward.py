@@ -72,6 +72,11 @@ class CoefficientTriple:
     def n_sys(self) -> int:
         return self.a_coef.n_sys
 
+    def mirror(self) -> "CoefficientTriple":
+        """(conj B, conj A, conj Q): L u = f iff L_mirror conj(u) = conj(f).  Not cached."""
+        return CoefficientTriple(self.b_coef.conj(), self.a_coef.conj(),
+                                 self.q_coef.conj())
+
 
 def _stencil_blocks(coefs: CoefficientTriple):
     """(offset, NxN coupling block per interior node) of the 5-point operator.

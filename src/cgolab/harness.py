@@ -14,10 +14,11 @@ import numpy as np
 from .errors import GridError, LabError, OverflowGuardError
 from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
 from .fields import MatrixField, VectorField, pointwise, weighted_l2
-from .calculus import dz_array, dzbar_array, normal_derivative
+from .calculus import dz_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
 from .forward import CoefficientTriple, cauchy_data, cauchy_distance
-from .weights import HolomorphicWeight, CarlemanConvexWeight, weight_catalog
+from .weights import (HolomorphicWeight, CarlemanConvexWeight, DEGENERATE_MARGIN,
+                      weight_catalog)
 
 
 # eta(x2) = sin^6(pi (x2 - 1/8) / (3/4)) on (1/8, 7/8), zero outside.  The
@@ -95,23 +96,15 @@ class RelationResidual:
 
 
 def _relation_terms(t1: CoefficientTriple, t2: CoefficientTriple):
-    """Differences and the terms of the two first-order relations.
-
-    Returns (dA, dB, dQ) and, per relation, its leading part and its
-    cross term:  (2 dz dA + B2 dA, dB A1)  and  (2 dzbar dB + A2 dB, dA B1).
-    Each relation reads  lead + cross - dQ = 0.
-    """
+    """dA, dB and the residual 2 dz dA + B2 dA + dB A1 - dQ of the first relation."""
     if t1.grid != t2.grid or t1.n_sys != t2.n_sys:
         raise GridError("triples live on different grids")
     grid = t1.grid
     dA = t1.a_coef.data - t2.a_coef.data
     dB = t1.b_coef.data - t2.b_coef.data
     dQ = t1.q_coef.data - t2.q_coef.data
-    first = (2 * dz_array(dA, grid) + pointwise(t2.b_coef.data, dA),
-             pointwise(dB, t1.a_coef.data))
-    second = (2 * dzbar_array(dB, grid) + pointwise(t2.a_coef.data, dB),
-              pointwise(dA, t1.b_coef.data))
-    return (dA, dB, dQ), first, second
+    lead = 2 * dz_array(dA, grid) + pointwise(t2.b_coef.data, dA)
+    return dA, dB, MatrixField(grid, lead + pointwise(dB, t1.a_coef.data) - dQ)
 
 
 def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
@@ -119,15 +112,14 @@ def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
     """Residuals of
     2 dz(A1-A2) + B2 (A1-A2) + (B1-B2) A1 - (Q1-Q2)   and
     2 dzbar(B1-B2) + A2 (B1-B2) + (A1-A2) B1 - (Q1-Q2),
-    plus the max coefficient gap on the observed arcs.
+    plus the max coefficient gap on the observed arcs.  The second
+    relation is the conjugate of the first on the mirrored pair.
     """
-    (dA, dB, dQ), (lead1, cross1), (lead2, cross2) = _relation_terms(t1, t2)
+    dA, dB, f1 = _relation_terms(t1, t2)
+    _, _, f2 = _relation_terms(t1.mirror(), t2.mirror())
     ii, jj = partition.nodes(GAMMA_TILDE)
     gap = float(np.max(np.max(np.abs(dA[ii, jj]), axis=(1, 2))
                        + np.max(np.abs(dB[ii, jj]), axis=(1, 2)))) if len(ii) else 0.0
-
-    f1 = MatrixField(t1.grid, lead1 + cross1 - dQ)
-    f2 = MatrixField(t1.grid, lead2 + cross2 - dQ)
     norms = {"r_a1_l2": f1.l2(), "r_a1_max": f1.max_abs(),
              "r_a2_l2": f2.l2(), "r_a2_max": f2.max_abs()}
     return RelationResidual(boundary_gap=gap, norms=norms)
@@ -231,7 +223,7 @@ def _check_phase(weight: HolomorphicWeight, partition: BoundaryPartition) -> Non
     if (GAMMA_0 in partition.labels.values()
             and not np.max(np.abs(weight.psi(z[partition.nodes(GAMMA_0)]))) < 1e-12):
         raise LabError("full_operator weight: Im Phi does not vanish on gamma_0")
-    if not all(abs(weight.d2Phi(np.asarray(p))) > 1e-12 for p in crit):
+    if not all(abs(weight.d2Phi(np.asarray(p))) > DEGENERATE_MARGIN for p in crit):
         raise LabError("full_operator weight has a degenerate critical point")
     zt = z[partition.nodes(GAMMA_TILDE)]
     if not all(np.min(np.abs(zt - p)) > 1e-8 for p in crit):

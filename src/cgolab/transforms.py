@@ -1,4 +1,4 @@
-"""Solid Cauchy transforms and Vekua-type inverses of 2*d/dz + B.
+"""Solid Cauchy transforms and Vekua-type inverses of 2*d/dzbar + B.
 
 Quadrature: tensor trapezoid over the node-centered cells with the
 singular cell handled analytically.  The kernel 1/(zeta - z) integrated
@@ -23,19 +23,20 @@ the padded grid, and numpy >= 2 runs the same pocketfft: the result is
 bit for bit the one of that two-dimensional pair, and no scipy module
 is loaded.
 
-The Vekua inverse solves the integral form w + (1/2) d_side^{-1}(B w) =
-(1/2) d_side^{-1} g by its Neumann series, handing over to GMRES when the
+The Vekua inverse solves the integral form w + (1/2) dzbar^{-1}(B w) =
+(1/2) dzbar^{-1} g by its Neumann series, handing over to GMRES when the
 series contracts too slowly; the GMRES fallback imports scipy on its
 first call.  Building an operator applies no transform.  The conjugated
-inverses R_{tau,B} are one such solve under a phase conjugation.  Every
-entry point refuses samples whose first two axes are not the plan's
-grid; an operator refuses a B, and the cutoff series a cutoff, on
-another grid.  An operator, r_tau and r_tau_b refuse a side other than
-'z' / 'zbar', and r_tau and r_tau_b a tau that is not a finite number
-> 0, before any transform.  The series of v -> (1/2) d_side^{-1}(e B v)
-for a cutoff e that its caller passes (``neumann_series_apply``) is kept
-to observe the smallness-of-support mechanism; it is gated on the norm
-ratios of its own terms.
+inverses R_{tau,B} are one such solve under a phase conjugation; their
+side 'z' is the conjugate of side 'zbar' run on conj g and conj B, since
+(2 dz + B) w = g iff (2 dzbar + conj B) conj w = conj g.  Every entry
+point refuses samples whose first two axes are not the plan's grid; an
+operator refuses a B, and the cutoff series a cutoff, on another grid.
+r_tau and r_tau_b refuse a side other than 'z' / 'zbar' and a tau that
+is not a finite number > 0, before any transform.  The series of
+v -> (1/2) dzbar^{-1}(e B v) for a cutoff e that its caller passes
+(``neumann_series_apply``) is kept to observe the smallness-of-support
+mechanism; it is gated on the norm ratios of its own terms.
 """
 
 from __future__ import annotations
@@ -150,48 +151,36 @@ def dz_inv(g, plan: TransformPlan):
     return same_kind(g, plan.grid, out)
 
 
-def _inv_for_side(side: str):
-    if side == "z":
-        return dz_inv
-    if side == "zbar":
-        return dzbar_inv
-    raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
-
-
 @dataclass(frozen=True)
 class VekuaOperator:
-    """Inverse of (2*d_side + B) built from the solid Cauchy transform."""
+    """Inverse of (2*d/dzbar + B) built from the solid Cauchy transform."""
 
     b_coef: MatrixField
-    side: str
     plan: TransformPlan
 
     def __post_init__(self):
-        _inv_for_side(self.side)
         if self.b_coef.grid != self.plan.grid:
             raise GridError("Vekua coefficient B is not on the plan's grid")
 
     def full_map(self, v: np.ndarray) -> np.ndarray:
-        """v -> (1/2) inv(B v), the map K of the integral form w + K w."""
-        inv = _inv_for_side(self.side)
-        return 0.5 * inv(pointwise(self.b_coef.data, v), self.plan)
+        """v -> (1/2) dzbar_inv(B v), the map K of the integral form w + K w."""
+        return 0.5 * dzbar_inv(pointwise(self.b_coef.data, v), self.plan)
 
 
-def make_vekua_operator(b_coef: MatrixField, side: str,
-                        plan: TransformPlan) -> VekuaOperator:
+def make_vekua_operator(b_coef: MatrixField, plan: TransformPlan) -> VekuaOperator:
     """Build the operator; no transform is applied.
 
     Whether a Neumann series of the operator converges is judged by the
     series itself, from the norm ratios of its own terms (see
     neumann_series_apply and vekua_solve).
     """
-    return VekuaOperator(b_coef=b_coef, side=side, plan=plan)
+    return VekuaOperator(b_coef=b_coef, plan=plan)
 
 
 def neumann_series_apply(op: VekuaOperator, g, terms: int,
                          cutoff: CutoffFunction | None = None
                          ) -> np.ndarray | VectorField | MatrixField:
-    """Partial sum of (1/2) sum_j (-1)^j ((1/2) d_side^{-1} e B)^j d_side^{-1} g.
+    """Partial sum of (1/2) sum_j (-1)^j ((1/2) dzbar^{-1} e B)^j dzbar^{-1} g.
 
     ``e`` holds the values of ``cutoff``; no cutoff means e = 1.  Stops
     after the first term with norm <= 1e-3 eps times the norm of the
@@ -203,8 +192,7 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int,
     """
     if cutoff is not None and cutoff.grid != op.plan.grid:
         raise GridError("cutoff is not on the plan's grid")
-    inv = _inv_for_side(op.side)
-    term = 0.5 * inv(as_data(g, op.plan.grid), op.plan)
+    term = 0.5 * dzbar_inv(as_data(g, op.plan.grid), op.plan)
     e = 1.0 if cutoff is None else \
         cutoff.values.reshape(cutoff.values.shape + (1,) * (term.ndim - 2))
     total = term.copy()
@@ -214,7 +202,7 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int,
     for _ in range(1, terms):
         if prev_norm <= stop * np.linalg.norm(total):
             break
-        term = -(0.5 * inv(e * pointwise(op.b_coef.data, term), op.plan))
+        term = -(0.5 * dzbar_inv(e * pointwise(op.b_coef.data, term), op.plan))
         total += term
         nrm = np.linalg.norm(term)
         if prev_norm > 0 and nrm >= prev_norm:
@@ -236,7 +224,7 @@ def gmres(*args, **kwargs):
 
 
 def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
-    """Solve (2 d_side + B) w = g through the integral form w + (1/2)inv(B w) = (1/2)inv(g).
+    """Solve (2 dzbar + B) w = g through its integral form w + K w = (1/2) dzbar_inv(g).
 
     Starts the Neumann series of the integral form.  After each term it
     first checks convergence, then leaves for a GMRES solve of the same
@@ -251,8 +239,7 @@ def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
 
 def _vekua_solve(op: VekuaOperator, gd: np.ndarray, tol: float):
     """vekua_solve on raw samples; returns w, the op.full_map(w) of its check, and rhs."""
-    inv = _inv_for_side(op.side)
-    rhs = 0.5 * inv(gd, op.plan)
+    rhs = 0.5 * dzbar_inv(gd, op.plan)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(gd), np.zeros_like(gd), rhs
@@ -310,14 +297,24 @@ def _check_tau(tau) -> None:
         raise GridError(f"tau must be a finite number > 0, got {tau!r}")
 
 
-def _phase_pair(weight: HolomorphicWeight, tau: float, grid: Grid2D, ndim: int,
-                side: str):
-    """(conj_in, conj_out) = (e^{-2 i tau psi}, e^{2 i tau psi}) on 'zbar', swapped on 'z'."""
+def _mirrored(tau, side: str) -> bool:
+    """Refuse a bad tau or side; True on side 'z', the conjugate mirror of 'zbar'."""
     _check_tau(tau)
-    _inv_for_side(side)  # refuses any other side
+    if side not in ("z", "zbar"):
+        raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
+    return side == "z"
+
+
+def _phase_conjugated(gd: np.ndarray, weight: HolomorphicWeight, tau: float,
+                      grid: Grid2D, mirrored: bool, inverse) -> np.ndarray:
+    """e^{2 i tau psi} inverse(e^{-2 i tau psi} gd); mirrored, its conjugate at conj gd."""
     osc = np.exp(2j * tau * weight.psi(grid.nodes_z()))
-    osc = osc.reshape(osc.shape + (1,) * (ndim - 2))
-    return (np.conj(osc), osc) if side == "zbar" else (osc, np.conj(osc))
+    osc = osc.reshape(osc.shape + (1,) * (gd.ndim - 2))
+    if mirrored:
+        gd = np.conj(gd)
+    # osc stays the left operand: numpy's complex multiply is not commutative bit for bit
+    out = osc * inverse(np.conj(osc) * gd)
+    return np.conj(out) if mirrored else out
 
 
 def r_tau(g, weight: HolomorphicWeight, tau: float, plan: TransformPlan,
@@ -325,13 +322,13 @@ def r_tau(g, weight: HolomorphicWeight, tau: float, plan: TransformPlan,
     """Conjugated transforms R_tau (side 'zbar') and R~_tau (side 'z').
 
     R_tau g    = (1/2) e^{2 i tau psi} dzbar_inv(g e^{-2 i tau psi}),
-    R~_tau g   = (1/2) e^{-2 i tau psi} dz_inv(g e^{2 i tau psi}),
+    R~_tau g   = (1/2) e^{-2 i tau psi} dz_inv(g e^{2 i tau psi}) = conj(R_tau conj g),
     using Phi - conj(Phi) = 2 i psi.
     """
     gd = as_data(g, plan.grid)
-    conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
-    # r_tau_b's operand orders: numpy's complex multiply is not commutative bit for bit
-    out = conj_out * (0.5 * _inv_for_side(side)(conj_in * gd, plan))
+    mirrored = _mirrored(tau, side)
+    out = _phase_conjugated(gd, weight, tau, plan.grid, mirrored,
+                            lambda x: 0.5 * dzbar_inv(x, plan))
     return same_kind(g, plan.grid, out)
 
 
@@ -341,8 +338,9 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
     """Conjugated Vekua inverses R_{tau,B} / R~_{tau,B}.
 
     side 'zbar' solves (2 d_zbar + 2 tau d_zbar conj(Phi) + B) w = g,
-    side 'z'    solves (2 d_z    + 2 tau d_z Phi        + B) w = g.
-    Both are one vekua_solve, at its default tolerance, under the phase
+    side 'z'    solves (2 d_z    + 2 tau d_z Phi        + B) w = g,
+    the conjugate of side 'zbar' solved for conj g with conj B.  Each is
+    one vekua_solve, at its default tolerance, under the phase
     conjugation of r_tau, B identically zero included: that solve's series
     stops at its first term and gives r_tau bit for bit.
 
@@ -350,13 +348,14 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
     workload still passes it, until the benchmark rewrite of ROADMAP
     item 1 drops that argument.  The paper's composite
     T_B g = S_B g - T_B((1 - e) B S_B g), with S_B the cutoff series,
-    solves the same discrete equation (I + K) w = (1/2) d_side^{-1} g as
+    solves the same discrete equation (I + K) w = (1/2) dzbar^{-1} g as
     vekua_solve for every cutoff e: (I + K) - (I + K_e) is
-    (1/2) d_side^{-1}((1 - e) B .), the second resolvent identity.  So
+    (1/2) dzbar^{-1}((1 - e) B .), the second resolvent identity.  So
     T_B does not depend on e.
     """
     gd = as_data(g, plan.grid)
-    conj_in, conj_out = _phase_pair(weight, tau, plan.grid, gd.ndim, side)
-    op = make_vekua_operator(b_coef, side, plan)
-    out = conj_out * vekua_solve(op, conj_in * gd)
+    mirrored = _mirrored(tau, side)
+    op = make_vekua_operator(b_coef.conj() if mirrored else b_coef, plan)
+    out = _phase_conjugated(gd, weight, tau, plan.grid, mirrored,
+                            lambda x: vekua_solve(op, x))
     return same_kind(g, plan.grid, out)

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import GridError, LabError
 from .grid import Grid2D
 
+# a critical point with |d2Phi| <= this is degenerate: there |det psi''| = |d2Phi|^2
+# <= 1e-12, and the stationary-phase prefactor |det psi''|^{-1/2} means nothing
+DEGENERATE_MARGIN = 1e-6
 
 # per catalog kind: its parameter names, Phi, dPhi, d2Phi and critical
 # points in closed form.  Each kind keeps its own arithmetic, so every
@@ -90,10 +93,10 @@ class CriticalPoint:
     location: complex
     psi_value: float
     hessian: np.ndarray
-    margin: float  # |d2Phi| at the point
+    margin: float  # |d2Phi| at the point, above DEGENERATE_MARGIN
 
     def __post_init__(self):
-        if self.margin <= 0.0:
+        if not self.margin > DEGENERATE_MARGIN:
             raise LabError("degenerate critical point")
 
 
@@ -149,7 +152,7 @@ def weight_catalog(kind: str, params: dict) -> HolomorphicWeight:
 
 
 def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoint]:
-    """The weight's closed-form critical points that lie in the closed rectangle."""
+    """Closed-form critical points in the closed rectangle; a degenerate one is refused."""
     out = []
     for z in w.closed_form_critical_points():
         if (grid.x_min <= z.real <= grid.x_max
@@ -171,12 +174,12 @@ def resolution_nodes_per_period(w: HolomorphicWeight, grid: Grid2D, tau: float) 
 
 
 def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> complex:
-    """Tensor trapezoid quadrature of the phase integral of g against exp(2 i tau psi)."""
+    """Trapezoid quadrature of the phase integral of scalar g against exp(2 i tau psi)."""
     gd = np.asarray(getattr(g, "data", g))
-    if gd.ndim == 3:
-        gd = gd[:, :, 0]
-    if gd.shape != grid.shape:
-        raise GridError("sample shape does not match the grid")
+    if gd.shape not in (grid.shape, grid.shape + (1,)):
+        raise GridError(f"samples of shape {gd.shape} are not one scalar per "
+                        f"node of the {grid.nx} x {grid.ny} grid")
+    gd = gd.reshape(grid.shape)
     if resolution_nodes_per_period(w, grid, tau) < 8:
         warnings.warn("fewer than 8 nodes per oscillation period at this tau",
                       stacklevel=2)
@@ -184,20 +187,19 @@ def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> c
     return complex(np.sum(grid.quad_weights() * gd * np.exp(2j * tau * w.psi(Z))))
 
 
-def stationary_phase_leading(g, w: HolomorphicWeight, point: CriticalPoint,
-                             tau: float) -> complex:
+def stationary_phase_leading(g0: complex, w: HolomorphicWeight,
+                             point: CriticalPoint, tau: float) -> complex:
     """Leading stationary-phase term of the phase integral at one critical point.
 
     (2 pi / (2 tau)) |det psi''|^{-1/2} e^{i pi sigma / 4} g(z~) e^{2 i tau psi(z~)}
     with sigma the Hessian signature (0 for the harmonic saddles of the
-    catalog).  ``g`` is the amplitude as a callable of z.
+    catalog).  ``g0`` is the amplitude's value g(z~) at the point, which
+    CriticalPoint has already checked to be nondegenerate.
     """
     det = float(np.linalg.det(point.hessian))
-    if abs(det) < 1e-12:
-        raise LabError("degenerate Hessian at the stationary point")
     eigs = np.linalg.eigvalsh(point.hessian)
     sigma = int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
-    g0 = complex(g(point.location))
     pref = (2 * np.pi / (2 * tau)) * abs(det) ** -0.5
-    return pref * np.exp(1j * np.pi * sigma / 4) * g0 * np.exp(2j * tau * point.psi_value)
+    return (pref * np.exp(1j * np.pi * sigma / 4) * complex(g0)
+            * np.exp(2j * tau * point.psi_value))

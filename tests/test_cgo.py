@@ -6,14 +6,16 @@ import pytest
 from cgolab import (Grid2D, TransformPlan, build_amplitude,
                     build_cgo_solution, cgo_residual, factorization_check,
                     zero_order_remainder, weight_catalog, GaugeSpec,
-                    gauge_transform, make_vekua_operator,
+                    gauge_transform, make_vekua_operator, check_relations,
+                    r_tau_b, remark_partition, random_trig_spec, MatrixField,
                     LabError, OverflowGuardError)
 from cgolab import transforms
 from cgolab.calculus import dz_array, dzbar_array
+from cgolab.fields import pointwise
 from cgolab.cgo import _stencil_residual, holomorphic_seed
 from cgolab.harness import refinement_orders
 
-from conftest import make_triple, count_transforms
+from conftest import make_triple, count_transforms, constant_matrix
 
 
 def test_amplitude_integral_residual_contract(grid33, plan33):
@@ -29,11 +31,12 @@ def test_amplitude_residual_from_the_solve_check(grid33, plan33, n_sys):
     for seed_no in range(10):
         t = make_triple(seed_no, n_sys, grid33)
         amp = build_amplitude(t, plan33)
-        sides = ((t.a_coef, "zbar", amp.seed, amp.w0),
-                 (t.b_coef, "z", amp.seed_tilde, amp.w0_tilde))
+        # w0~ is the conjugate of the mirror's w0, which solves with conj B
+        sides = ((t.a_coef, amp.w0), (t.b_coef.conj(), amp.w0_tilde.conj()))
+        s = amp.seed
         direct = []
-        for m, side, s, w in sides:
-            op = make_vekua_operator(m, side, plan33)
+        for m, w in sides:
+            op = make_vekua_operator(m, plan33)
             # K s = -rhs bit for bit, which the residual shortcut relies on
             _, _, rhs = transforms._vekua_solve(op, m.matvec(s).data * (-1.0), 1e-9)
             assert np.array_equal(rhs, -op.full_map(s.data))
@@ -99,16 +102,20 @@ def test_solution_refuses_tau_that_is_not_finite_positive(grid33, plan33, tau):
 
 
 def test_solution_branches_are_built_on_first_access(grid33, plan33):
-    amp = build_amplitude(make_triple(4, 2, grid33), plan33)
+    t = make_triple(4, 2, grid33)
+    amp = build_amplitude(t, plan33)
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     sol = build_cgo_solution(amp, w, 8.0)
-    assert "u" not in vars(sol) and "u_tilde" not in vars(sol)
+    assert "u" not in vars(sol)
     Phi = w.Phi(grid33.nodes_z())
     shift = sol.phi_shift
     assert np.array_equal(sol.u.data, amp.w0.data * np.exp(8.0 * (Phi - shift))[:, :, None])
-    assert np.array_equal(sol.u_tilde.data, amp.w0_tilde.data
-                          * np.exp(8.0 * (np.conj(Phi) - shift))[:, :, None])
     assert sol.u is sol.u
+    # the antiholomorphic branch w0~ e^{tau (conj Phi - shift)} is the mirror's u
+    mirror = build_cgo_solution(build_amplitude(t.mirror(), plan33), w, 8.0)
+    assert mirror.phi_shift == shift
+    assert np.array_equal(np.conj(mirror.u.data), amp.w0_tilde.data
+                          * np.exp(8.0 * (np.conj(Phi) - shift))[:, :, None])
 
 
 def test_residual_reuses_tau_independent_terms_per_triple(grid33, plan33):
@@ -116,52 +123,60 @@ def test_residual_reuses_tau_independent_terms_per_triple(grid33, plan33):
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     amp = build_amplitude(t, plan33)
 
-    def fresh(coefs, tau, piece):
-        sol = build_cgo_solution(build_amplitude(t, plan33), w, tau)
-        return cgo_residual(sol, coefs, piece=piece)
+    tm = t.mirror()
+    amp_m = build_amplitude(tm, plan33)
+
+    def fresh(source, coefs, tau):
+        sol = build_cgo_solution(build_amplitude(source, plan33), w, tau)
+        return cgo_residual(sol, coefs)
 
     for tau in (4.0, 8.0, 16.0):
-        for piece in ("holo", "anti"):
-            rec = cgo_residual(build_cgo_solution(amp, w, tau), t, piece=piece)
-            assert rec == fresh(t, tau, piece)
+        # the holomorphic branch, and the antiholomorphic one as the mirror's
+        for a, coefs in ((amp, t), (amp_m, tm)):
+            rec = cgo_residual(build_cgo_solution(a, w, tau), coefs)
+            assert rec == fresh(coefs, coefs, tau)
     # another triple on the same amplitude is not served from the cache
     t2 = gauge_transform(t, GaugeSpec(0.7))
     sol = build_cgo_solution(amp, w, 8.0)
     rec2 = cgo_residual(sol, t2)
-    assert rec2 == fresh(t2, 8.0, "holo")
-    assert rec2 != cgo_residual(sol, t) == fresh(t, 8.0, "holo")
+    assert rec2 == fresh(t, t2, 8.0)
+    assert rec2 != cgo_residual(sol, t) == fresh(t, t, 8.0)
 
 
 @pytest.mark.parametrize("piece", ["holo", "anti"])
 def test_residual_is_the_same_on_the_call_that_fills_the_cache(grid33, plan33, piece):
     t = make_triple(5, 2, grid33)
+    if piece == "anti":  # the antiholomorphic branch is the mirror's holomorphic one
+        t = t.mirror()
     amp, w = build_amplitude(t, plan33), weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    first = cgo_residual(build_cgo_solution(amp, w, 8.0), t, piece=piece)
-    assert cgo_residual(build_cgo_solution(amp, w, 8.0), t, piece=piece) == first
+    first = cgo_residual(build_cgo_solution(amp, w, 8.0), t)
+    assert cgo_residual(build_cgo_solution(amp, w, 8.0), t) == first
     # an amplitude made without build_amplitude takes its own derivatives
     bare = replace(amp)
     assert not bare._derived
-    assert cgo_residual(build_cgo_solution(bare, w, 8.0), t, piece=piece) == first
+    assert cgo_residual(build_cgo_solution(bare, w, 8.0), t) == first
 
 
 def test_weighted_residual_record_fields(grid33, plan33):
     t = make_triple(5, 2, grid33)
-    amp = build_amplitude(t, plan33)
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    sol = build_cgo_solution(amp, w, 4.0)
-    for piece in ("holo", "anti"):
-        rec = cgo_residual(sol, t, piece=piece)
+    for coefs in (t, t.mirror()):
+        sol = build_cgo_solution(build_amplitude(coefs, plan33), w, 4.0)
+        rec = cgo_residual(sol, coefs)
+        assert list(rec) == ["tau", "nx", "residual_weighted", "residual_raw"]
         assert rec["tau"] == 4.0 and rec["nx"] == 33
         assert 0 < rec["residual_weighted"] < 1e-2
 
 
 def test_zero_order_remainders_differ_between_pieces(grid33):
     t = make_triple(5, 2, grid33)
-    s1 = zero_order_remainder(t, "holo")
-    s2 = zero_order_remainder(t, "anti")
+    a, b, q = t.a_coef.data, t.b_coef.data, t.q_coef.data
+    s1 = zero_order_remainder(t)
+    assert np.array_equal(s1, q - (2 * dz_array(a, grid33) + pointwise(b, a)))
+    # the second piece, Q - 2 dzbar B - A B, is the mirror's remainder conjugated
+    s2 = np.conj(zero_order_remainder(t.mirror()))
+    assert np.array_equal(s2, q - (2 * dzbar_array(b, grid33) + pointwise(a, b)))
     assert np.max(np.abs(s1 - s2)) > 1e-3
-    with pytest.raises(LabError):
-        zero_order_remainder(t, "sideways")
 
 
 def test_factorization_discrepancy_refines():
@@ -205,3 +220,43 @@ def test_gauge_conjugated_residual_refines():
         amp = build_amplitude(t, TransformPlan(grid))
         errs.append(_gauge_conjugated_residual(amp, gauge, t))
     assert min(refinement_orders(errs)) > 1.5
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("n_sys", [1, 2, 3])
+@pytest.mark.parametrize("nx", [17, 33])
+def test_mirror_identity_is_exact(nx, n_sys, seed):
+    """Every d/dz-side quantity is its d/dzbar twin on the mirror, conjugated."""
+    grid = Grid2D(nx=nx, ny=nx)
+    plan = TransformPlan(grid)
+    t = make_triple(seed, n_sys, grid)
+    tm = t.mirror()
+    assert np.array_equal(tm.a_coef.data, np.conj(t.b_coef.data))
+    assert np.array_equal(tm.b_coef.data, np.conj(t.a_coef.data))
+    assert np.array_equal(tm.q_coef.data, np.conj(t.q_coef.data))
+    assert np.array_equal(build_amplitude(t, plan).w0_tilde.data,
+                          np.conj(build_amplitude(tm, plan).w0.data))
+
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    rng = np.random.default_rng(seed)
+    b = random_trig_spec(rng, (n_sys, n_sys), 0.5).matrix_field(grid)
+    g = random_trig_spec(rng, (n_sys,), 1.0).vector_field(grid)
+    cases = [(b, g)]
+    if nx == 33 and n_sys == 1:
+        # constant b = 12: the series grows, so the solve falls back to GMRES
+        cases.append((constant_matrix(grid, [[12.0]]), g))
+    for bc, gc in cases:
+        assert np.array_equal(r_tau_b(gc, w, 4.0, bc, plan, side="z").data,
+                              np.conj(r_tau_b(gc.conj(), w, 4.0, bc.conj(), plan,
+                                              side="zbar").data))
+
+    t2 = gauge_transform(t, GaugeSpec(0.7))
+    part = remark_partition(grid)
+    res, res_m = check_relations(t, t2, part), check_relations(tm, t2.mirror(), part)
+    assert res.norms["r_a2_l2"] == res_m.norms["r_a1_l2"]
+    assert res.norms["r_a2_max"] == res_m.norms["r_a1_max"]
+    # and both are the second relation written out on the pair itself
+    dA, dB = t.a_coef.data - t2.a_coef.data, t.b_coef.data - t2.b_coef.data
+    f2 = MatrixField(grid, 2 * dzbar_array(dB, grid) + pointwise(t2.a_coef.data, dB)
+                     + pointwise(dA, t.b_coef.data) - (t.q_coef.data - t2.q_coef.data))
+    assert (res.norms["r_a2_l2"], res.norms["r_a2_max"]) == (f2.l2(), f2.max_abs())

@@ -4,8 +4,8 @@ import pytest
 from cgolab import (Grid2D, weight_catalog, find_critical_points,
                     oscillatory_integral, stationary_phase_leading,
                     resolution_nodes_per_period, CarlemanConvexWeight,
-                    LabError, random_trig_spec, bump_cutoff,
-                    BoundaryPartition, remark_partition)
+                    LabError, GridError, random_trig_spec, bump_cutoff,
+                    BoundaryPartition, VectorField, remark_partition)
 from cgolab.harness import _check_phase
 
 
@@ -144,11 +144,9 @@ def test_stationary_phase_against_fine_quadrature():
     spec = random_trig_spec(np.random.default_rng(7), (), 1.0)
     g = spec.sample(grid) * bump
 
-    def g_at(z):
-        # closed form of the same amplitude at the saddle (bump == 1 there)
-        X = np.asarray([[z.real]])
-        Y = np.asarray([[z.imag]])
-        return complex(spec.eval(X, Y)[0, 0])
+    # closed form of the same amplitude at the saddle (bump == 1 there)
+    z = pt.location
+    g_at = complex(spec.eval(np.asarray([[z.real]]), np.asarray([[z.imag]]))[0, 0])
 
     rels = []
     for tau in (16.0, 64.0):
@@ -157,3 +155,42 @@ def test_stationary_phase_against_fine_quadrature():
         rels.append(abs(full - lead) / abs(full))
     assert rels[0] < 0.2
     assert rels[1] < rels[0]
+
+
+def test_one_bound_decides_whether_a_critical_point_is_degenerate():
+    grid = Grid2D(nx=33, ny=33)
+    observed = BoundaryPartition(grid)  # no gamma_0, points off gamma_tilde
+    # m = 1e-14 puts the points at c +- 1e-7, where |d2Phi| = 2e-7 lies
+    # below the bound: the critical-point search and the Carleman probe's
+    # phase check refuse them alike
+    w = weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 1e-14})
+    assert [abs(complex(w.d2Phi(np.asarray(p))))
+            for p in w.closed_form_critical_points()] == pytest.approx([2e-7] * 2)
+    with pytest.raises(LabError, match="^degenerate critical point$"):
+        find_critical_points(w, grid)
+    with pytest.raises(LabError, match="degenerate critical point"):
+        _check_phase(w, observed)
+    # m = 1e-12 gives |d2Phi| = 2e-6, above it: every check accepts, and
+    # the stationary phase takes the points as they come
+    w = weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 1e-12})
+    _check_phase(w, observed)
+    pts = find_critical_points(w, grid)
+    assert len(pts) == 2
+    assert all(np.isfinite(stationary_phase_leading(1.0, w, p, 8.0)) for p in pts)
+
+
+@pytest.mark.parametrize("trail", [(2,), (5,), (1, 1)])
+def test_oscillatory_integral_refuses_multi_component_samples(trail):
+    grid = Grid2D(nx=33, ny=33)
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    g = np.random.default_rng(0).standard_normal(grid.shape + trail)
+    with pytest.raises(GridError, match=r"^samples of shape .* are not one "
+                                        r"scalar per node of the 33 x 33 grid$"):
+        oscillatory_integral(g, w, 4.0, grid)
+    if len(trail) == 1:
+        with pytest.raises(GridError):
+            oscillatory_integral(VectorField(grid, g), w, 4.0, grid)
+    # one component is the scalar field itself
+    one = g.reshape(grid.shape + (-1,))[:, :, :1]
+    assert (oscillatory_integral(one, w, 4.0, grid)
+            == oscillatory_integral(one[:, :, 0], w, 4.0, grid))
