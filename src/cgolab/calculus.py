@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridError
-from .grid import BoundaryPartition, _INWARD_STEP, _edge_indices
+from .grid import BoundaryPartition, _INWARD_STEP, _edge_indices, check_same
 from .fields import VectorField
 
 
@@ -68,8 +68,7 @@ def trace_boundary(f: VectorField, part: BoundaryPartition, label: str) -> np.nd
 
     Returns shape (n_nodes, N).
     """
-    if f.grid != part.grid:
-        raise GridError("field and partition grids differ")
+    check_same(f, part)
     ii, jj = part.nodes(label)
     return np.array(f.data[ii, jj, :])
 
@@ -80,8 +79,7 @@ def normal_derivative(f: VectorField, part: BoundaryPartition, label: str) -> np
     (3 u0 - 4 u1 + u2) / (2h), with u_k the sample k layers inside the edge.
     Returns shape (n_nodes, N), in arc order.
     """
-    if f.grid != part.grid:
-        raise GridError("field and partition grids differ")
+    check_same(f, part)
     g = f.grid
     d = f.data
     out = []

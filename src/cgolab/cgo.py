@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import LabError, OverflowGuardError
-from .grid import Grid2D
+from .grid import Grid2D, check_same
 from .fields import VectorField, MatrixField, pointwise
 from .calculus import dz_array, dzbar_array, laplacian_array, wirtinger_pair
 from .synthetic import random_trig_spec
@@ -70,6 +70,7 @@ class CgoAmplitude:
                            compare=False)
 
     def __post_init__(self):
+        check_same(self.w0, self.w0_tilde, self.seed, self.seed_tilde)
         if not self.residual <= 1e-6:
             raise LabError(f"amplitude integral residual {self.residual:.2e} "
                            "exceeds the 1e-6 contract")
@@ -88,6 +89,7 @@ def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan) -> CgoAmplitu
     The seeds are the affine holomorphic seed and its conjugate; w0~ is
     the conjugate of the mirror's w0.
     """
+    check_same(coefs, plan)
     grid = coefs.grid
     seed = holomorphic_seed(grid, coefs.n_sys)
 
@@ -198,8 +200,7 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple) -> dict:
     """
     grid = coefs.grid
     amp = sol.amplitude
-    if grid != amp.w0.grid:
-        raise LabError("solution and coefficients live on different grids")
+    check_same(amp.w0, coefs)
     w = amp.w0.data
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
     if "d" not in amp._derived:  # an amplitude not made by build_amplitude

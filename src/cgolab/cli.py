@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GridError, LabError
-from .grid import Grid2D, remark_partition
+from .grid import Grid2D, remark_partition, is_int, is_finite_real
 from .synthetic import random_coefficient_specs, random_trig_spec
 from .weights import (weight_catalog, find_critical_points, oscillatory_integral,
                       stationary_phase_leading, resolution_nodes_per_period,
@@ -42,15 +41,6 @@ _MIN_RUNGS = {"transforms": (2, 1), "cgo": (2, 2), "gauge": (2, 1),
 SCENARIOS = tuple(_MIN_RUNGS)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_finite_real(v) -> bool:
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -66,13 +56,13 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"choose one of {', '.join(SCENARIOS)}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if not _is_int(self.n_sys) or self.n_sys < 1 or self.n_sys > 3:
+        if not is_int(self.n_sys) or self.n_sys < 1 or self.n_sys > 3:
             raise ConfigError("n_sys must be 1, 2, or 3")
-        if not all(_is_int(nx) and nx >= 9 for nx in self.nx_ladder):
+        if not all(is_int(nx) and nx >= 9 for nx in self.nx_ladder):
             raise ConfigError("nx_ladder entries must be integers >= 9")
-        if not all(_is_finite_real(t) and t > 0 for t in self.tau_ladder):
+        if not all(is_finite_real(t) and t > 0 for t in self.tau_ladder):
             raise ConfigError("tau_ladder entries must be finite numbers > 0")
         for name, ladder, least in zip(("nx_ladder", "tau_ladder"),
                                        (self.nx_ladder, self.tau_ladder),
@@ -82,7 +72,7 @@ class ScenarioConfig:
                                   f"{least} {name} entries")
             if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        if not _is_int(self.basis_size) or self.basis_size < 1:
+        if not is_int(self.basis_size) or self.basis_size < 1:
             raise ConfigError("basis_size must be a positive integer")
         if self.scenario == "gauge":
             # the coarsest rung must hold every profile of the basis
@@ -94,7 +84,7 @@ class ScenarioConfig:
                 raise ConfigError(f"basis_size {self.basis_size} on nx {nx}: "
                                   f"{exc}") from exc
         for name in ("amplitude", "gauge_strength"):
-            if not _is_finite_real(getattr(self, name)):
+            if not is_finite_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
 
 
@@ -240,7 +230,7 @@ def _run_stationary_phase(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     rows = []
     for tau in cfg.tau_ladder:
         full = oscillatory_integral(spec.sample(grid), w, float(tau), grid)
-        lead = stationary_phase_leading(g0, w, point, float(tau))
+        lead = stationary_phase_leading(g0, point, float(tau))
         rel = abs(full - lead) / max(abs(full), 1e-300)
         rows.append({"tau": float(tau), "relative_error": float(rel),
                      "nodes_per_period":

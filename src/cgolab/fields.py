@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grid import Grid2D
+from .grid import Grid2D, check_same
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -32,10 +32,10 @@ class _Field:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=complex)
+        check_same(self.grid, d)
         if d.ndim == 2:
             d = d.reshape(d.shape + (1,) * self._rank)
-        if (d.ndim != 2 + self._rank or d.shape[:2] != self.grid.shape
-                or len(set(d.shape[2:])) > 1):
+        if d.ndim != 2 + self._rank or len(set(d.shape[2:])) > 1:
             raise GridError(f"bad {type(self).__name__} shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise GridError(f"{type(self).__name__} has non-finite entries")
@@ -49,6 +49,7 @@ class _Field:
         return type(self)(self.grid, data)
 
     def __sub__(self, other):
+        check_same(self, other)
         return self.with_data(self.data - other.data)
 
     def conj(self):
@@ -76,12 +77,12 @@ class MatrixField(_Field):
 
     def matvec(self, v: VectorField) -> VectorField:
         """Pointwise matrix-vector product."""
-        _check_same(self, v)
+        check_same(self, v)
         return VectorField(self.grid, pointwise(self.data, v.data))
 
     def matmat(self, other: "MatrixField") -> "MatrixField":
         """Pointwise matrix-matrix product."""
-        _check_same(self, other)
+        check_same(self, other)
         return MatrixField(self.grid, pointwise(self.data, other.data))
 
 
@@ -92,23 +93,15 @@ def pointwise(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("xyab,xybc->xyac", m, v)
 
 
-def _check_same(a, b) -> None:
-    if a.grid != b.grid or a.n_sys != b.n_sys:
-        raise GridError("fields live on different grids or system sizes")
-
-
 def weighted_l2(x: np.ndarray, w: np.ndarray) -> float:
     """sqrt(sum(w |x|^2)), with ``w`` broadcast against ``x``."""
     return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
-def as_data(g, grid: Grid2D) -> np.ndarray:
-    """Complex samples of a field, or of a raw array; refused unless on ``grid``."""
-    data = np.asarray(getattr(g, "data", g), dtype=complex)
-    if data.shape[:2] != grid.shape:
-        raise GridError(f"samples of shape {data.shape} on a {grid.nx} x "
-                        f"{grid.ny} grid")
-    return data
+def as_data(g, *others) -> np.ndarray:
+    """Complex samples of a field or raw array ``g``, after ``check_same(*others, g)``."""
+    check_same(*others, g)
+    return np.asarray(getattr(g, "data", g), dtype=complex)
 
 
 def same_kind(template, grid: Grid2D, data: np.ndarray):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, SingularSystemError
-from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices
+from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices, check_same
 from .fields import VectorField, MatrixField, weighted_l2
 from .calculus import normal_derivative, trace_boundary
 
@@ -59,10 +59,7 @@ class CoefficientTriple:
                            compare=False)
 
     def __post_init__(self):
-        if not (self.a_coef.grid == self.b_coef.grid == self.q_coef.grid):
-            raise GridError("coefficient grids differ")
-        if not (self.a_coef.n_sys == self.b_coef.n_sys == self.q_coef.n_sys):
-            raise GridError("coefficient system sizes differ")
+        check_same(self.a_coef, self.b_coef, self.q_coef)
 
     @property
     def grid(self) -> Grid2D:
@@ -249,6 +246,7 @@ class OperatorFactorization:
         Data of another shape, non-finite data and an ``rhs`` of another
         grid or N are refused with ``GridError`` before any solve.
         """
+        check_same(self, rhs)
         n, nb = self.n_sys, len(self._boundary_nodes[0])
         bv = np.zeros((nb, n), dtype=complex) if boundary_values is None \
             else np.asarray(boundary_values, dtype=complex)
@@ -259,11 +257,7 @@ class OperatorFactorization:
             raise GridError("boundary values are not all finite")
         if bv.ndim == 1:  # one profile for every component
             bv = bv[:, None]
-        source = None
-        if rhs is not None:
-            if rhs.grid != self.grid or rhs.n_sys != n:
-                raise GridError("rhs field does not match the coefficient grid")
-            source = rhs.data[..., None]
+        source = None if rhs is None else rhs.data[..., None]
         u = self._solve_block(np.broadcast_to(bv, (nb, n))[..., None], source)
         return VectorField(self.grid, u[..., 0])
 
@@ -325,6 +319,14 @@ class PartialCauchyData:
     def __len__(self) -> int:
         return len(self.dirichlet)
 
+    @property
+    def grid(self) -> Grid2D:
+        return self.partition.grid
+
+    @property
+    def n_sys(self) -> int | None:
+        return self.dirichlet[0].shape[1] if self.dirichlet else None
+
 
 def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
                 basis_size: int) -> PartialCauchyData:
@@ -333,8 +335,7 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
     The basis is the first ``basis_size`` sine profiles of
     ``fourier_profiles``; each is applied to the first system component.
     """
-    if coefs.grid != partition.grid:
-        raise GridError("coefficients and partition on different grids")
+    check_same(coefs, partition)
     profiles = fourier_profiles(partition, basis_size)
     fac = OperatorFactorization(coefs)
     # one column of boundary data per profile
@@ -353,6 +354,7 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
 
 def cauchy_distance(c1: PartialCauchyData, c2: PartialCauchyData) -> float:
     """Max over entries of ||dN||_{L2(observed)} / ||dirichlet||_{L2(observed)}."""
+    check_same(c1, c2)
     if c1.basis_id != c2.basis_id or c1.partition != c2.partition:
         raise GridError("Cauchy data sets use different bases or partitions")
     w = c1.partition.arc_weights(GAMMA_TILDE)[:, None]

@@ -11,6 +11,8 @@ corners.  Every boundary node therefore belongs to exactly one edge.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,16 @@ EDGES = ("bottom", "right", "top", "left")
 
 GAMMA_TILDE = "gamma_tilde"
 GAMMA_0 = "gamma_0"
+
+
+def is_int(v) -> bool:
+    """An integer, a bool excluded."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite_real(v) -> bool:
+    """A finite real number, a bool excluded."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -35,10 +47,11 @@ class Grid2D:
     y_max: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 9 or self.ny < 9:
-            raise GridError(f"need nx, ny >= 9, got ({self.nx}, {self.ny})")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise GridError("degenerate rectangle")
+        if not (is_int(self.nx) and is_int(self.ny) and self.nx >= 9 and self.ny >= 9):
+            raise GridError(f"need integers nx, ny >= 9, got {self.nx!r}, {self.ny!r}")
+        if not (all(map(is_finite_real, (self.x_min, self.x_max, self.y_min, self.y_max)))
+                and self.x_max > self.x_min and self.y_max > self.y_min):
+            raise GridError("grid bounds must be finite with x_min < x_max, y_min < y_max")
 
     @property
     def h_x(self) -> float:
@@ -87,6 +100,31 @@ class Grid2D:
         """
         mx, my = (max(3, int(np.ceil(0.05 * (n - 1)))) for n in self.shape)
         return np.s_[mx:-mx, my:-my]
+
+
+def check_same(*args) -> None:
+    """Refuse arguments that do not share one grid, or one system size N.
+
+    An argument is a Grid2D; an object with a ``grid`` (a field, triple,
+    partition, plan, cutoff, factorization or Cauchy data set), whose N,
+    if any, is its ``n_sys``; raw samples, whose first two axes must be
+    the grid's shape and whose third, if any, is N; or None, which is
+    skipped.  Every public entry point taking two or more calls this first.
+    """
+    seen = []  # (name, grid or None, grid shape, N or None) per argument
+    for a in args:
+        g = a if isinstance(a, Grid2D) else getattr(a, "grid", None)
+        if g is not None:
+            seen.append((type(a).__name__, g, g.shape, getattr(a, "n_sys", None)))
+        elif a is not None:
+            s = np.shape(a)
+            seen.append((f"samples of shape {s}", None, s[:2], (*s[2:3], None)[0]))
+    for k, what in ((1, "grid"), (2, "grid shape"), (3, "system size N")):
+        first, *rest = [t for t in seen if t[k] is not None] or [None]
+        for t in rest:
+            if t[k] != first[k]:
+                raise GridError(f"{first[0]} and {t[0]} differ in {what}: "
+                                f"{first[k]} against {t[k]}")
 
 
 def _edge_indices(grid: Grid2D, edge: str) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +212,9 @@ class CutoffFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise GridError("cutoff values shape mismatch")
+        check_same(self.grid, v)
+        if v.ndim != 2 or not np.isfinite(v).all():
+            raise GridError("cutoff values must be one finite number per node")
         if v.min() < 0.0 or v.max() > 1.0:
             raise GridError("cutoff values must lie in [0, 1]")
         X, Y = self.grid.meshgrid()

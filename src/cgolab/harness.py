@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, LabError, OverflowGuardError
-from .grid import Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition
+from .errors import LabError, OverflowGuardError
+from .grid import (Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition,
+                   check_same)
 from .fields import MatrixField, VectorField, pointwise, weighted_l2
 from .calculus import dz_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
@@ -97,8 +98,6 @@ class RelationResidual:
 
 def _relation_terms(t1: CoefficientTriple, t2: CoefficientTriple):
     """dA, dB and the residual 2 dz dA + B2 dA + dB A1 - dQ of the first relation."""
-    if t1.grid != t2.grid or t1.n_sys != t2.n_sys:
-        raise GridError("triples live on different grids")
     grid = t1.grid
     dA = t1.a_coef.data - t2.a_coef.data
     dB = t1.b_coef.data - t2.b_coef.data
@@ -115,6 +114,7 @@ def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
     plus the max coefficient gap on the observed arcs.  The second
     relation is the conjugate of the first on the mirrored pair.
     """
+    check_same(t1, t2, partition)
     dA, dB, f1 = _relation_terms(t1, t2)
     _, _, f2 = _relation_terms(t1.mirror(), t2.mirror())
     ii, jj = partition.nodes(GAMMA_TILDE)
@@ -241,13 +241,17 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     matrix unknowns, coefficient pair ``b_pair``), 'full_operator'
     (holomorphic weight phi, full elliptic operator, needs ``coefs`` and
     ``partition``, and refuses a weight that breaks the paper's hypotheses
-    on Phi over that partition).  A rung on which every member of the
-    test family is vacuous (both sides 0) is refused.
+    on Phi over that partition).  The grid, partition, coefficients,
+    ``b_pair`` and the samples of the test family must share one grid and
+    one N (``check_same``).  A rung on which every member of the test
+    family is vacuous (both sides 0) is refused.
 
     PASS surrogate for the existential constant: the sup ratio over the
     upper half of the ladder must not exceed the sup over the lower half.
     """
-    taus = list(tau_ladder)
+    taus, test_family = list(tau_ladder), list(test_family)
+    check_same(grid, partition, coefs, *(b_pair or ()),
+               *(tf.sample(grid) for tf in test_family))
     if len(taus) < 2 or any(b <= a for a, b in zip(taus[:-1], taus[1:])):
         raise LabError("tau ladder must be increasing with >= 2 rungs")
     if kind not in _PROBE_WEIGHTS:
@@ -258,17 +262,10 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     if kind == "system_zero_order":
         if b_pair is None:
             raise LabError("system_zero_order probe needs a coefficient pair b_pair")
-        if any(b.grid != grid for b in b_pair):
-            raise LabError("system_zero_order coefficient pair must live on "
-                           "the probe's grid")
     if kind == "full_operator":
         if partition is None or coefs is None:
             raise LabError("full_operator probe needs a partition and coefficients")
-        if partition.grid != grid or coefs.grid != grid:
-            raise LabError("full_operator partition and coefficients must "
-                           "live on the probe's grid")
         _check_phase(weight, partition)
-    test_family = list(test_family)
     if not test_family:
         raise LabError("empty test family: every ratio would be vacuous")
     if kind == "full_operator":

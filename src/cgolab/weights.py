@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, LabError
-from .grid import Grid2D
+from .grid import Grid2D, check_same
 
 # a critical point with |d2Phi| <= this is degenerate: there |det psi''| = |d2Phi|^2
 # <= 1e-12, and the stationary-phase prefactor |det psi''|^{-1/2} means nothing
@@ -175,8 +175,9 @@ def resolution_nodes_per_period(w: HolomorphicWeight, grid: Grid2D, tau: float) 
 
 def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> complex:
     """Trapezoid quadrature of the phase integral of scalar g against exp(2 i tau psi)."""
+    check_same(grid, g)
     gd = np.asarray(getattr(g, "data", g))
-    if gd.shape not in (grid.shape, grid.shape + (1,)):
+    if gd.shape[2:] not in ((), (1,)):
         raise GridError(f"samples of shape {gd.shape} are not one scalar per "
                         f"node of the {grid.nx} x {grid.ny} grid")
     gd = gd.reshape(grid.shape)
@@ -187,8 +188,7 @@ def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> c
     return complex(np.sum(grid.quad_weights() * gd * np.exp(2j * tau * w.psi(Z))))
 
 
-def stationary_phase_leading(g0: complex, w: HolomorphicWeight,
-                             point: CriticalPoint, tau: float) -> complex:
+def stationary_phase_leading(g0: complex, point: CriticalPoint, tau: float) -> complex:
     """Leading stationary-phase term of the phase integral at one critical point.
 
     (2 pi / (2 tau)) |det psi''|^{-1/2} e^{i pi sigma / 4} g(z~) e^{2 i tau psi(z~)}

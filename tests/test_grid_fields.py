@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, BoundaryPartition, GridError, remark_partition,
-                    GAMMA_TILDE, GAMMA_0, VectorField, MatrixField,
+                    GAMMA_TILDE, GAMMA_0, VectorField, MatrixField, CutoffFunction,
                     bump_cutoff, plateau_cutoff, random_trig_spec)
 from cgolab.synthetic import N_MODES, _basis_1d
 
@@ -13,6 +13,19 @@ from conftest import constant_matrix
 def test_grid_rejects_tiny_resolutions():
     with pytest.raises(GridError):
         Grid2D(nx=5, ny=33)
+
+
+@pytest.mark.parametrize("kw", [
+    {"nx": 33.5}, {"nx": 33.0}, {"nx": np.float64(33)}, {"nx": True}, {"ny": "33"},
+    {"x_max": np.inf}, {"x_min": -np.inf}, {"y_max": np.nan}, {"y_min": 1j}])
+def test_grid_refuses_values_it_cannot_hold(kw):
+    with pytest.raises(GridError, match="^need integers nx, ny >= 9, got|^grid bounds "
+                                        "must be finite"):
+        Grid2D(**{"nx": 33, "ny": 33, **kw})
+    # an integer of any integer type is an integer
+    assert Grid2D(nx=np.int64(33), ny=33) == Grid2D(nx=33, ny=33)
+    with pytest.raises(GridError, match="x_min < x_max"):
+        Grid2D(nx=33, ny=33, x_min=1.0)
 
 
 def test_quad_weights_integrate_constant_to_area():
@@ -102,6 +115,16 @@ def test_plateau_cutoff_flat_core_and_support(grid33):
     assert np.all(cut.values[r <= 0.2] == 1.0)
     assert np.all(cut.values[r >= 0.4] == 0.0)
     assert cut.values.max() <= 1.0 and cut.values.min() >= 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cutoff_refuses_non_finite_values(grid33, bad):
+    cut = bump_cutoff(grid33, 0.5 + 0.5j, 0.3)
+    values = cut.values.copy()
+    values[16, 16] = bad  # inside the support box
+    with pytest.raises(GridError, match="^cutoff values must be one finite number "
+                                        "per node$"):
+        CutoffFunction(grid33, values, cut.support_box)
 
 
 def test_bump_cutoff_peaks_at_center(grid33):

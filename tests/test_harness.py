@@ -127,9 +127,9 @@ def test_carleman_probe_kind_weight_mismatch(grid33):
     ("degenerate critical point", "degenerate critical point"),
     ("critical point on gamma_tilde", "critical point on gamma_tilde"),
     ("vacuous family", "every test-family member is vacuous at tau 8$"),
-    ("partition on another grid", "must live on the probe's grid"),
-    ("coefs on another grid", "must live on the probe's grid"),
-    ("b_pair on another grid", "must live on the probe's grid"),
+    ("partition on another grid", "^Grid2D and BoundaryPartition differ in grid"),
+    ("coefs on another grid", "^Grid2D and CoefficientTriple differ in grid"),
+    ("b_pair on another grid", "^Grid2D and MatrixField differ in grid"),
 ])
 def test_carleman_probe_refuses_incomplete_input_before_any_work(
         grid33, monkeypatch, case, message):
