@@ -1,23 +1,21 @@
 """Oscillating solutions with holomorphic phase and matrix amplitudes.
 
-The amplitude pair kills the first-order terms of the operator after
-conjugation by exp(tau * Phi), so the full residual is carried by the
-zero-order factorization remainder.  Amplitudes are produced by the
-integral fixed point
+The solutions are e^{tau Phi} w0, whose amplitude kills the first-order
+terms of the operator after conjugation by e^{tau Phi}, so the full
+residual is carried by the zero-order factorization remainder.  The
+amplitude solves the integral fixed point
 
     w0 + (1/2) dzbar^{-1}(A w0) = seed,        seed holomorphic,
-    w0~ + (1/2) dz^{-1}(B w0~) = seed~,        seed~ = conj(seed),
 
 whose residual is measured on the discrete integral system itself, from
-the transform that each solve's residual check applied; the stencil
+the transform that the solve's residual check applied; the stencil
 residual of the differential form is reported separately since it is
-bounded below by the differentiation error of the scheme.  conj(w0~)
-solves the first equation with conj B, the A of ``coefs.mirror()``: every
-antiholomorphic quantity (u~, its residual, Q - 2 dzbar B - A B) is the
-conjugate of its holomorphic twin on the mirror.  One amplitude serves
-every tau: the tau-independent terms of the defect are cached on it, the
-branch u is formed on first access, and a tau that is not a finite
-number > 0 is refused.
+bounded below by the differentiation error of the scheme.  Every
+antiholomorphic quantity (the branch w0~ e^{tau conj Phi}, its residual,
+Q - 2 dzbar B - A B) is the conjugate of its holomorphic twin on
+``coefs.mirror()`` = (conj B, conj A, conj Q).  One amplitude serves every
+tau: it carries the derivatives of w0, the triple carries 2 dz A + B A,
+and a tau that is not a finite number > 0 is refused.
 """
 
 from __future__ import annotations
@@ -28,15 +26,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import LabError, OverflowGuardError
-from .grid import Grid2D, check_same
+from .grid import Grid2D, check_same, check_tau
 from .fields import VectorField, MatrixField, pointwise
 from .calculus import dz_array, dzbar_array, laplacian_array, wirtinger_pair
 from .synthetic import random_trig_spec
 from .forward import CoefficientTriple
 from .weights import HolomorphicWeight
-from .transforms import TransformPlan, make_vekua_operator, _check_tau, _vekua_solve
+from .transforms import TransformPlan, make_vekua_operator, _vekua_solve
 
-_EXP_GUARD = 300.0
 # residual tolerance of the two amplitude solves
 _AMPLITUDE_TOL = 1e-9
 
@@ -50,30 +47,32 @@ def holomorphic_seed(grid: Grid2D, n_sys: int) -> VectorField:
 
 @dataclass(frozen=True)
 class CgoAmplitude:
-    """Amplitude pair with its seeds and residual report.
+    """Amplitude w0 with its seed, derivatives and residual report.
 
-    residual: relative residual of the discrete integral fixed point
-    (worst of the two sides).  stencil_residual: relative interior
-    residual of (2 dzbar + A) w0 and (2 dz + B) w0~ under the package
-    difference stencils; it converges at the stencil order, not to zero.
-    ``_derived`` holds the (dz, dzbar) pair of w0 that build_amplitude took
-    once, and caches the other tau-independent terms of cgo_residual.
+    d_w0: the (dz, dzbar) pair of w0 under the package stencils.
+    residual: relative residual of the discrete integral fixed point, the
+    worse of w0's solve and the mirror's.  stencil_residual: relative
+    interior residual of (2 dzbar + A) w0 and of the mirror's twin under
+    the package difference stencils, the worse of the two; it converges
+    at the stencil order, not to zero.
     """
 
     w0: VectorField
-    w0_tilde: VectorField
     seed: VectorField
-    seed_tilde: VectorField
+    d_w0: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     residual: float
     stencil_residual: float
-    _derived: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
-        check_same(self.w0, self.w0_tilde, self.seed, self.seed_tilde)
+        check_same(self.w0, self.seed, *self.d_w0)
         if not self.residual <= 1e-6:
             raise LabError(f"amplitude integral residual {self.residual:.2e} "
                            "exceeds the 1e-6 contract")
+
+    @cached_property
+    def lap_w0(self) -> np.ndarray:
+        """The Laplacian of w0, taken on first access."""
+        return laplacian_array(self.w0.data, self.w0.grid)
 
 
 def _stencil_residual(w: VectorField, dw: np.ndarray, m: MatrixField) -> float:
@@ -84,10 +83,10 @@ def _stencil_residual(w: VectorField, dw: np.ndarray, m: MatrixField) -> float:
 
 
 def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan) -> CgoAmplitude:
-    """Solve both amplitude equations through the Vekua integral form.
+    """Solve (2 dzbar + A) w0 = 0 from the affine holomorphic seed, and score it.
 
-    The seeds are the affine holomorphic seed and its conjugate; w0~ is
-    the conjugate of the mirror's w0.
+    The mirror's amplitude, with conj B, is solved too: the residuals
+    are the worse of the two sides.
     """
     check_same(coefs, plan)
     grid = coefs.grid
@@ -107,51 +106,27 @@ def build_amplitude(coefs: CoefficientTriple, plan: TransformPlan) -> CgoAmplitu
     b_bar = coefs.b_coef.conj()
     w_mirror, res_b = solve(b_bar)
     sres_b = _stencil_residual(w_mirror, dzbar_array(w_mirror.data, grid), b_bar)
-    del b_bar
+    del b_bar, w_mirror
     w0, res_a = solve(coefs.a_coef)
     d_w0 = wirtinger_pair(w0.data, grid)
     sres = max(_stencil_residual(w0, d_w0[1], coefs.a_coef), sres_b)
-    amp = CgoAmplitude(w0=w0, w0_tilde=w_mirror.conj(), seed=seed,
-                       seed_tilde=seed.conj(), residual=max(res_a, res_b),
-                       stencil_residual=sres)
-    amp._derived["d"] = d_w0
-    return amp
+    return CgoAmplitude(w0=w0, seed=seed, d_w0=d_w0, residual=max(res_a, res_b),
+                        stencil_residual=sres)
 
 
 @dataclass(frozen=True)
 class CgoSolution:
-    """The holomorphic conjugated solution branch at a given tau.
-
-    ``u`` is the rescaled branch w0 * exp(tau (Phi - phi_shift)), so its
-    modulus never exceeds |w0|; it is computed on first access.
-    phi_shift = max phi records the removed real constant.  The
-    antiholomorphic branch w0~ * exp(tau (conj(Phi) - phi_shift)) is the
-    conjugate of ``u`` built on the mirror triple's amplitude.
-    """
+    """The holomorphic branch w0 e^{tau Phi} at one tau, as cgo_residual reads it."""
 
     amplitude: CgoAmplitude
     weight: HolomorphicWeight
     tau: float
-    phi_shift: float
-
-    @cached_property
-    def u(self) -> VectorField:
-        w = self.amplitude.w0
-        osc = np.exp(self.tau * (self.weight.Phi(w.grid.nodes_z()) - self.phi_shift))
-        return w.with_data(w.data * osc[:, :, None])
 
 
 def build_cgo_solution(amplitude: CgoAmplitude, weight: HolomorphicWeight,
                        tau: float) -> CgoSolution:
-    _check_tau(tau)
-    Phi = weight.Phi(amplitude.w0.grid.nodes_z())
-    shift = float(Phi.real.max())
-    if tau * (shift - float(Phi.real.min())) > _EXP_GUARD:
-        raise OverflowGuardError(
-            "tau * phase range exceeds the floating guard; rescale the weight "
-            "or lower tau")
-    return CgoSolution(amplitude=amplitude, weight=weight, tau=float(tau),
-                       phi_shift=shift)
+    check_tau(tau)
+    return CgoSolution(amplitude=amplitude, weight=weight, tau=float(tau))
 
 
 def _apply_operator(v: np.ndarray, coefs: CoefficientTriple) -> np.ndarray:
@@ -163,20 +138,9 @@ def _apply_operator(v: np.ndarray, coefs: CoefficientTriple) -> np.ndarray:
             + pointwise(coefs.q_coef.data, v))
 
 
-def _first_order_part(coefs: CoefficientTriple) -> np.ndarray:
-    """Q - S = 2 dz A + B A; cached on the triple."""
-    part = coefs._derived.get("first_order_part")
-    if part is None:
-        part = (2 * dz_array(coefs.a_coef.data, coefs.grid)
-                + coefs.b_coef.matmat(coefs.a_coef).data)
-        part.flags.writeable = False
-        coefs._derived["first_order_part"] = part
-    return part
-
-
 def zero_order_remainder(coefs: CoefficientTriple) -> np.ndarray:
     """Q - 2 dz A - B A; the mirror's is conj(Q - 2 dzbar B - A B)."""
-    return coefs.q_coef.data - _first_order_part(coefs)
+    return coefs.q_coef.data - coefs.first_order_part
 
 
 def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple) -> dict:
@@ -192,35 +156,25 @@ def cgo_residual(sol: CgoSolution, coefs: CoefficientTriple) -> dict:
     where the transform quadrature is first-order accurate.  Applying
     the stencils to the oscillating product instead would bury the
     identity under truncation error growing like tau^4.  residual_raw is
-    the max-norm of the same defect.  dz w0 and dzbar w0 come from
-    build_amplitude; the Laplacian is cached on the amplitude, and the
-    terms in the coefficients per triple (by identity).  The residual of
-    the antiholomorphic branch is this one on the mirror triple and its
-    amplitude.
+    the max-norm of the same defect.  The derivatives of w0 come from the
+    amplitude and Q - S = 2 dz A + B A from the triple; a defect too large
+    for floating point is refused with OverflowGuardError.  The residual
+    of the antiholomorphic branch is this one on the mirror triple and
+    its amplitude.
     """
     grid = coefs.grid
     amp = sol.amplitude
     check_same(amp.w0, coefs)
     w = amp.w0.data
+    dz_w, dzbar_w = amp.d_w0
     dphi = sol.weight.dPhi(grid.nodes_z())[:, :, None]
-    if "d" not in amp._derived:  # an amplitude not made by build_amplitude
-        amp._derived["d"] = wirtinger_pair(w, grid)
-    dz_w, dzbar_w = amp._derived["d"]
-    lap = amp._derived.get("lap")
-    if lap is None:
-        lap = amp._derived["lap"] = laplacian_array(w, grid)
-    cached = amp._derived.get("coefs")
-    if cached is None or cached[0] is not coefs:
-        cached = amp._derived["coefs"] = (
-            coefs, 2 * pointwise(coefs.b_coef.data, dzbar_w),
-            pointwise(_first_order_part(coefs), w))
-    _, flat, zero_order = cached
-    first = (2 * pointwise(coefs.a_coef.data, dz_w + sol.tau * dphi * w)
-             + flat + 4 * sol.tau * dphi * dzbar_w)
-    defect = lap + first + zero_order
-
     sl = grid.interior()
-    num = float(np.linalg.norm(defect[sl]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        first = (2 * pointwise(coefs.a_coef.data, dz_w + sol.tau * dphi * w)
+                 + 2 * pointwise(coefs.b_coef.data, dzbar_w)
+                 + 4 * sol.tau * dphi * dzbar_w)
+        defect = amp.lap_w0 + first + pointwise(coefs.first_order_part, w)
+        num = float(np.linalg.norm(defect[sl]))
     den = float(np.linalg.norm(w[sl]))
     if den == 0.0:
         raise LabError("amplitude vanishes on the interior window")

@@ -87,7 +87,12 @@ class MatrixField(_Field):
 
 
 def pointwise(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise m @ v for matrix samples m and vector or matrix samples v."""
+    """Pointwise m @ v for matrix samples m and vector, matrix or scalar samples v.
+
+    Scalar samples, shape (nx, ny), are one component per node, for a 1 x 1 m.
+    """
+    if v.ndim == 2:
+        return pointwise(m, v[:, :, None])[:, :, 0]
     if v.ndim == 3:
         return np.einsum("xyab,xyb->xya", m, v)
     return np.einsum("xyab,xybc->xyac", m, v)

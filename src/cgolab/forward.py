@@ -29,14 +29,15 @@ again.  ``cauchy_data`` solves all its boundary profiles as one block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridError, SingularSystemError
 from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices, check_same
 from .fields import VectorField, MatrixField, weighted_l2
-from .calculus import normal_derivative, trace_boundary
+from .calculus import dz_array, normal_derivative, trace_boundary
 
 # GMRES on K, preconditioned by the trace-part factor, stops at this residual
 # relative to the block or after _GMRES_RESTARTS cycles of _GMRES_RESTART steps
@@ -47,16 +48,11 @@ _GMRES_RESTARTS = 3
 
 @dataclass(frozen=True)
 class CoefficientTriple:
-    """The (A, B, Q) matrix coefficients of one elliptic operator.
-
-    ``_derived`` caches fields computed from the coefficients alone.
-    """
+    """The (A, B, Q) matrix coefficients of one elliptic operator."""
 
     a_coef: MatrixField
     b_coef: MatrixField
     q_coef: MatrixField
-    _derived: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         check_same(self.a_coef, self.b_coef, self.q_coef)
@@ -68,6 +64,14 @@ class CoefficientTriple:
     @property
     def n_sys(self) -> int:
         return self.a_coef.n_sys
+
+    @cached_property
+    def first_order_part(self) -> np.ndarray:
+        """2 dz A + B A, read-only samples taken on first access."""
+        part = (2 * dz_array(self.a_coef.data, self.grid)
+                + self.b_coef.matmat(self.a_coef).data)
+        part.flags.writeable = False
+        return part
 
     def mirror(self) -> "CoefficientTriple":
         """(conj B, conj A, conj Q): L u = f iff L_mirror conj(u) = conj(f).  Not cached."""

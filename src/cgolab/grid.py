@@ -35,6 +35,12 @@ def is_finite_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def check_tau(tau) -> None:
+    """Refuse a tau that is not a finite real number > 0; a bool is refused too."""
+    if not (is_finite_real(tau) and tau > 0):
+        raise GridError(f"tau must be a finite number > 0, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform tensor grid on the rectangle [x_min,x_max] x [y_min,y_max]."""
@@ -108,8 +114,9 @@ def check_same(*args) -> None:
     An argument is a Grid2D; an object with a ``grid`` (a field, triple,
     partition, plan, cutoff, factorization or Cauchy data set), whose N,
     if any, is its ``n_sys``; raw samples, whose first two axes must be
-    the grid's shape and whose third, if any, is N; or None, which is
-    skipped.  Every public entry point taking two or more calls this first.
+    the grid's shape and whose third is N, N = 1 for samples of shape
+    (nx, ny), one component per node; or None, which is skipped.  Every
+    public entry point taking two or more calls this first.
     """
     seen = []  # (name, grid or None, grid shape, N or None) per argument
     for a in args:
@@ -118,7 +125,7 @@ def check_same(*args) -> None:
             seen.append((type(a).__name__, g, g.shape, getattr(a, "n_sys", None)))
         elif a is not None:
             s = np.shape(a)
-            seen.append((f"samples of shape {s}", None, s[:2], (*s[2:3], None)[0]))
+            seen.append((f"samples of shape {s}", None, s[:2], (*s[2:3], 1)[0]))
     for k, what in ((1, "grid"), (2, "grid shape"), (3, "system size N")):
         first, *rest = [t for t in seen if t[k] is not None] or [None]
         for t in rest:

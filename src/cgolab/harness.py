@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import LabError, OverflowGuardError
 from .grid import (Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_partition,
-                   check_same)
+                   check_same, check_tau)
 from .fields import MatrixField, VectorField, pointwise, weighted_l2
 from .calculus import dz_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
@@ -243,13 +243,16 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     ``partition``, and refuses a weight that breaks the paper's hypotheses
     on Phi over that partition).  The grid, partition, coefficients,
     ``b_pair`` and the samples of the test family must share one grid and
-    one N (``check_same``).  A rung on which every member of the test
-    family is vacuous (both sides 0) is refused.
+    one N (``check_same``), and every tau must be a finite number > 0.  A
+    rung on which every member of the test family is vacuous (both sides
+    0) is refused, and so is a non-finite ratio.
 
     PASS surrogate for the existential constant: the sup ratio over the
     upper half of the ladder must not exceed the sup over the lower half.
     """
     taus, test_family = list(tau_ladder), list(test_family)
+    for tau in taus:
+        check_tau(tau)
     check_same(grid, partition, coefs, *(b_pair or ()),
                *(tf.sample(grid) for tf in test_family))
     if len(taus) < 2 or any(b <= a for a, b in zip(taus[:-1], taus[1:])):
@@ -277,7 +280,7 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     ratios = []
     for tau in taus:
         wexp = np.exp(tau * phi)
-        sup, vacuous = 0.0, True
+        rung = []
         for tf in test_family:
             num, den = _probe_sides(kind, tf, tau, wexp, grid, partition,
                                     coefs, b_pair, weight)
@@ -285,11 +288,10 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
                 continue  # vacuous member
             if den == 0.0:
                 raise LabError("zero right-hand side with nonzero left side")
-            sup = max(sup, num / den)
-            vacuous = False
-        if vacuous:
+            rung.append(num / den)
+        if not rung:
             raise LabError(f"every test-family member is vacuous at tau {tau:g}")
-        ratios.append(sup)
+        ratios.append(float(np.max(rung)))  # unlike max(), np.max keeps a NaN
     half = len(taus) // 2
     sup_low, sup_high = max(ratios[:half]), max(ratios[half:])
     result = {"kind": kind, "taus": taus, "ratios": ratios,

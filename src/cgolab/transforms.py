@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, ConvergenceError, DivergenceError, SingularSystemError
-from .grid import Grid2D, CutoffFunction, check_same, is_finite_real
+from .grid import Grid2D, CutoffFunction, check_same, check_tau
 from .fields import VectorField, MatrixField, as_data, pointwise, same_kind
 from .weights import HolomorphicWeight
 
@@ -281,15 +281,9 @@ def _vekua_solve(op: VekuaOperator, gd: np.ndarray, tol: float):
     return w, kw, rhs
 
 
-def _check_tau(tau) -> None:
-    """Refuse a tau that is not a finite real number > 0; a bool is refused too."""
-    if not (is_finite_real(tau) and tau > 0):
-        raise GridError(f"tau must be a finite number > 0, got {tau!r}")
-
-
 def _mirrored(tau, side: str) -> bool:
     """Refuse a bad tau or side; True on side 'z', the conjugate mirror of 'zbar'."""
-    _check_tau(tau)
+    check_tau(tau)
     if side not in ("z", "zbar"):
         raise GridError(f"side must be 'z' or 'zbar', got {side!r}")
     return side == "z"

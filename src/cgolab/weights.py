@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, LabError
-from .grid import Grid2D, check_same
+from .grid import Grid2D, check_same, check_tau
 
 # a critical point with |d2Phi| <= this is degenerate: there |det psi''| = |d2Phi|^2
 # <= 1e-12, and the stationary-phase prefactor |det psi''|^{-1/2} means nothing
@@ -166,15 +166,17 @@ def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoi
 
 def resolution_nodes_per_period(w: HolomorphicWeight, grid: Grid2D, tau: float) -> float:
     """Grid nodes per oscillation period of exp(2 i tau psi), worst case."""
+    check_tau(tau)
     dphi = np.max(np.abs(w.dPhi(grid.nodes_z())))  # |grad psi| = |dPhi|
-    if tau == 0 or dphi == 0:
+    if dphi == 0:
         return np.inf
-    wavelength = 2 * np.pi / (2 * abs(tau) * dphi)  # phase gradient 2 tau |dPhi|
+    wavelength = 2 * np.pi / (2 * tau * dphi)  # phase gradient 2 tau |dPhi|
     return wavelength / max(grid.h_x, grid.h_y)
 
 
 def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> complex:
     """Trapezoid quadrature of the phase integral of scalar g against exp(2 i tau psi)."""
+    check_tau(tau)
     check_same(grid, g)
     gd = np.asarray(getattr(g, "data", g))
     if gd.shape[2:] not in ((), (1,)):
@@ -196,6 +198,7 @@ def stationary_phase_leading(g0: complex, point: CriticalPoint, tau: float) -> c
     catalog).  ``g0`` is the amplitude's value g(z~) at the point, which
     CriticalPoint has already checked to be nondegenerate.
     """
+    check_tau(tau)
     det = float(np.linalg.det(point.hessian))
     eigs = np.linalg.eigvalsh(point.hessian)
     sigma = int(np.sum(eigs > 0) - np.sum(eigs < 0))

@@ -5,6 +5,9 @@ from cgolab import (Grid2D, TransformPlan, CoefficientTriple, MatrixField,
                     random_coefficient_specs)
 from cgolab import transforms
 
+# taus that every entry point taking a tau refuses
+NOT_FINITE_POSITIVE = [-8.0, -1e4, float("nan"), float("inf"), 0.0, True]
+
 
 def make_triple(seed, n_sys, grid, amplitude=0.3):
     sa, sb, sq = random_coefficient_specs(seed, n_sys, amplitude)

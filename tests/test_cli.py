@@ -227,6 +227,7 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(tmp_path / "o2")]) == 2
 
 
+@pytest.mark.filterwarnings("error")
 def test_numerical_failure_writes_report_and_exits_1(tmp_path, capsys):
     # an earlier passing run leaves its table in the same directory
     ok = write_config(tmp_path, scenario="transforms", nx_ladder=[17, 33])
@@ -234,15 +235,16 @@ def test_numerical_failure_writes_report_and_exits_1(tmp_path, capsys):
     assert (tmp_path / "out" / "table.csv").exists()
     capsys.readouterr()
     cfg = write_config(tmp_path, scenario="cgo", nx_ladder=[17, 33],
-                       tau_ladder=[10000, 20000])
+                       tau_ladder=[1e300, 1e301])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == "error: non-finite weighted residual\n"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
     assert report["error"] == err[len("error: "):].strip()
-    assert report["inputs"]["tau_ladder"] == [10000, 20000]
+    assert report["inputs"]["tau_ladder"] == [1e300, 1e301]
 
 
 def test_run_all_scenarios_script_fast(tmp_path):

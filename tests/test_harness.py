@@ -6,12 +6,12 @@ from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
                     gauge_transform, check_relations,
                     coefficient_gap, carleman_probe, random_h01_spec,
                     CarlemanConvexWeight, full_operator_setup, BoundaryPartition,
-                    GaugeSpec, LabError, TrigSpec, random_trig_spec,
-                    weight_catalog)
+                    GaugeSpec, LabError, GridError, OverflowGuardError, TrigSpec,
+                    random_trig_spec, weight_catalog)
 from cgolab import cli, harness
 from cgolab.harness import refinement_orders
 
-from conftest import make_triple
+from conftest import make_triple, NOT_FINITE_POSITIVE
 
 
 def test_window_is_compactly_supported_and_smooth():
@@ -108,6 +108,35 @@ def test_carleman_probe_rejects_bad_ladder(grid33):
         carleman_probe("first_order_dz", cw, [8.0], [], grid33)
     with pytest.raises(LabError):
         carleman_probe("first_order_dz", cw, [8.0, 4.0], [], grid33)
+
+
+@pytest.mark.parametrize("tau", NOT_FINITE_POSITIVE)
+def test_carleman_probe_refuses_tau_that_is_not_finite_positive(grid33, monkeypatch, tau):
+    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
+    fam = [random_h01_spec(np.random.default_rng(2), (1,), 1.0)]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluated a rung before the tau check")
+
+    monkeypatch.setattr(harness, "_probe_sides", no_work)
+    for ladder in ([8.0, tau], [tau, 16.0]):
+        with pytest.raises(GridError, match=r"^tau must be a finite number > 0, got "):
+            carleman_probe("first_order_dz", cw, ladder, fam, grid33)
+
+
+def test_carleman_probe_refuses_a_non_finite_ratio_of_any_member(grid33, monkeypatch):
+    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
+    rng = np.random.default_rng(2)
+    fam = [random_h01_spec(rng, (1,), 1.0) for _ in range(2)]
+    probe_sides = harness._probe_sides
+
+    def second_member_overflows(kind, tf, tau, *args):
+        num, den = probe_sides(kind, tf, tau, *args)
+        return (np.inf, np.inf) if tf is fam[1] and tau == 16.0 else (num, den)
+
+    monkeypatch.setattr(harness, "_probe_sides", second_member_overflows)
+    with pytest.raises(OverflowGuardError, match="non-finite Carleman ratio"):
+        carleman_probe("first_order_dz", cw, [8.0, 16.0], fam, grid33)
 
 
 def test_carleman_probe_kind_weight_mismatch(grid33):

@@ -91,7 +91,7 @@ class Variant:
 
 def _cgo_amplitude(v):
     amp = build_amplitude(make_triple(0, 1, G), TransformPlan(G))
-    return lambda: dataclasses.replace(amp, w0_tilde=v.vec("w0_tilde"))
+    return lambda: dataclasses.replace(amp, seed=v.vec("seed"))
 
 
 def _full_probe(v):
@@ -182,12 +182,19 @@ ROWS = {
     "vekua_solve": (lambda v: (lambda op=make_vekua_operator(v.mat("b"), TransformPlan(G)),
                                g=v.vec("g"): vekua_solve(op, g)),
                     ["grid g", "N g", "N b"]),
+    # samples of shape (nx, ny) are one component per node
+    "vekua_solve scalar": (lambda v: (lambda op=make_vekua_operator(v.mat("b"), TransformPlan(G)),
+                                      g=v.vec("g", raw=True)[:, :, 0]: vekua_solve(op, g)),
+                           ["grid g", "N b"]),
     "r_tau": (lambda v: (lambda g=v.vec("g"), p=v.plan("plan"):
                          r_tau(g, W, 4.0, p, side="z")), ["grid g", "grid plan"]),
     "r_tau_b": (lambda v: (lambda g=v.vec("g"), b=v.mat("b"), p=v.plan("plan"),
                            c=v.cutoff("cutoff"):
                            r_tau_b(g, W, 4.0, b, p, cutoff=c)),
                 ["grid g", "N g", "grid b", "N b", "grid plan", "grid cutoff"]),
+    "r_tau_b scalar": (lambda v: (lambda g=v.vec("g", raw=True)[:, :, 0], b=v.mat("b"):
+                                  r_tau_b(g, W, 4.0, b, TransformPlan(G), side="z")),
+                       ["grid g", "N b"]),
     "CoefficientTriple": (lambda v: (lambda a=v.mat("a"), b=v.mat("b"), q=v.mat("q"):
                                      CoefficientTriple(a, b, q)),
                           ["grid b", "N q"]),
@@ -205,7 +212,7 @@ ROWS = {
                                       "N family"]),
     "build_amplitude": (lambda v: (lambda t=v.triple("coefs"), p=v.plan("plan"):
                                    build_amplitude(t, p)), ["grid plan", "grid coefs"]),
-    "CgoAmplitude": (_cgo_amplitude, ["grid w0_tilde", "N w0_tilde"]),
+    "CgoAmplitude": (_cgo_amplitude, ["grid seed", "N seed"]),
     "cgo_residual": (_cgo_residual, ["grid coefs", "N coefs"]),
 }
 
@@ -246,7 +253,13 @@ def test_arguments_without_n_are_compared_by_grid_only():
     """Plans, partitions, cutoffs and grids carry no N; samples' third axis is theirs."""
     cgolab.grid.check_same(G, TransformPlan(G), BoundaryPartition(G),
                            bump_cutoff(G, 0.5 + 0.5j, 0.3), make_triple(0, 2, G),
-                           np.zeros((17, 17, 2, 5)), np.zeros((17, 17)), None)
+                           np.zeros((17, 17, 2, 5)), None)
+    # samples of shape (nx, ny) are one component per node
+    cgolab.grid.check_same(make_triple(0, 1, G), np.zeros((17, 17)))
+    with pytest.raises(GridError, match=r"^CoefficientTriple and samples of shape "
+                                        r"\(17, 17\) differ in system size N: "
+                                        r"2 against 1$"):
+        cgolab.grid.check_same(make_triple(0, 2, G), np.zeros((17, 17)))
     with pytest.raises(GridError, match=r"^CoefficientTriple and samples of shape "
                                         r"\(17, 17, 1\) differ in system size N: "
                                         r"2 against 1$"):

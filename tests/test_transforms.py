@@ -419,6 +419,23 @@ def test_r_tau_b_reduces_to_r_tau_for_zero_b(grid33, plan33):
     assert np.max(np.abs(u1.data - u2.data)) == 0.0
 
 
+@pytest.mark.parametrize("b_value", [0.5, 0.0])
+def test_scalar_samples_are_one_component_per_node(grid33, plan33, b_value):
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    g = random_trig_spec(np.random.default_rng(4), (1,), 1.0).vector_field(grid33)
+    scalar = g.data[:, :, 0]
+    b = constant_matrix(grid33, [[b_value]])
+    u = vekua_solve(make_vekua_operator(b, plan33), scalar)
+    assert u.shape == (33, 33)
+    assert np.array_equal(u, vekua_solve(make_vekua_operator(b, plan33), g).data[:, :, 0])
+    for side in ("zbar", "z"):
+        u = r_tau_b(scalar, w, 4.0, b, plan33, side=side)
+        assert u.shape == (33, 33)
+        assert np.array_equal(u, r_tau_b(g, w, 4.0, b, plan33, side=side).data[:, :, 0])
+        if b_value == 0.0:
+            assert np.array_equal(u, r_tau(scalar, w, 4.0, plan33, side=side))
+
+
 def test_conjugated_identity_residual(grid33, plan33):
     """(2 dzbar + 2 tau dzbar(conj Phi) + B) applied to the conjugated
     inverse reproduces the source up to stencil plus quadrature error."""

@@ -8,6 +8,8 @@ from cgolab import (Grid2D, weight_catalog, find_critical_points,
                     BoundaryPartition, VectorField, remark_partition)
 from cgolab.harness import _check_phase
 
+from conftest import NOT_FINITE_POSITIVE
+
 
 def test_catalog_kinds_and_flags():
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
@@ -177,6 +179,20 @@ def test_one_bound_decides_whether_a_critical_point_is_degenerate():
     pts = find_critical_points(w, grid)
     assert len(pts) == 2
     assert all(np.isfinite(stationary_phase_leading(1.0, p, 8.0)) for p in pts)
+
+
+@pytest.mark.parametrize("tau", NOT_FINITE_POSITIVE)
+def test_phase_integrals_refuse_tau_that_is_not_finite_positive(tau):
+    grid = Grid2D(nx=33, ny=33)
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    point = find_critical_points(w, grid)[0]
+    message = r"^tau must be a finite number > 0, got "
+    with pytest.raises(GridError, match=message):
+        oscillatory_integral(np.ones(grid.shape), w, tau, grid)
+    with pytest.raises(GridError, match=message):
+        stationary_phase_leading(1.0, point, tau)
+    with pytest.raises(GridError, match=message):
+        resolution_nodes_per_period(w, grid, tau)
 
 
 @pytest.mark.parametrize("trail", [(2,), (5,), (1, 1)])
