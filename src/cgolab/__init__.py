@@ -13,8 +13,8 @@ from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,
 from .fields import VectorField, MatrixField
 from .calculus import trace_boundary, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, random_coefficient_specs
-from .weights import (HolomorphicWeight, CriticalPoint, CarlemanConvexWeight,
-                      weight_catalog, find_critical_points,
+from .weights import (HolomorphicWeight, CriticalPoint, weight_catalog,
+                      find_critical_points,
                       oscillatory_integral, stationary_phase_leading,
                       resolution_nodes_per_period)
 from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,

@@ -22,14 +22,13 @@ from .errors import ConfigError, GridError, LabError
 from .grid import Grid2D, remark_partition, is_int, is_finite_real
 from .synthetic import random_coefficient_specs, random_trig_spec
 from .weights import (weight_catalog, find_critical_points, oscillatory_integral,
-                      stationary_phase_leading, resolution_nodes_per_period,
-                      CarlemanConvexWeight)
+                      stationary_phase_leading, resolution_nodes_per_period)
 from .transforms import TransformPlan, dzbar_inv
 from .calculus import dzbar_array
 from .forward import CoefficientTriple, fourier_profiles
 from .harness import (GaugeSpec, gauge_transform, check_relations,
                       gauge_equivalence_experiment, carleman_probe,
-                      random_h01_spec, full_operator_setup, refinement_orders)
+                      random_h01_spec, refinement_orders, _PROBE_KINDS)
 from .cgo import build_amplitude, build_cgo_solution, cgo_residual
 
 # fewest (nx_ladder, tau_ladder) rungs each scenario's criteria can judge:
@@ -193,23 +192,15 @@ def _run_gauge(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
 
 def _run_carleman(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     nx = int(cfg.nx_ladder[-1])
-    grid = Grid2D(nx=nx, ny=nx)
+    coefs = _triple(cfg, Grid2D(nx=nx, ny=nx))
     rng = np.random.default_rng(cfg.seed)
     taus = [float(t) for t in cfg.tau_ladder]
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
-    part, hw = full_operator_setup(grid)
-    coefs = _triple(cfg, grid)
     n = cfg.n_sys
-    vec_family = [random_h01_spec(rng, (n,), 1.0) for _ in range(3)]
-    mat_family = [random_h01_spec(rng, (n, n), 1.0) for _ in range(3)]
-    reports = [
-        carleman_probe("first_order_dz", cw, taus, vec_family, grid),
-        carleman_probe("first_order_dzbar", cw, taus, vec_family, grid),
-        carleman_probe("system_zero_order", cw, taus, mat_family, grid,
-                       b_pair=(coefs.b_coef, coefs.a_coef)),
-        carleman_probe("full_operator", hw, taus, vec_family, grid,
-                       partition=part, coefs=coefs),
-    ]
+    vec_family = [random_h01_spec(rng, (n,)) for _ in range(3)]
+    mat_family = [random_h01_spec(rng, (n, n)) for _ in range(3)]
+    reports = [carleman_probe(kind, taus, mat_family if kind == "system_zero_order"
+                              else vec_family, coefs)
+               for kind in _PROBE_KINDS]
     rows = [{"kind": r["kind"], "tau": t, "ratio": ratio}
             for r in reports for t, ratio in zip(r["taus"], r["ratios"])]
     metrics = {"probes": reports}

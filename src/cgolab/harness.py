@@ -18,8 +18,7 @@ from .fields import MatrixField, VectorField, pointwise, weighted_l2
 from .calculus import dz_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
 from .forward import CoefficientTriple, cauchy_data, cauchy_distance
-from .weights import (HolomorphicWeight, CarlemanConvexWeight, DEGENERATE_MARGIN,
-                      weight_catalog)
+from .weights import weight_catalog
 
 
 # eta(x2) = sin^6(pi (x2 - 1/8) / (3/4)) on (1/8, 7/8), zero outside.  The
@@ -141,7 +140,7 @@ def refinement_orders(errs) -> list:
 
 
 def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
-                                 m: int = 4) -> dict:
+                                 m: int) -> dict:
     """Cauchy-data distance of a triple vs its gauge transform on a grid ladder.
 
     ``make_triple(grid)`` must sample one fixed continuum triple on any
@@ -164,27 +163,27 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
             "coefficient_gap": max(gaps)}
 
 
-def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
-                         n_samples: int = 20, seed: int = 0) -> dict:
+def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int) -> dict:
     """Distances for a seeded family of non-gauge Q perturbations vs the gauge pair.
 
-    Each perturbation is a random trig field of amplitude 3 added to Q; the
-    data are observed on the remark partition.
+    Each of 20 perturbations, drawn from ``default_rng(0)``, is a random
+    trig field of amplitude 3 added to Q; the data are observed on the
+    remark partition through the first 4 boundary profiles.
     """
     grid = Grid2D(nx=nx, ny=nx)
     part = remark_partition(grid)
     t1 = make_triple(grid)
-    c1 = cauchy_data(t1, part, m)
+    c1 = cauchy_data(t1, part, 4)
     gauge_dist = cauchy_distance(
-        c1, cauchy_data(gauge_transform(t1, gauge), part, m))
-    rng = np.random.default_rng(seed)
+        c1, cauchy_data(gauge_transform(t1, gauge), part, 4))
+    rng = np.random.default_rng(0)
     n = t1.n_sys
     off = []
-    for _ in range(n_samples):
+    for _ in range(20):
         spec = random_trig_spec(rng, (n, n), amplitude=3.0)
         q = MatrixField(grid, t1.q_coef.data + spec.sample(grid))
         t2 = CoefficientTriple(t1.a_coef, t1.b_coef, q)
-        off.append(cauchy_distance(c1, cauchy_data(t2, part, m)))
+        off.append(cauchy_distance(c1, cauchy_data(t2, part, 4)))
     return {"gauge_distance": gauge_dist, "off_gauge_distances": off,
             "separation": min(off) / max(gauge_dist, 1e-300)}
 
@@ -192,10 +191,9 @@ def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int, m: int = 4,
 # ---------------------------------------------------------------------------
 # Carleman probes
 
-def random_h01_spec(rng: np.random.Generator, value_shape=(),
-                    amplitude: float = 1.0) -> TrigSpec:
-    """Random trig polynomial built from sine modes only: vanishes on the boundary."""
-    spec = random_trig_spec(rng, value_shape, amplitude)
+def random_h01_spec(rng: np.random.Generator, value_shape) -> TrigSpec:
+    """Random trig polynomial of amplitude 1 from sine modes only: vanishes on the boundary."""
+    spec = random_trig_spec(rng, value_shape, 1.0)
     c = spec.coeffs.copy()
     keep = np.zeros((N_MODES, N_MODES), dtype=bool)
     for i in (1, 3):
@@ -205,47 +203,33 @@ def random_h01_spec(rng: np.random.Generator, value_shape=(),
     return TrigSpec(c)
 
 
-# the weight each probe kind takes
-_PROBE_WEIGHTS = {"first_order_dz": CarlemanConvexWeight,
-                  "first_order_dzbar": CarlemanConvexWeight,
-                  "system_zero_order": CarlemanConvexWeight,
-                  "full_operator": HolomorphicWeight}
+_PROBE_KINDS = ("first_order_dz", "first_order_dzbar", "system_zero_order",
+                "full_operator")
 
 
-def _check_phase(weight: HolomorphicWeight, partition: BoundaryPartition) -> None:
-    """Refuse a full_operator weight that breaks the paper's hypotheses on Phi.
+def _convex_weight(grid: Grid2D) -> np.ndarray:
+    """Convex weight phi_c = exp(lam psi_c) of the first-order and zero-order probes.
 
-    Im Phi vanishes on gamma_0, and the critical points are nondegenerate
-    and off gamma_tilde, all on the probe's own partition.
+    lam = 2, and psi_c = x + 0.1 y has a gradient that vanishes nowhere.
     """
-    z = partition.grid.nodes_z()
-    crit = weight.closed_form_critical_points()
-    if (GAMMA_0 in partition.labels.values()
-            and not np.max(np.abs(weight.psi(z[partition.nodes(GAMMA_0)]))) < 1e-12):
-        raise LabError("full_operator weight: Im Phi does not vanish on gamma_0")
-    if not all(abs(weight.d2Phi(np.asarray(p))) > DEGENERATE_MARGIN for p in crit):
-        raise LabError("full_operator weight has a degenerate critical point")
-    zt = z[partition.nodes(GAMMA_TILDE)]
-    if not all(np.min(np.abs(zt - p)) > 1e-8 for p in crit):
-        raise LabError("full_operator weight has a critical point on gamma_tilde")
+    X, Y = grid.meshgrid()
+    return np.exp(2.0 * (X + 0.1 * Y))
 
 
-def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
-                   partition: BoundaryPartition | None = None,
-                   coefs: CoefficientTriple | None = None,
-                   b_pair=None) -> dict:
+def carleman_probe(kind: str, tau_ladder, test_family,
+                   coefs: CoefficientTriple) -> dict:
     """Empirical left/right ratios of one Carleman inequality over a tau ladder.
 
-    kinds: 'first_order_dz', 'first_order_dzbar' (convex weight, H^1_0
-    scalar/vector test functions), 'system_zero_order' (convex weight,
-    matrix unknowns, coefficient pair ``b_pair``), 'full_operator'
-    (holomorphic weight phi, full elliptic operator, needs ``coefs`` and
-    ``partition``, and refuses a weight that breaks the paper's hypotheses
-    on Phi over that partition).  The grid, partition, coefficients,
-    ``b_pair`` and the samples of the test family must share one grid and
-    one N (``check_same``), and every tau must be a finite number > 0.  A
-    rung on which every member of the test family is vacuous (both sides
-    0) is refused, and so is a non-finite ratio.
+    kinds: 'first_order_dz', 'first_order_dzbar' (H^1_0 scalar/vector
+    test functions), 'system_zero_order' (matrix unknowns, with the pair
+    (B, A) of ``coefs``), all three under the convex weight
+    ``_convex_weight``; 'full_operator' (the full elliptic operator of
+    ``coefs``, with the partition and the holomorphic weight of
+    ``full_operator_setup``).  The probes run on the grid of ``coefs``, and
+    the samples of the test family must have its N (``check_same``);
+    every tau must be a finite number > 0.  A rung on which every member
+    of the test family is vacuous (both sides 0) is refused, and so is a
+    non-finite ratio.
 
     PASS surrogate for the existential constant: the sup ratio over the
     upper half of the ladder must not exceed the sup over the lower half.
@@ -253,56 +237,51 @@ def carleman_probe(kind: str, weight, tau_ladder, test_family, grid: Grid2D,
     taus, test_family = list(tau_ladder), list(test_family)
     for tau in taus:
         check_tau(tau)
-    check_same(grid, partition, coefs, *(b_pair or ()),
-               *(tf.sample(grid) for tf in test_family))
+    grid = coefs.grid
+    check_same(coefs, *(tf.sample(grid) for tf in test_family))
     if len(taus) < 2 or any(b <= a for a, b in zip(taus[:-1], taus[1:])):
         raise LabError("tau ladder must be increasing with >= 2 rungs")
-    if kind not in _PROBE_WEIGHTS:
+    if kind not in _PROBE_KINDS:
         raise LabError(f"unknown probe kind {kind!r}; "
-                       f"choose one of {', '.join(_PROBE_WEIGHTS)}")
-    if not isinstance(weight, _PROBE_WEIGHTS[kind]):
-        raise LabError(f"{kind} needs a {_PROBE_WEIGHTS[kind].__name__}")
-    if kind == "system_zero_order":
-        if b_pair is None:
-            raise LabError("system_zero_order probe needs a coefficient pair b_pair")
-    if kind == "full_operator":
-        if partition is None or coefs is None:
-            raise LabError("full_operator probe needs a partition and coefficients")
-        _check_phase(weight, partition)
+                       f"choose one of {', '.join(_PROBE_KINDS)}")
     if not test_family:
         raise LabError("empty test family: every ratio would be vacuous")
+    partition = weight = None
     if kind == "full_operator":
+        partition, weight = full_operator_setup(grid)
         phi = weight.phi(grid.nodes_z())
     else:
-        phi = weight.phi_c(*grid.meshgrid())
+        phi = _convex_weight(grid)
     phi = phi - phi.max()  # ratio-invariant normalization against overflow
 
     ratios = []
-    for tau in taus:
-        wexp = np.exp(tau * phi)
-        rung = []
-        for tf in test_family:
-            num, den = _probe_sides(kind, tf, tau, wexp, grid, partition,
-                                    coefs, b_pair, weight)
-            if num == 0.0 and den == 0.0:
-                continue  # vacuous member
-            if den == 0.0:
-                raise LabError("zero right-hand side with nonzero left side")
-            rung.append(num / den)
-        if not rung:
-            raise LabError(f"every test-family member is vacuous at tau {tau:g}")
-        ratios.append(float(np.max(rung)))  # unlike max(), np.max keeps a NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for tau in taus:
+            wexp = np.exp(tau * phi)
+            rung = []
+            for tf in test_family:
+                num, den = _probe_sides(kind, tf, tau, wexp, coefs, partition, weight)
+                if num == 0.0 and den == 0.0:
+                    continue  # vacuous member
+                if den == 0.0:
+                    raise LabError("zero right-hand side with nonzero left side")
+                rung.append(num / den)
+            if not rung:
+                raise LabError(f"every test-family member is vacuous at tau {tau:g}")
+            ratios.append(float(np.max(rung)))  # unlike max(), np.max keeps a NaN
+    bad = [tau for tau, r in zip(taus, ratios) if not np.isfinite(r)]
+    if bad:
+        raise OverflowGuardError(f"non-finite Carleman ratio of the {kind} "
+                                 f"probe at tau {bad[0]:g}")
     half = len(taus) // 2
     sup_low, sup_high = max(ratios[:half]), max(ratios[half:])
-    result = {"kind": kind, "taus": taus, "ratios": ratios,
-              "sup_low": sup_low, "sup_high": sup_high,
-              "passed": bool(sup_high <= sup_low)}
-    if not np.all(np.isfinite(ratios)):
-        raise OverflowGuardError("non-finite Carleman ratio; normalize the weight")
-    return result
+    return {"kind": kind, "taus": taus, "ratios": ratios,
+            "sup_low": sup_low, "sup_high": sup_high,
+            "passed": bool(sup_high <= sup_low)}
 
 
-def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
+def _probe_sides(kind, tf, tau, wexp, coefs, partition, weight):
+    grid = coefs.grid
     qw = grid.quad_weights()[:, :, None] * (wexp ** 2)[:, :, None]
 
     def norm(x):
@@ -312,9 +291,8 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
     if kind != "full_operator":
         # sqrt(tau) |w| against |f|, f the first-order image of w
         if kind == "system_zero_order":
-            b1, b2 = b_pair
-            f = (2 * tf.dz(grid) + pointwise(b2.data, w)
-                 - pointwise(w, b1.data))
+            f = (2 * tf.dz(grid) + pointwise(coefs.a_coef.data, w)
+                 - pointwise(w, coefs.b_coef.data))
         else:
             f = (tf.dz if kind == "first_order_dz" else tf.dzbar)(grid)
         return np.sqrt(tau) * norm(w), norm(f)
@@ -332,7 +310,7 @@ def _probe_sides(kind, tf, tau, wexp, grid, partition, coefs, b_pair, weight):
           + norm(gx + tau * px[:, :, None] * w) ** 2
           + norm(gy + tau * py[:, :, None] * w) ** 2)
     lhs = (tau * norm(w) ** 2 + h1
-           + tau ** 2 * norm(np.abs(dphi)[:, :, None] * w) ** 2)
+           + tau * tau * norm(np.abs(dphi)[:, :, None] * w) ** 2)
     rhs = norm(lu) ** 2
     uf = VectorField(grid, w)
     for label in (GAMMA_0, GAMMA_TILDE):

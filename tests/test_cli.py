@@ -247,6 +247,61 @@ def test_numerical_failure_writes_report_and_exits_1(tmp_path, capsys):
     assert report["inputs"]["tau_ladder"] == [1e300, 1e301]
 
 
+@pytest.mark.filterwarnings("error")
+def test_carleman_overflow_writes_report_and_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="carleman", nx_ladder=[17, 33],
+                       tau_ladder=[8, 16, 1e300, 1e301])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.json"]
+    err = capsys.readouterr().err
+    assert err == ("error: non-finite Carleman ratio of the full_operator probe "
+                   "at tau 1e+300\n")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["error"] == err[len("error: "):].strip()
+
+
+# float.hex of the four probes' ratios (first_order_dz, first_order_dzbar,
+# system_zero_order, full_operator) at seed 0, nx 33, tau 8, 16, 32 and 64
+CARLEMAN_RATIOS = {
+    1: [["0x1.c220f26df17a5p-9", "0x1.0236bbe9b2325p-14",
+         "0x1.e827fe0cc3e2ap-27", "0x1.e225e47bdb0e4p-51"],
+        ["0x1.c2201c714aa30p-9", "0x1.0236bbe703699p-14",
+         "0x1.e827fe0cc3e29p-27", "0x1.e225e47bdb0e3p-51"],
+        ["0x1.c124f881e8304p-10", "0x1.024596c6a6ac7p-15",
+         "0x1.e7a29a69e2271p-28", "0x1.e1d0edc12b158p-52"],
+        ["0x1.1235bf4047629p-4", "0x1.3c4ee4428580ep-5",
+         "0x1.898f0173c0751p-6", "0x1.fff320088f78ep-7"]],
+    2: [["0x1.c27bf41320609p-9", "0x1.01e2b513e1f9bp-14",
+         "0x1.e68045fbb7a79p-27", "0x1.e15494af74224p-51"],
+        ["0x1.c27b21d24b44dp-9", "0x1.01e2b5105b540p-14",
+         "0x1.e68045fbb7a7bp-27", "0x1.e15494af74227p-51"],
+        ["0x1.c0c1fa1b85c03p-10", "0x1.01daf20bae646p-15",
+         "0x1.e6c0d7232e4b7p-28", "0x1.e16bc884cb299p-52"],
+        ["0x1.149f2e7afaec8p-4", "0x1.3d90e46f139f4p-5",
+         "0x1.8b3b1fda62039p-6", "0x1.00ff12acb709ap-6"]],
+}
+
+
+@pytest.mark.parametrize("n_sys", [1, 2])
+def test_carleman_ratios_are_pinned(tmp_path, n_sys):
+    report = run(ScenarioConfig(scenario="carleman", seed=0, n_sys=n_sys,
+                                nx_ladder=(33,), tau_ladder=(8.0, 16.0, 32.0, 64.0)),
+                 tmp_path)
+    assert [[r.hex() for r in p["ratios"]] for p in report["metrics"]["probes"]] \
+        == CARLEMAN_RATIOS[n_sys]
+
+
+def test_stationary_phase_errors_are_pinned(tmp_path):
+    cfg = ScenarioConfig(scenario="stationary-phase", seed=0, nx_ladder=(129,),
+                         tau_ladder=(8.0, 16.0, 32.0, 64.0, 128.0))
+    with pytest.warns(UserWarning, match="fewer than 8 nodes"):
+        report = run(cfg, tmp_path)
+    assert [r["relative_error"].hex() for r in report["metrics"]["records"]] == [
+        "0x1.14779cabe1ce0p-2", "0x1.ff3fdcf2ce5ccp-4", "0x1.0e9a4a581605bp-4",
+        "0x1.edb005a6dd8b8p-6", "0x1.d8e1ec5d4f507p-7"]
+
+
 def test_run_all_scenarios_script_fast(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
                     gauge_transform, check_relations,
                     coefficient_gap, carleman_probe, random_h01_spec,
-                    CarlemanConvexWeight, full_operator_setup, BoundaryPartition,
-                    GaugeSpec, LabError, GridError, OverflowGuardError, TrigSpec,
-                    random_trig_spec, weight_catalog)
+                    full_operator_setup, GaugeSpec, LabError, GridError,
+                    OverflowGuardError, TrigSpec, random_trig_spec,
+                    find_critical_points, GAMMA_0, GAMMA_TILDE)
 from cgolab import cli, harness
 from cgolab.harness import refinement_orders
 
@@ -93,27 +93,26 @@ def test_single_term_perturbation_reproduces_bump_norm(grid33):
 
 
 def test_carleman_first_order_probe_decays(grid33):
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
     rng = np.random.default_rng(2)
-    fam = [random_h01_spec(rng, (1,), 1.0) for _ in range(3)]
-    rep = carleman_probe("first_order_dz", cw, [8.0, 16.0, 32.0, 64.0],
-                         fam, grid33)
+    fam = [random_h01_spec(rng, (1,)) for _ in range(3)]
+    rep = carleman_probe("first_order_dz", [8.0, 16.0, 32.0, 64.0], fam,
+                         make_triple(0, 1, grid33))
     assert rep["passed"]
     assert rep["ratios"][-1] < rep["ratios"][0]
 
 
 def test_carleman_probe_rejects_bad_ladder(grid33):
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
+    t = make_triple(0, 1, grid33)
     with pytest.raises(LabError):
-        carleman_probe("first_order_dz", cw, [8.0], [], grid33)
+        carleman_probe("first_order_dz", [8.0], [], t)
     with pytest.raises(LabError):
-        carleman_probe("first_order_dz", cw, [8.0, 4.0], [], grid33)
+        carleman_probe("first_order_dz", [8.0, 4.0], [], t)
 
 
 @pytest.mark.parametrize("tau", NOT_FINITE_POSITIVE)
 def test_carleman_probe_refuses_tau_that_is_not_finite_positive(grid33, monkeypatch, tau):
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
-    fam = [random_h01_spec(np.random.default_rng(2), (1,), 1.0)]
+    t = make_triple(0, 1, grid33)
+    fam = [random_h01_spec(np.random.default_rng(2), (1,))]
 
     def no_work(*args, **kwargs):
         raise AssertionError("evaluated a rung before the tau check")
@@ -121,13 +120,12 @@ def test_carleman_probe_refuses_tau_that_is_not_finite_positive(grid33, monkeypa
     monkeypatch.setattr(harness, "_probe_sides", no_work)
     for ladder in ([8.0, tau], [tau, 16.0]):
         with pytest.raises(GridError, match=r"^tau must be a finite number > 0, got "):
-            carleman_probe("first_order_dz", cw, ladder, fam, grid33)
+            carleman_probe("first_order_dz", ladder, fam, t)
 
 
 def test_carleman_probe_refuses_a_non_finite_ratio_of_any_member(grid33, monkeypatch):
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
     rng = np.random.default_rng(2)
-    fam = [random_h01_spec(rng, (1,), 1.0) for _ in range(2)]
+    fam = [random_h01_spec(rng, (1,)) for _ in range(2)]
     probe_sides = harness._probe_sides
 
     def second_member_overflows(kind, tf, tau, *args):
@@ -135,67 +133,26 @@ def test_carleman_probe_refuses_a_non_finite_ratio_of_any_member(grid33, monkeyp
         return (np.inf, np.inf) if tf is fam[1] and tau == 16.0 else (num, den)
 
     monkeypatch.setattr(harness, "_probe_sides", second_member_overflows)
-    with pytest.raises(OverflowGuardError, match="non-finite Carleman ratio"):
-        carleman_probe("first_order_dz", cw, [8.0, 16.0], fam, grid33)
-
-
-def test_carleman_probe_kind_weight_mismatch(grid33):
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
-    with pytest.raises(LabError):
-        carleman_probe("full_operator", cw, [8.0, 16.0], [], grid33)
+    with pytest.raises(OverflowGuardError, match="^non-finite Carleman ratio of the "
+                                                 "first_order_dz probe at tau 16$"):
+        carleman_probe("first_order_dz", [8.0, 16.0], fam, make_triple(0, 1, grid33))
 
 
 @pytest.mark.parametrize("case, message", [
     ("unknown kind", "unknown probe kind"),
-    ("no b_pair", "needs a coefficient pair"),
-    ("no partition", "needs a partition and coefficients"),
-    ("no coefs", "needs a partition and coefficients"),
     ("empty convex family", "empty test family"),
     ("empty full family", "empty test family"),
-    ("Im Phi on gamma_0", "Im Phi does not vanish on gamma_0"),
-    ("degenerate critical point", "degenerate critical point"),
-    ("critical point on gamma_tilde", "critical point on gamma_tilde"),
     ("vacuous family", "every test-family member is vacuous at tau 8$"),
-    ("partition on another grid", "^Grid2D and BoundaryPartition differ in grid"),
-    ("coefs on another grid", "^Grid2D and CoefficientTriple differ in grid"),
-    ("b_pair on another grid", "^Grid2D and MatrixField differ in grid"),
 ])
 def test_carleman_probe_refuses_incomplete_input_before_any_work(
         grid33, monkeypatch, case, message):
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
-    part, hw = full_operator_setup(grid33)
-    observed = BoundaryPartition(grid33)  # every edge observed: no gamma_0
     t = make_triple(0, 1, grid33)
-    rng = np.random.default_rng(0)
-    vec, mat = random_h01_spec(rng, (1,), 1.0), random_h01_spec(rng, (1, 1), 1.0)
-    full = {"partition": part, "coefs": t}
-    kind, weight, family, kw = {
-        "unknown kind": ("nonsense", cw, [vec], {}),
-        "no b_pair": ("system_zero_order", cw, [mat], {}),
-        "no partition": ("full_operator", hw, [vec], {"coefs": t}),
-        "no coefs": ("full_operator", hw, [vec], {"partition": part}),
-        "empty convex family": ("first_order_dz", cw, [], {}),
-        "empty full family": ("full_operator", hw, [], full),
-        "Im Phi on gamma_0": ("full_operator",
-                              weight_catalog("quadratic", {"c": 0.5 + 0.5j}),
-                              [vec], full),
-        "degenerate critical point": (
-            "full_operator", weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 0}),
-            [vec], {"partition": observed, "coefs": t}),
-        "critical point on gamma_tilde": (
-            "full_operator", weight_catalog("quadratic", {"c": 0.5}),
-            [vec], {"partition": observed, "coefs": t}),
-        "vacuous family": ("first_order_dz", cw, [TrigSpec(0 * vec.coeffs)], {}),
-        "partition on another grid": (
-            "full_operator", hw, [vec],
-            {"partition": full_operator_setup(Grid2D(nx=17, ny=17))[0],
-             "coefs": t}),
-        "coefs on another grid": (
-            "full_operator", hw, [vec],
-            {"partition": part, "coefs": make_triple(0, 1, Grid2D(nx=17, ny=17))}),
-        "b_pair on another grid": (
-            "system_zero_order", cw, [mat],
-            {"b_pair": (make_triple(0, 1, Grid2D(nx=17, ny=17)).b_coef,) * 2}),
+    vec = random_h01_spec(np.random.default_rng(0), (1,))
+    kind, family = {
+        "unknown kind": ("nonsense", [vec]),
+        "empty convex family": ("first_order_dz", []),
+        "empty full family": ("full_operator", []),
+        "vacuous family": ("first_order_dz", [TrigSpec(0 * vec.coeffs)]),
     }[case]
 
     def no_work(*args, **kwargs):
@@ -205,18 +162,30 @@ def test_carleman_probe_refuses_incomplete_input_before_any_work(
     if case != "vacuous family":
         monkeypatch.setattr(harness, "_probe_sides", no_work)
     with pytest.raises(LabError, match=message):
-        carleman_probe(kind, weight, [8.0, 16.0], family, grid33, **kw)
+        carleman_probe(kind, [8.0, 16.0], family, t)
 
 
 def test_h01_spec_vanishes_on_boundary(grid33):
-    spec = random_h01_spec(np.random.default_rng(0), (2,), 1.0)
+    spec = random_h01_spec(np.random.default_rng(0), (2,))
     v = spec.sample(grid33)
     assert np.max(np.abs(v[0, :])) < 1e-14
     assert np.max(np.abs(v[:, -1])) < 1e-14
 
 
 def test_full_operator_setup_flags():
-    """The setup pair meets the hypotheses on Phi that the full probe checks."""
-    part, w = full_operator_setup(Grid2D(nx=33, ny=33))
-    harness._check_phase(w, part)
-    assert part.labels["left"] == "gamma_0"
+    """The fixed setup meets the paper's hypotheses on Phi over its partition.
+
+    Only the left edge is hidden (gamma_0); Im Phi vanishes there, and the
+    one critical point, nondegenerate since Phi'' = 2, lies off the
+    observed arcs (gamma_tilde).
+    """
+    for nx in (17, 33, 65, 129):
+        part, w = full_operator_setup(Grid2D(nx=nx, ny=nx))
+        assert part.labels == {"left": GAMMA_0, "bottom": GAMMA_TILDE,
+                               "right": GAMMA_TILDE, "top": GAMMA_TILDE}
+        z = part.grid.nodes_z()
+        assert np.max(np.abs(w.psi(z[part.nodes(GAMMA_0)]))) < 1e-12
+        (point,) = find_critical_points(w, part.grid)
+        assert w.dPhi(point.location) == 0
+        assert abs(np.linalg.det(point.hessian)) == pytest.approx(4.0)  # |Phi''|^2
+        assert np.min(np.abs(z[part.nodes(GAMMA_TILDE)] - point.location)) > 1e-8

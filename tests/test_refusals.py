@@ -18,14 +18,15 @@ import pytest
 import cgolab
 from cgolab import (Grid2D, TransformPlan, VectorField, MatrixField, CutoffFunction,
                     CoefficientTriple, OperatorFactorization, BoundaryPartition,
-                    CarlemanConvexWeight, GridError, VekuaOperator, bump_cutoff,
+                    GridError, VekuaOperator, bump_cutoff,
                     build_amplitude, build_cgo_solution, carleman_probe, cauchy_data,
                     cauchy_distance, cgo_residual, check_relations, coefficient_gap,
-                    dz_inv, dzbar_inv, full_operator_setup, gauge_transform,
+                    dz_inv, dzbar_inv, gauge_transform,
                     GaugeSpec, make_vekua_operator, neumann_series_apply,
                     normal_derivative, oscillatory_integral, r_tau, r_tau_b,
                     random_h01_spec, random_trig_spec, remark_partition,
-                    trace_boundary, vekua_solve, weight_catalog, GAMMA_TILDE)
+                    trace_boundary, vekua_solve, weight_catalog, GAMMA_TILDE,
+                    TrigSpec)
 from cgolab import forward, harness, transforms
 
 from conftest import make_triple
@@ -36,13 +37,12 @@ OTHER = Grid2D(nx=17, ny=17, y_max=2.0)
 # raw samples carry only a shape, so theirs is another shape
 SMALL = Grid2D(nx=13, ny=13)
 W = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-CW = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
 
 # exports that take at most one grid-carrying argument
 ONE_GRID_OR_NONE = {
     "Grid2D", "BoundaryPartition", "remark_partition", "bump_cutoff",
     "plateau_cutoff", "TrigSpec", "random_trig_spec", "random_coefficient_specs",
-    "HolomorphicWeight", "CriticalPoint", "CarlemanConvexWeight", "weight_catalog",
+    "HolomorphicWeight", "CriticalPoint", "weight_catalog",
     "find_critical_points", "stationary_phase_leading",
     "resolution_nodes_per_period", "TransformPlan", "OperatorFactorization",
     "fourier_profiles", "PartialCauchyData", "GaugeSpec", "gauge_transform",
@@ -94,19 +94,24 @@ def _cgo_amplitude(v):
     return lambda: dataclasses.replace(amp, seed=v.vec("seed"))
 
 
-def _full_probe(v):
-    part, hw = full_operator_setup(v.grid("partition"))
-    family = [random_h01_spec(np.random.default_rng(0), (v.n("family"),), 1.0)]
-    coefs = v.triple("coefs")
-    return lambda: carleman_probe("full_operator", hw, [8.0, 16.0], family, G,
-                                  partition=part, coefs=coefs)
+@dataclasses.dataclass(frozen=True)
+class _OnGrid(TrigSpec):
+    """A test function sampled on its own grid, whichever grid it is asked for."""
+
+    grid: Grid2D
+
+    def sample(self, grid, dx=0, dy=0):
+        return super().sample(self.grid, dx, dy)
 
 
-def _zero_order_probe(v):
-    b = v.mat("b_pair")
-    family = [random_h01_spec(np.random.default_rng(0), (v.n("family"),) * 2, 1.0)]
-    return lambda: carleman_probe("system_zero_order", CW, [8.0, 16.0], family, G,
-                                  b_pair=(b, b))
+def _probe(kind, shape):
+    """Row of one Carleman probe kind; ``shape(n)`` is its test functions' value shape."""
+    def row(v):
+        spec = random_h01_spec(np.random.default_rng(0), shape(v.n("family")))
+        family = [_OnGrid(spec.coeffs, v.grid("family", raw=True))]
+        coefs = v.triple("coefs")
+        return lambda: carleman_probe(kind, [8.0, 16.0], family, coefs)
+    return row
 
 
 def _solve(v):
@@ -205,11 +210,12 @@ ROWS = {
     "check_relations": (_relations, ["grid t2", "N t2", "grid partition"]),
     "coefficient_gap": (lambda v: (lambda t1=v.triple("t1"), t2=v.triple("t2"):
                                    coefficient_gap(t1, t2)), ["grid t2", "N t2"]),
-    "carleman_probe system_zero_order": (_zero_order_probe,
-                                         ["grid b_pair", "N b_pair", "N family"]),
-    "carleman_probe full_operator": (_full_probe,
-                                     ["grid partition", "grid coefs", "N coefs",
-                                      "N family"]),
+    "carleman_probe first_order_dz": (_probe("first_order_dz", lambda n: (n,)),
+                                      ["grid family", "N coefs", "N family"]),
+    "carleman_probe system_zero_order": (_probe("system_zero_order", lambda n: (n, n)),
+                                         ["grid family", "N coefs", "N family"]),
+    "carleman_probe full_operator": (_probe("full_operator", lambda n: (n,)),
+                                     ["grid family", "N coefs", "N family"]),
     "build_amplitude": (lambda v: (lambda t=v.triple("coefs"), p=v.plan("plan"):
                                    build_amplitude(t, p)), ["grid plan", "grid coefs"]),
     "CgoAmplitude": (_cgo_amplitude, ["grid seed", "N seed"]),

@@ -3,46 +3,50 @@ import pytest
 
 from cgolab import (Grid2D, weight_catalog, find_critical_points,
                     oscillatory_integral, stationary_phase_leading,
-                    resolution_nodes_per_period, CarlemanConvexWeight,
+                    resolution_nodes_per_period, HolomorphicWeight,
                     LabError, GridError, random_trig_spec, bump_cutoff,
-                    BoundaryPartition, VectorField, remark_partition)
-from cgolab.harness import _check_phase
+                    VectorField)
+from cgolab.harness import _convex_weight
 
 from conftest import NOT_FINITE_POSITIVE
 
 
 def test_catalog_kinds_and_flags():
-    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    grid = Grid2D(nx=33, ny=33)
-    # nondegenerate critical point off gamma_tilde: passes with no gamma_0
-    _check_phase(w, BoundaryPartition(grid))
-    # the generic quadratic phase does not satisfy the hidden-arc
-    # flatness requirement on the side edges, and the probe says so
-    with pytest.raises(LabError, match="Im Phi does not vanish on gamma_0"):
-        _check_phase(w, remark_partition(grid))
+    """The catalog holds the quadratic weight alone, with its closed forms."""
+    c = 0.4 + 0.6j
+    w = weight_catalog("quadratic", {"c": c})
+    assert w == HolomorphicWeight(c=c)
+    z = Grid2D(nx=33, ny=33).nodes_z()
+    assert np.array_equal(w.Phi(z), (z - c) ** 2)
+    assert np.array_equal(w.dPhi(z), 2.0 * (z - c))
+    assert np.array_equal(w.phi(z) + 1j * w.psi(z), w.Phi(z))
+    for kind in ("linear", "cubic"):
+        with pytest.raises(LabError, match=f"^unknown weight kind '{kind}'"):
+            weight_catalog(kind, {"c": c})
 
 
 def test_catalog_rejects_center_outside_domain():
-    with pytest.raises(LabError):
+    with pytest.raises(LabError, match="outside the closed domain"):
         weight_catalog("quadratic", {"c": 3.0 + 0.5j})
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("quadratic", {}), ("cubic", {"c": 0.5 + 0.5j}), ("linear", {}),  # missing
+    ("quadratic", {}), ("quadratic", {"alpha": 1.0}),  # missing
+    ("quadratic", {"m": 0.04}),
     ("quadratic", {"c": 0.5 + 0.5j, "m": 1}),  # extra
-    ("linear", {"alpha": 1.0, "c": 0.5 + 0.5j})])
+    ("quadratic", {"alpha": 1.0, "c": 0.5 + 0.5j})])
 def test_catalog_refuses_a_missing_or_extra_parameter(kind, params):
-    with pytest.raises(LabError, match=f"{kind} weight takes the parameters"):
+    with pytest.raises(LabError, match=f"^{kind} weight takes the parameter c; got "):
         weight_catalog(kind, params)
 
 
 @pytest.mark.parametrize("kind, params, name", [
-    ("cubic", {"c": 0.5, "m": "x"}, "m"),
-    ("linear", {"alpha": None}, "alpha"),
+    ("quadratic", {"c": None}, "c"),
+    ("quadratic", {"c": float("inf")}, "c"),
     ("quadratic", {"c": "x"}, "c"),
     ("quadratic", {"c": True}, "c"),
     ("quadratic", {"c": complex("nan")}, "c"),
-    ("linear", {"alpha": float("inf")}, "alpha")])
+    ("quadratic", {"c": complex(0.5, float("-inf"))}, "c")])
 def test_catalog_refuses_a_parameter_that_is_not_a_finite_number(kind, params,
                                                                  name):
     with pytest.raises(LabError, match=f"{kind} weight parameter {name} must "
@@ -55,34 +59,21 @@ def test_catalog_refuses_an_unknown_kind():
         weight_catalog("sextic", {"c": 0.5 + 0.5j})
 
 
-def test_linear_weight_has_no_critical_points():
-    w = weight_catalog("linear", {"alpha": 1.0 + 2.0j})
-    assert w.closed_form_critical_points() == []
-    assert find_critical_points(w, Grid2D(nx=33, ny=33)) == []
-
-
 def test_quadratic_critical_point_is_its_center():
     c = 0.4 + 0.6j
     w = weight_catalog("quadratic", {"c": c})
     pts = find_critical_points(w, Grid2D(nx=33, ny=33))
     assert len(pts) == 1
     assert pts[0].location == c
-    assert pts[0].margin == pytest.approx(2.0)
-
-
-def test_cubic_critical_points_match_closed_form():
-    w = weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 0.04})
-    pts = find_critical_points(w, Grid2D(nx=65, ny=65))
-    got = sorted(p.location.real for p in pts)
-    assert np.allclose(got, [0.3, 0.7], atol=1e-10)
+    assert pts[0].psi_value == 0.0
 
 
 @pytest.mark.parametrize("kind, params", [
     ("quadratic", {"c": 0.4 + 0.6j}),
     ("quadratic", {"c": 0.0}),
-    ("cubic", {"c": 0.5 + 0.5j, "m": 0.04}),
-    ("cubic", {"c": 0.5 + 0.5j, "m": 0.09j}),
-    ("cubic", {"c": 0.9 + 0.5j, "m": 0.04}),
+    ("quadratic", {"c": 1.0 + 1.0j}),
+    ("quadratic", {"c": 0.5j}),
+    ("quadratic", {"c": 1}),
 ])
 def test_critical_points_are_zeros_of_dphi_in_the_rectangle(kind, params):
     grid = Grid2D(nx=33, ny=33)
@@ -97,31 +88,36 @@ def test_critical_points_are_zeros_of_dphi_in_the_rectangle(kind, params):
 
 
 def test_critical_point_outside_the_rectangle_is_dropped():
-    # the cubic's points are c +- sqrt(m) = 1.1 + 0.5j (outside) and 0.7 + 0.5j
-    w = weight_catalog("cubic", {"c": 0.9 + 0.5j, "m": 0.04})
-    pts = find_critical_points(w, Grid2D(nx=33, ny=33))
-    assert [p.location for p in pts] == [0.7 + 0.5j]
+    # the center 0.7 + 0.5j lies in the unit square but right of x = 0.5
+    w = weight_catalog("quadratic", {"c": 0.7 + 0.5j})
+    assert find_critical_points(w, Grid2D(nx=33, ny=33, x_max=0.5)) == []
+    assert len(find_critical_points(w, Grid2D(nx=33, ny=33, x_max=0.7))) == 1
 
 
 def test_hessian_is_harmonic_saddle():
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
     pt = find_critical_points(w, Grid2D(nx=33, ny=33))[0]
     H = pt.hessian
-    d2 = complex(w.d2Phi(np.asarray(pt.location)))
-    assert np.linalg.det(H) == pytest.approx(-abs(d2) ** 2)
+    # psi = 2 (x - Re c)(y - Im c), and det psi'' = -|Phi''|^2 = -4
+    assert np.array_equal(H, [[0.0, 2.0], [2.0, 0.0]])
+    assert np.linalg.det(H) == pytest.approx(-4.0)
     eigs = np.linalg.eigvalsh(H)
     assert eigs[0] < 0 < eigs[1]  # signature zero
 
 
 def test_carleman_weight_invariants():
-    with pytest.raises(LabError):
-        CarlemanConvexWeight(gx=1.0, gy=0.0, lam=0.5)
-    with pytest.raises(LabError):
-        CarlemanConvexWeight(gx=0.0, gy=0.0, lam=2.0)
-    cw = CarlemanConvexWeight(gx=1.0, gy=0.1, lam=2.0)
-    # psi_c is linear, so its gradient is the pair of unit differences
-    p0 = cw.psi_c(0.0, 0.0)
-    assert np.hypot(cw.psi_c(1.0, 0.0) - p0, cw.psi_c(0.0, 1.0) - p0) > 0
+    """The probes' convex weight is exp(lam psi_c), lam = 2 >= 1, psi_c = x + 0.1 y.
+
+    Its logarithm has the gradient (2, 0.2) at every node, so psi_c has
+    no critical point on the closed rectangle.
+    """
+    for nx in (17, 33, 65, 129, 257):
+        grid = Grid2D(nx=nx, ny=nx)
+        phi_c = _convex_weight(grid)
+        assert np.all(phi_c >= 1.0)
+        log_x, log_y = np.gradient(np.log(phi_c), grid.h_x, grid.h_y)
+        assert np.allclose(log_x, 2.0, atol=1e-9)
+        assert np.allclose(log_y, 0.2, atol=1e-9)
 
 
 def test_resolution_warns_when_underresolved():
@@ -157,28 +153,6 @@ def test_stationary_phase_against_fine_quadrature():
         rels.append(abs(full - lead) / abs(full))
     assert rels[0] < 0.2
     assert rels[1] < rels[0]
-
-
-def test_one_bound_decides_whether_a_critical_point_is_degenerate():
-    grid = Grid2D(nx=33, ny=33)
-    observed = BoundaryPartition(grid)  # no gamma_0, points off gamma_tilde
-    # m = 1e-14 puts the points at c +- 1e-7, where |d2Phi| = 2e-7 lies
-    # below the bound: the critical-point search and the Carleman probe's
-    # phase check refuse them alike
-    w = weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 1e-14})
-    assert [abs(complex(w.d2Phi(np.asarray(p))))
-            for p in w.closed_form_critical_points()] == pytest.approx([2e-7] * 2)
-    with pytest.raises(LabError, match="^degenerate critical point$"):
-        find_critical_points(w, grid)
-    with pytest.raises(LabError, match="degenerate critical point"):
-        _check_phase(w, observed)
-    # m = 1e-12 gives |d2Phi| = 2e-6, above it: every check accepts, and
-    # the stationary phase takes the points as they come
-    w = weight_catalog("cubic", {"c": 0.5 + 0.5j, "m": 1e-12})
-    _check_phase(w, observed)
-    pts = find_critical_points(w, grid)
-    assert len(pts) == 2
-    assert all(np.isfinite(stationary_phase_leading(1.0, p, 8.0)) for p in pts)
 
 
 @pytest.mark.parametrize("tau", NOT_FINITE_POSITIVE)
