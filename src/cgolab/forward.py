@@ -8,13 +8,17 @@ moves Dirichlet data to the right-hand side, rhs - C u_B.
 Every component shares the principal part lap I_N; the components couple
 only through A, B and Q.  So for N > 1 only the scalar trace part of K is
 factored: the operator with coefficients tr(A)/N, tr(B)/N and tr(Q)/N on
-n_interior unknowns, which differs from K by lower-order terms.  A block
-of k right-hand sides is one GMRES on K with its columns stacked as one
-vector, preconditioned by that factor (one solve of N * k right-hand
-sides per step) and started from its solve, to a residual of 1e-13
-relative to the whole block.  The step count does not grow with the grid
-(equivalent-operator preconditioning: Axelsson & Karatson, Numer.
-Algorithms 50, 2009): 4 per gauge-scenario block at nx 33, 65 and 129.
+n_interior unknowns, which differs from K by lower-order terms.  With M
+that factor's solve (one solve of N * k right-hand sides serves a block
+of k), a block is the residual series x = M b, x <- x + M (b - K x),
+summed until every column's residual is 1e-13 relative to its own
+right-hand side.  M K is so close to I that Krylov acceleration buys
+nothing (equivalent-operator preconditioning: Axelsson & Karatson,
+Numer. Algorithms 50, 2009): on the gauge scenario's pair M b leaves a
+residual of 4e-4 (nx 33) to 9e-5 (nx 129) and each term shrinks it
+about 3e-3 times, so 4 terms after M b reach 1e-13 at nx 33, 65 and 129.
+The series stops early when a term leaves the worst residual at 0.8 of
+the last or more, or after 30 terms; the residual check below decides.
 For N = 1 the trace part is K itself and the factor solves directly.
 SuperLU factors in symmetric mode (minimum degree on A'+A, static
 diagonal pivots): K is not symmetric, but its sparsity pattern is.
@@ -35,15 +39,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError, SingularSystemError
-from .grid import EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices, check_same
+from .grid import (EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices,
+                   check_same, is_int)
 from .fields import VectorField, MatrixField, weighted_l2
 from .calculus import dz_array, normal_derivative, trace_boundary
 
-# GMRES on K, preconditioned by the trace-part factor, stops at this residual
-# relative to the block or after _GMRES_RESTARTS cycles of _GMRES_RESTART steps
-_GMRES_RTOL = 1e-13
-_GMRES_RESTART = 10
-_GMRES_RESTARTS = 3
+# the series on K stops at this relative residual in every column, when a
+# term leaves the worst one at _SERIES_STALL of the last or more, or at _SERIES_CAP
+_SERIES_RTOL = 1e-13
+_SERIES_STALL = 0.8
+_SERIES_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -102,14 +107,14 @@ class OperatorFactorization:
     """One assembled elliptic system, reusable across solves.
 
     For N > 1 the factor is of K's scalar trace part, the mean of its N
-    diagonal component blocks, and preconditions GMRES on K; for N = 1 it
-    is of K itself and solves directly (see the module docstring).
+    diagonal component blocks, whose solves sum to a residual series on
+    K; for N = 1 it is of K itself and solves directly (see the module docstring).
 
     ``pivoting`` names the factorization in use: "static" (symmetric mode,
     diagonal pivots) or "partial" (K factored with partial pivoting after
     a failed residual check or a failed static factorization).
-    ``iterations`` is the GMRES step count of the last block solve; 0 when
-    K itself is factored.
+    ``iterations`` is the number of series terms after the first, M b, in
+    the last block solve; 0 when K itself is factored.
     """
 
     def __init__(self, coefs: CoefficientTriple):
@@ -179,12 +184,6 @@ class OperatorFactorization:
             "factorization failed (near interior eigenvalue?); "
             f"try shifting Q: {failure}") from failure
 
-    def _residuals(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Relative residual of each column; inf where x is not finite."""
-        res = np.linalg.norm(self._matrix @ x - b, axis=0)
-        res = res / np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        return np.where(np.isfinite(x).all(axis=0), res, np.inf)
-
     def _precondition(self, v: np.ndarray) -> np.ndarray:
         """Apply the inverse trace part to every component of v."""
         # rows are node * N + component, so each node's N components (of
@@ -192,29 +191,24 @@ class OperatorFactorization:
         rows = v.shape[0] // self.n_sys
         return self._lu.solve(v.reshape(rows, -1)).reshape(v.shape)
 
-    def _solve_columns(self, b: np.ndarray) -> np.ndarray:
-        """Solve K x = b: directly with K's factor, or by one GMRES on K."""
+    def _solve_columns(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x for K x = b, directly or by the series, and each column's relative
+        residual; inf where x is not finite."""
         self._iterations = 0
-        if self._rung != "trace":
-            return self._lu.solve(b)
-        import scipy.sparse.linalg
-
-        # the k columns stacked as one vector: one Krylov space, and one
-        # preconditioner solve per step, serve the whole block
-        shape = b.shape
-        op, prec = (scipy.sparse.linalg.LinearOperator(
-                        (b.size,) * 2, dtype=complex,
-                        matvec=lambda v, f=f: f(v.reshape(shape)).ravel())
-                    for f in (self._matrix.dot, self._precondition))
-        steps = []
-        # a column that stops short of the tolerance is caught by the
-        # residual check of _solve_block
-        x, _ = scipy.sparse.linalg.gmres(
-            op, b.ravel(), x0=self._precondition(b).ravel(), M=prec,
-            rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-            maxiter=_GMRES_RESTARTS, callback=steps.append, callback_type="pr_norm")
-        self._iterations = len(steps)
-        return x.reshape(shape)
+        b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        x = self._lu.solve(b) if self._rung != "trace" else self._precondition(b)
+        prev = np.inf
+        while True:
+            r = b - self._matrix @ x
+            res = np.linalg.norm(r, axis=0) / b_norm
+            worst = res.max(initial=0.0)
+            # a NaN fails every comparison, so the series stops on it too
+            if not (self._rung == "trace" and self._iterations < _SERIES_CAP
+                    and _SERIES_RTOL < worst < _SERIES_STALL * prev):
+                return x, np.where(np.isfinite(x).all(axis=0), res, np.inf)
+            prev = worst
+            x += self._precondition(r)
+            self._iterations += 1
 
     def _solve_block(self, boundary: np.ndarray,
                      rhs: np.ndarray | None) -> np.ndarray:
@@ -228,13 +222,13 @@ class OperatorFactorization:
         b = -(self._coupling @ boundary.reshape(self._coupling.shape[1], k))
         if rhs is not None:
             b += rhs[1:-1, 1:-1].reshape(b.shape)
-        x = self._solve_columns(b)
-        while not self._residuals(x, b).max(initial=0.0) <= 1e-8:
+        x, res = self._solve_columns(b)
+        while not res.max(initial=0.0) <= 1e-8:
             if not self._ladder:
                 raise SingularSystemError(
                     "discrete system numerically singular; try shifting Q")
             self._factor_next()
-            x = self._solve_columns(b)
+            x, res = self._solve_columns(b)
         u = np.empty((grid.nx, grid.ny, n, k), dtype=complex)
         u[1:-1, 1:-1] = x.reshape(grid.nx - 2, grid.ny - 2, n, k)
         u[self._boundary_nodes] = boundary
@@ -284,8 +278,10 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     Grid-independent boundary data; profile k lives on observed arc
     (k mod n_arcs) with mode (k // n_arcs) + 1.  A mode at or past
     (nodes on its edge - 1) samples to zero or aliases to a lower mode,
-    so it is refused.
+    so it is refused, as is an m that is not a positive integer.
     """
+    if not is_int(m) or m < 1:
+        raise GridError(f"basis size must be a positive integer, got {m!r}")
     grid = partition.grid
     # start of each edge in the canonical boundary order
     sizes = [len(_edge_indices(grid, e)[0]) for e in EDGES]

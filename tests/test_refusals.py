@@ -26,7 +26,7 @@ from cgolab import (Grid2D, TransformPlan, VectorField, MatrixField, CutoffFunct
                     normal_derivative, oscillatory_integral, r_tau, r_tau_b,
                     random_h01_spec, random_trig_spec, remark_partition,
                     trace_boundary, vekua_solve, weight_catalog, GAMMA_TILDE,
-                    TrigSpec)
+                    TrigSpec, fourier_profiles)
 from cgolab import forward, harness, transforms
 
 from conftest import make_triple
@@ -272,5 +272,29 @@ def test_arguments_without_n_are_compared_by_grid_only():
         cgolab.grid.check_same(TransformPlan(G), make_triple(0, 2, G),
                                np.zeros((17, 17, 1)))
     # Cauchy data of an empty basis carry no N
-    empty = cauchy_data(make_triple(0, 2, G), remark_partition(G), 0)
-    assert cauchy_distance(empty, empty) == 0.0
+    empty = forward.PartialCauchyData(remark_partition(G), "fourier:0", [], [])
+    cgolab.grid.check_same(empty, make_triple(0, 2, G))
+
+
+# entry point -> call with the basis size m
+BASIS_SIZE_ROWS = {
+    "fourier_profiles": lambda m: fourier_profiles(remark_partition(G), m),
+    "cauchy_data": lambda m: cauchy_data(make_triple(0, 2, G), remark_partition(G), m),
+    "gauge_equivalence_experiment": lambda m: harness.gauge_equivalence_experiment(
+        lambda grid: make_triple(0, 2, grid), GaugeSpec(0.7), (17, 33), m),
+}
+
+
+@pytest.mark.parametrize("name", BASIS_SIZE_ROWS)
+@pytest.mark.parametrize("m", [0, -1, 2.5, True, 4.0, "4", None])
+def test_basis_size_not_a_positive_integer_is_refused_before_any_work(monkeypatch,
+                                                                      name, m):
+    # an empty basis gave empty data sets at distance 0, a vacuous pass
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} factored before refusing basis size {m!r}")
+
+    monkeypatch.setattr(forward, "splu", no_work)
+    with pytest.raises(GridError, match=r"^basis size must be a positive integer, "
+                                        r"got ") as err:
+        BASIS_SIZE_ROWS[name](m)
+    assert "\n" not in str(err.value)
