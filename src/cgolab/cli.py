@@ -292,8 +292,6 @@ def run(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 

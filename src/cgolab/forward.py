@@ -6,29 +6,28 @@ unknowns form the square system K; the interior-to-boundary coupling C
 moves Dirichlet data to the right-hand side, rhs - C u_B.
 
 Every component shares the principal part lap I_N; the components couple
-only through A, B and Q.  So for N > 1 only the scalar trace part of K is
-factored: the operator with coefficients tr(A)/N, tr(B)/N and tr(Q)/N on
-n_interior unknowns, which differs from K by lower-order terms.  With M
-that factor's solve (one solve of N * k right-hand sides serves a block
-of k), a block is the residual series x = M b, x <- x + M (b - K x),
-summed until every column's residual is 1e-13 relative to its own
-right-hand side.  M K is so close to I that Krylov acceleration buys
-nothing (equivalent-operator preconditioning: Axelsson & Karatson,
-Numer. Algorithms 50, 2009): on the gauge scenario's pair M b leaves a
-residual of 4e-4 (nx 33) to 9e-5 (nx 129) and each term shrinks it
-about 3e-3 times, so 4 terms after M b reach 1e-13 at nx 33, 65 and 129.
-The series stops early when a term leaves the worst residual at 0.8 of
-the last or more, or after 30 terms; the residual check below decides.
-For N = 1 the trace part is K itself and the factor solves directly.
-SuperLU factors in symmetric mode (minimum degree on A'+A, static
-diagonal pivots): K is not symmetric, but its sparsity pattern is.
+only through A, B and Q.  So the first factor is of K's scalar trace
+part: coefficients tr(A)/N, tr(B)/N and tr(Q)/N on n_interior unknowns,
+lower-order terms away from K, and K itself, entry for entry, at N = 1.
+With M a factor's solve (for the trace part one solve of N * k
+right-hand sides serves a block of k), every block is the residual
+series x = M b, x <- x + M (b - K x), summed until every column's
+residual is 1e-13 relative to its own right-hand side.  On a factor of K
+this is iterative refinement (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 12).  On the trace part M K is so close
+to I that Krylov acceleration buys nothing (equivalent-operator
+preconditioning: Axelsson & Karatson, Numer. Algorithms 50, 2009): on
+the gauge scenario's N = 3 pair M b leaves a residual of 4e-4 (nx 33) to
+9e-5 (nx 129) and each term shrinks it about 3e-3 times, so 4 terms
+after M b reach 1e-13 at nx 33, 65 and 129.
 
-The factorizations form one ordered ladder: the trace part ("trace",
-N > 1 only), K with static pivots ("static"), K with COLAMD and partial
-pivoting ("partial").  The solver factors at the first rung that
+The factorizations form a two-rung ladder: the trace part in SuperLU's
+symmetric mode ("static": minimum degree on A'+A, diagonal pivots; K is
+not symmetric, but its sparsity pattern is), then K with COLAMD and
+partial pivoting ("partial").  The solver factors at the first rung that
 succeeds.  Every solve checks each column's relative residual against
-1e-8 and, while the check misses, factors at the next rung and solves
-again.  ``cauchy_data`` solves all its boundary profiles as one block.
+1e-8 and, if the check misses, factors K and solves again.
+``cauchy_data`` solves all its boundary profiles as one block.
 """
 
 from __future__ import annotations
@@ -106,15 +105,12 @@ def _stencil_blocks(coefs: CoefficientTriple):
 class OperatorFactorization:
     """One assembled elliptic system, reusable across solves.
 
-    For N > 1 the factor is of K's scalar trace part, the mean of its N
-    diagonal component blocks, whose solves sum to a residual series on
-    K; for N = 1 it is of K itself and solves directly (see the module docstring).
-
-    ``pivoting`` names the factorization in use: "static" (symmetric mode,
-    diagonal pivots) or "partial" (K factored with partial pivoting after
-    a failed residual check or a failed static factorization).
-    ``iterations`` is the number of series terms after the first, M b, in
-    the last block solve; 0 when K itself is factored.
+    ``pivoting`` names the factor in use: "static" (K's scalar trace part,
+    the mean of its N diagonal component blocks, in symmetric mode) or
+    "partial" (K with partial pivoting, after a failed residual check or
+    a failed static factorization).  Either factor's solves sum to a
+    residual series on K (see the module docstring); ``iterations`` is the
+    number of its terms after the first, M b, in the last block solve.
     """
 
     def __init__(self, coefs: CoefficientTriple):
@@ -158,12 +154,12 @@ class OperatorFactorization:
              k_blocks.indptr), shape=(n_int, n_int))
         self._iterations = 0
         # the rungs not yet tried, in order (see the module docstring)
-        self._ladder = (["trace"] if n > 1 else []) + ["static", "partial"]
+        self._ladder = ["static", "partial"]
         self._factor_next()
 
     @property
     def pivoting(self) -> str:
-        return "partial" if self._rung == "partial" else "static"
+        return self._rung
 
     @property
     def iterations(self) -> int:
@@ -173,10 +169,11 @@ class OperatorFactorization:
         """Factor at the next rung of the ladder that succeeds."""
         while self._ladder:
             self._rung = self._ladder.pop(0)
-            matrix = (self._trace if self._rung == "trace" else self._matrix).tocsc()
             try:
-                self._lu = (splu(matrix) if self._rung == "partial"
-                            else _static_splu(matrix))
+                self._lu = (splu(self._trace.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
+                            if self._rung == "static" else splu(self._matrix.tocsc()))
                 return
             except RuntimeError as exc:
                 failure = exc
@@ -185,25 +182,24 @@ class OperatorFactorization:
             f"try shifting Q: {failure}") from failure
 
     def _precondition(self, v: np.ndarray) -> np.ndarray:
-        """Apply the inverse trace part to every component of v."""
+        """Apply the factor's solve to v: to every component for the trace part."""
         # rows are node * N + component, so each node's N components (of
-        # each column) form one row of the scalar system's right-hand side
-        rows = v.shape[0] // self.n_sys
-        return self._lu.solve(v.reshape(rows, -1)).reshape(v.shape)
+        # each column) form one row of the trace part's right-hand side
+        return self._lu.solve(v.reshape(self._lu.shape[0], -1)).reshape(v.shape)
 
     def _solve_columns(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x for K x = b, directly or by the series, and each column's relative
-        residual; inf where x is not finite."""
+        """x for K x = b by the series, and each column's relative residual;
+        inf where x is not finite."""
         self._iterations = 0
         b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        x = self._lu.solve(b) if self._rung != "trace" else self._precondition(b)
+        x = self._precondition(b)
         prev = np.inf
         while True:
             r = b - self._matrix @ x
             res = np.linalg.norm(r, axis=0) / b_norm
             worst = res.max(initial=0.0)
             # a NaN fails every comparison, so the series stops on it too
-            if not (self._rung == "trace" and self._iterations < _SERIES_CAP
+            if not (self._iterations < _SERIES_CAP
                     and _SERIES_RTOL < worst < _SERIES_STALL * prev):
                 return x, np.where(np.isfinite(x).all(axis=0), res, np.inf)
             prev = worst
@@ -241,13 +237,22 @@ class OperatorFactorization:
         ``boundary_values`` follows the canonical boundary node order of
         BoundaryPartition(grid) (all edges observed), shape (n_b,) for one
         profile on every component or (n_b, N); None means zero data.
-        Data of another shape, non-finite data and an ``rhs`` of another
-        grid or N are refused with ``GridError`` before any solve.
+        Data that are not numbers, of another shape or not finite, and an
+        ``rhs`` of another grid or N are refused with ``GridError`` before
+        any solve.
         """
         check_same(self, rhs)
         n, nb = self.n_sys, len(self._boundary_nodes[0])
-        bv = np.zeros((nb, n), dtype=complex) if boundary_values is None \
-            else np.asarray(boundary_values, dtype=complex)
+        try:
+            bv = np.asarray(np.zeros(nb) if boundary_values is None
+                            else boundary_values)
+            numbers = bv.dtype.kind in "iufc"
+        except ValueError:  # ragged nesting
+            numbers = False
+        if not numbers:
+            raise GridError("boundary values must be an array of numbers, got "
+                            f"{type(boundary_values).__name__}")
+        bv = bv.astype(complex)
         if bv.shape not in ((nb,), (nb, n)):
             raise GridError(f"boundary values of shape {bv.shape}; expected "
                             f"({nb},) or ({nb}, {n}) in canonical boundary order")
@@ -266,12 +271,6 @@ def splu(*args, **kwargs):
     return scipy_splu(*args, **kwargs)
 
 
-def _static_splu(matrix):
-    """SuperLU in symmetric mode: minimum degree on A'+A, diagonal pivots."""
-    return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
-
-
 def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     """First m sine profiles per observed arc arclength, zero elsewhere.
 
@@ -282,12 +281,14 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     """
     if not is_int(m) or m < 1:
         raise GridError(f"basis size must be a positive integer, got {m!r}")
+    arcs = partition.arcs(GAMMA_TILDE)
+    if not arcs:
+        raise GridError("partition has no observed arc to carry a Fourier profile")
     grid = partition.grid
     # start of each edge in the canonical boundary order
     sizes = [len(_edge_indices(grid, e)[0]) for e in EDGES]
     starts = dict(zip(EDGES, np.cumsum([0] + sizes)))
     X, Y = grid.meshgrid()
-    arcs = partition.arcs(GAMMA_TILDE)
     out = []
     for k in range(m):
         edge = arcs[k % len(arcs)]

@@ -118,7 +118,7 @@ def check_relations(t1: CoefficientTriple, t2: CoefficientTriple,
     _, _, f2 = _relation_terms(t1.mirror(), t2.mirror())
     ii, jj = partition.nodes(GAMMA_TILDE)
     gap = float(np.max(np.max(np.abs(dA[ii, jj]), axis=(1, 2))
-                       + np.max(np.abs(dB[ii, jj]), axis=(1, 2)))) if len(ii) else 0.0
+                       + np.max(np.abs(dB[ii, jj]), axis=(1, 2))))
     norms = {"r_a1_l2": f1.l2(), "r_a1_max": f1.max_abs(),
              "r_a2_l2": f2.l2(), "r_a2_max": f2.max_abs()}
     return RelationResidual(boundary_gap=gap, norms=norms)
@@ -314,8 +314,6 @@ def _probe_sides(kind, tf, tau, wexp, coefs, partition, weight):
     rhs = norm(lu) ** 2
     uf = VectorField(grid, w)
     for label in (GAMMA_0, GAMMA_TILDE):
-        if label not in partition.labels.values():
-            continue
         dn = normal_derivative(uf, partition, label)
         ii, jj = partition.nodes(label)
         aw = partition.arc_weights(label)

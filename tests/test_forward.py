@@ -80,12 +80,21 @@ def bad_input(case, grid, n):
     if case in ("nan", "inf"):
         bv[3, 1] = np.nan if case == "nan" else np.inf
         return bv, None
+    if case == "strings":
+        return [["one"] * n] * nb, None
+    if case == "number strings":
+        return [["1"] * n] * nb, None
+    if case == "dict":
+        return {"bottom": 1.0}, None
+    if case == "ragged":
+        return [[1.0] * n] * (nb - 1) + [[1.0]], None
     rhs_grid = Grid2D(nx=grid.nx + 2, ny=grid.ny) if case == "rhs_grid" else grid
     n_rhs = n + 1 if case == "rhs_components" else n
     return bv, VectorField(rhs_grid, np.ones(rhs_grid.shape + (n_rhs,), dtype=complex))
 
 
-@pytest.mark.parametrize("case", ["short", "components", "nan", "inf",
+@pytest.mark.parametrize("case", ["short", "components", "nan", "inf", "strings",
+                                  "number strings", "dict", "ragged",
                                   "rhs_grid", "rhs_components"])
 def test_solve_refuses_bad_input_before_any_work(grid33, monkeypatch, case):
     t = make_triple(13, 2, grid33)
@@ -97,8 +106,9 @@ def test_solve_refuses_bad_input_before_any_work(grid33, monkeypatch, case):
 
     monkeypatch.setattr(cgolab.forward, "splu", no_work)
     monkeypatch.setattr(fac, "_precondition", no_work)
-    with pytest.raises(GridError):
+    with pytest.raises(GridError) as err:
         fac.solve(bv, rhs)
+    assert "\n" not in str(err.value)
 
 
 def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch):
@@ -109,49 +119,46 @@ def test_failed_static_factor_falls_back_to_partial_pivoting(grid33, monkeypatch
     u_want = want.solve(bv, rhs).data
     splu, calls = cgolab.forward.splu, []
 
-    def trace_fails_then_perturbed(a, **kw):
-        # the trace-part factor fails, so K itself is factored; its first
-        # factor is of a scaled matrix, whose solves miss the residual
-        # check by 1e-6 relative
+    def static_fails(a, **kw):
+        # the trace part's factor fails, so K itself is factored
         calls.append((a.shape[0], kw))
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(a * (1 + 1e-6) if len(calls) == 2 else a, **kw)
-
-    monkeypatch.setattr(cgolab.forward, "splu", trace_fails_then_perturbed)
-    fac = OperatorFactorization(t)
-    assert fac.pivoting == "static"
-    u = fac.solve(bv, rhs).data
-    n_int = 31 * 31
-    assert [size for size, _ in calls] == [n_int, 2 * n_int, 2 * n_int]
-    assert fac.pivoting == "partial" and calls[2][1] == {}
-    assert fac.iterations == 0
-    assert np.max(np.abs(u - u_want)) <= 1e-10 * np.max(np.abs(u_want))
-
-    def failing_static(a, **kw):
         if kw:
             raise RuntimeError("Factor is exactly singular")
         return splu(a)
 
-    monkeypatch.setattr(cgolab.forward, "splu", failing_static)
-    assert OperatorFactorization(t).pivoting == "partial"
+    monkeypatch.setattr(cgolab.forward, "splu", static_fails)
+    fac = OperatorFactorization(t)
+    u = fac.solve(bv, rhs).data
+    n_int = 31 * 31
+    assert [size for size, _ in calls] == [n_int, 2 * n_int]
+    assert fac.pivoting == "partial" and calls[1][1] == {}
+    assert fac.iterations == 0
+    assert np.max(np.abs(u - u_want)) <= 1e-10 * np.max(np.abs(u_want))
 
 
 def test_block_missing_the_bound_factors_the_operator(grid33, monkeypatch):
     t = make_triple(13, 2, grid33)
     _, bv, rhs = manufactured(grid33, t)
     u_want = OperatorFactorization(t).solve(bv, rhs).data
+    splu, calls = cgolab.forward.splu, []
+
+    def halved_trace_part(a, **kw):
+        # a factor of half the trace part: M K is near 2 I, so the series'
+        # terms stop shrinking the residual and it stops far above the check
+        calls.append(a.shape[0])
+        return splu(a / 2 if kw else a, **kw)
+
+    monkeypatch.setattr(cgolab.forward, "splu", halved_trace_part)
     fac = OperatorFactorization(t)
-    precondition = fac._precondition
-    # twice the trace part's solve: M K is near 2 I, so the series' terms
-    # stop shrinking the residual and it stops far above the check on K
-    monkeypatch.setattr(fac, "_precondition", lambda v: 2 * precondition(v))
+    assert fac.pivoting == "static"
     u = fac.solve(bv, rhs).data
-    assert fac.pivoting == "static" and fac.iterations == 0
+    n_int = 31 * 31
+    assert calls == [n_int, 2 * n_int]
+    # on K's own factor the series stops at M b
+    assert fac.pivoting == "partial" and fac.iterations == 0
     assert np.max(np.abs(u - u_want)) <= 1e-10 * np.max(np.abs(u_want))
-    # from now on K's own factor solves directly, without the series
-    monkeypatch.setattr(fac, "_precondition", None)
     assert np.array_equal(fac.solve(bv, rhs).data, u)
+    assert fac.iterations == 0 and len(calls) == 2
 
 
 def zero_column_triple(grid):
@@ -193,7 +200,7 @@ def test_operator_is_factored_when_its_trace_part_is_singular():
     t = CoefficientTriple(MatrixField(grid, a), MatrixField(grid, b),
                           MatrixField(grid, q + np.diag([1.0, -1.0])))
     fac = OperatorFactorization(t)
-    assert fac.pivoting == "static"
+    assert fac.pivoting == "partial"
     rng = np.random.default_rng(1)
     f = VectorField(grid, random_data(rng, (17, 17, 2)))
     x = fac.solve(None, f).data[1:-1, 1:-1].ravel()
@@ -225,12 +232,18 @@ def test_trace_part_preconditioner_needs_few_iterations(nx):
         assert fac.pivoting == "static"
 
 
-def test_single_component_solve_is_the_static_direct_solve():
-    grid, pair = gauge_pair(33, 1)
+@pytest.mark.parametrize("nx", [33, 65, 129])
+def test_single_component_solve_is_the_static_direct_solve(nx):
+    # at N = 1 the trace part is K, so its factor solves K directly and the
+    # series stops at M b
+    grid, pair = gauge_pair(nx, 1)
     p = fourier_profiles(remark_partition(grid), 1)[0]
     for t in pair:
         fac = OperatorFactorization(t)
+        for part in ("shape", "indptr", "indices", "data"):
+            assert np.array_equal(getattr(fac._trace, part), getattr(fac._matrix, part))
         u = fac.solve(p, None).data
+        assert fac.pivoting == "static"
         assert fac.iterations == 0
         lu = scipy.sparse.linalg.splu(fac._matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0,

@@ -26,8 +26,9 @@ from cgolab import (Grid2D, TransformPlan, VectorField, MatrixField, CutoffFunct
                     normal_derivative, oscillatory_integral, r_tau, r_tau_b,
                     random_h01_spec, random_trig_spec, remark_partition,
                     trace_boundary, vekua_solve, weight_catalog, GAMMA_TILDE,
-                    TrigSpec, fourier_profiles)
+                    GAMMA_0, TrigSpec, fourier_profiles)
 from cgolab import forward, harness, transforms
+from cgolab.grid import EDGES
 
 from conftest import make_triple
 
@@ -297,4 +298,24 @@ def test_basis_size_not_a_positive_integer_is_refused_before_any_work(monkeypatc
     with pytest.raises(GridError, match=r"^basis size must be a positive integer, "
                                         r"got ") as err:
         BASIS_SIZE_ROWS[name](m)
+    assert "\n" not in str(err.value)
+
+
+# entry point -> call with a partition that has no observed arc
+NO_ARC_ROWS = {
+    "fourier_profiles": lambda part: fourier_profiles(part, 2),
+    "cauchy_data": lambda part: cauchy_data(make_triple(0, 2, G), part, 2),
+}
+
+
+@pytest.mark.parametrize("name", NO_ARC_ROWS)
+def test_partition_without_observed_arc_is_refused_before_any_work(monkeypatch, name):
+    # profile k lives on observed arc k mod (number of observed arcs)
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} factored before refusing the partition")
+
+    monkeypatch.setattr(forward, "splu", no_work)
+    hidden = BoundaryPartition(G, {e: GAMMA_0 for e in EDGES})
+    with pytest.raises(GridError, match=r"^partition has no observed arc") as err:
+        NO_ARC_ROWS[name](hidden)
     assert "\n" not in str(err.value)
