@@ -6,6 +6,13 @@ coefficient relations, Carleman-weight ratio probes, and a direct forward
 solver producing partial boundary data.
 """
 
+import os
+
+# one BLAS thread unless the caller set a count, if numpy is not loaded yet:
+# SuperLU's BLAS sums in an order, so to last bits, that follows the count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (LabError, GridError, ConvergenceError, DivergenceError,
                      SingularSystemError, OverflowGuardError, ConfigError)
 from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,

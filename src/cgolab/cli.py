@@ -175,7 +175,9 @@ def _run_cgo(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
                                r["residual_weighted"]) for r in rows])
     metrics = {"records": rows, "tau_exponent": float(coef[0]),
                "h_exponent": float(coef[1]), "r_squared": r2}
-    criteria = {"power_law_r2_ge_0.95": bool(r2 >= 0.95)}
+    # second-order stencils: a residual that does not refine with h has a broken amplitude
+    criteria = {"power_law_r2_ge_0.95": bool(r2 >= 0.95),
+                "h_exponent_ge_1.5": bool(coef[1] >= 1.5)}
     return metrics, criteria, rows
 
 

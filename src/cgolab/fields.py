@@ -103,6 +103,41 @@ def weighted_l2(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(w * np.abs(x) ** 2)))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a whole array by einsum's loop: np.linalg.norm's BLAS
+    dot sums in an order, and so to last bits, that follow the thread count."""
+    v = np.ascontiguousarray(x).view(float).ravel()
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
+# the forward solver's trace-part series takes at most 4 terms; a Vekua
+# series that needs over 30 contracts so slowly that GMRES is faster
+_SERIES_RTOL = 1e-13
+_SERIES_STALL = 0.8
+_SERIES_CAP = 30
+
+
+def _residual_series(apply, precondition, b: np.ndarray, norm):
+    """x = M b, then x <- x + M (b - apply(x)), M = ``precondition``, until every
+    residual norm(b - apply(x)) / norm(b) is <= _SERIES_RTOL, a term leaves the
+    worst at >= _SERIES_STALL times the last (the first against 1, the residual
+    of x = 0), after _SERIES_CAP terms, or on a NaN, which fails every test.
+    ``norm`` gives one norm or one per column.  Returns x, its relative
+    residual(s) and the number of terms after M b."""
+    b_norm = np.maximum(norm(b), 1e-300)
+    x = precondition(b)
+    prev, terms = 1.0, 0
+    while True:
+        r = b - apply(x)
+        res = norm(r) / b_norm
+        worst = np.max(res, initial=0.0)
+        if not (terms < _SERIES_CAP and _SERIES_RTOL < worst < _SERIES_STALL * prev):
+            return x, res, terms
+        prev = worst
+        x += precondition(r)
+        terms += 1
+
+
 def as_data(g, *others) -> np.ndarray:
     """Complex samples of a field or raw array ``g``, after ``check_same(*others, g)``."""
     check_same(*others, g)

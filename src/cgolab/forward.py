@@ -11,11 +11,12 @@ part: coefficients tr(A)/N, tr(B)/N and tr(Q)/N on n_interior unknowns,
 lower-order terms away from K, and K itself, entry for entry, at N = 1.
 With M a factor's solve (for the trace part one solve of N * k
 right-hand sides serves a block of k), every block is the residual
-series x = M b, x <- x + M (b - K x), summed until every column's
-residual is 1e-13 relative to its own right-hand side.  On a factor of K
-this is iterative refinement (Higham, Accuracy and Stability of
-Numerical Algorithms, 2002, ch. 12).  On the trace part M K is so close
-to I that Krylov acceleration buys nothing (equivalent-operator
+series x = M b, x <- x + M (b - K x) of fields._residual_series, with
+one norm per column: it sums until every column's residual is 1e-13
+relative to its own right-hand side, a stall, its cap or a NaN.  On a
+factor of K this is iterative refinement (Higham, Accuracy and Stability
+of Numerical Algorithms, 2002, ch. 12).  On the trace part M K is so
+close to I that Krylov acceleration buys nothing (equivalent-operator
 preconditioning: Axelsson & Karatson, Numer. Algorithms 50, 2009): on
 the gauge scenario's N = 3 pair M b leaves a residual of 4e-4 (nx 33) to
 9e-5 (nx 129) and each term shrinks it about 3e-3 times, so 4 terms
@@ -40,14 +41,8 @@ import numpy as np
 from .errors import GridError, SingularSystemError
 from .grid import (EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices,
                    check_same, is_int)
-from .fields import VectorField, MatrixField, weighted_l2
+from .fields import VectorField, MatrixField, weighted_l2, _residual_series
 from .calculus import dz_array, normal_derivative, trace_boundary
-
-# the series on K stops at this relative residual in every column, when a
-# term leaves the worst one at _SERIES_STALL of the last or more, or at _SERIES_CAP
-_SERIES_RTOL = 1e-13
-_SERIES_STALL = 0.8
-_SERIES_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -188,23 +183,12 @@ class OperatorFactorization:
         return self._lu.solve(v.reshape(self._lu.shape[0], -1)).reshape(v.shape)
 
     def _solve_columns(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x for K x = b by the series, and each column's relative residual;
-        inf where x is not finite."""
-        self._iterations = 0
-        b_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-        x = self._precondition(b)
-        prev = np.inf
-        while True:
-            r = b - self._matrix @ x
-            res = np.linalg.norm(r, axis=0) / b_norm
-            worst = res.max(initial=0.0)
-            # a NaN fails every comparison, so the series stops on it too
-            if not (self._iterations < _SERIES_CAP
-                    and _SERIES_RTOL < worst < _SERIES_STALL * prev):
-                return x, np.where(np.isfinite(x).all(axis=0), res, np.inf)
-            prev = worst
-            x += self._precondition(r)
-            self._iterations += 1
+        """x for K x = b by the residual series on the factor, and each
+        column's relative residual; inf where x is not finite."""
+        x, res, self._iterations = _residual_series(
+            lambda v: self._matrix @ v, self._precondition, b,
+            lambda v: np.linalg.norm(v, axis=0))
+        return x, np.where(np.isfinite(x).all(axis=0), res, np.inf)
 
     def _solve_block(self, boundary: np.ndarray,
                      rhs: np.ndarray | None) -> np.ndarray:

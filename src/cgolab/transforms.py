@@ -24,9 +24,12 @@ bit for bit the one of that two-dimensional pair, and no scipy module
 is loaded.
 
 The Vekua inverse solves the integral form w + (1/2) dzbar^{-1}(B w) =
-(1/2) dzbar^{-1} g by its Neumann series, handing over to GMRES when the
-series contracts too slowly; the GMRES fallback imports scipy on its
-first call.  Building an operator applies no transform.  The conjugated
+(1/2) dzbar^{-1} g by its Neumann series, the forward solver's residual
+series and stopping rule with M = I (Saad, Iterative Methods for Sparse
+Linear Systems, 2003, ch. 4).  Its last residual is the tolerance check;
+on a miss GMRES, which imports scipy on its first call, solves the same
+discrete equation under the same check.  Whole-array norms use no BLAS.
+Building an operator applies no transform.  The conjugated
 inverses R_{tau,B} are one such solve under a phase conjugation; their
 side 'z' is the conjugate of side 'zbar' run on conj g and conj B, since
 (2 dz + B) w = g iff (2 dzbar + conj B) conj w = conj g.  Every entry
@@ -46,11 +49,10 @@ import numpy as np
 
 from .errors import GridError, ConvergenceError, DivergenceError, SingularSystemError
 from .grid import Grid2D, CutoffFunction, check_same, check_tau
-from .fields import VectorField, MatrixField, as_data, pointwise, same_kind
+from .fields import (VectorField, MatrixField, as_data, pointwise, same_kind, _norm,
+                     _residual_series)
 from .weights import HolomorphicWeight
 
-# most Neumann-series terms vekua_solve sums before falling back to GMRES
-_SERIES_CAP = 80
 # the cutoff series stops once a term's norm is below this factor times eps
 # times the norm of its running sum: one addition moves an entry only by a
 # term above about eps / 2 of that entry, so further terms are round-off
@@ -165,12 +167,8 @@ class VekuaOperator:
 
 
 def make_vekua_operator(b_coef: MatrixField, plan: TransformPlan) -> VekuaOperator:
-    """Build the operator; no transform is applied.
-
-    Whether a Neumann series of the operator converges is judged by the
-    series itself, from the norm ratios of its own terms (see
-    neumann_series_apply and vekua_solve).
-    """
+    """Build the operator; no transform is applied: a series of the operator
+    judges its own convergence (see neumann_series_apply and vekua_solve)."""
     return VekuaOperator(b_coef=b_coef, plan=plan)
 
 
@@ -191,15 +189,15 @@ def neumann_series_apply(op: VekuaOperator, g, terms: int,
     e = 1.0 if cutoff is None else \
         cutoff.values.reshape(cutoff.values.shape + (1,) * (term.ndim - 2))
     total = term.copy()
-    prev_norm = np.linalg.norm(term)
+    prev_norm = _norm(term)
     stop = _CUTOFF_STOP * np.finfo(float).eps
     growth = []  # the current run of term-norm ratios >= 1
     for _ in range(1, terms):
-        if prev_norm <= stop * np.linalg.norm(total):
+        if prev_norm <= stop * _norm(total):
             break
         term = -(0.5 * dzbar_inv(e * pointwise(op.b_coef.data, term), op.plan))
         total += term
-        nrm = np.linalg.norm(term)
+        nrm = _norm(term)
         if prev_norm > 0 and nrm >= prev_norm:
             growth.append(nrm / prev_norm)
             if len(growth) >= 3:
@@ -221,64 +219,38 @@ def gmres(*args, **kwargs):
 def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
     """Solve (2 dzbar + B) w = g through its integral form w + K w = (1/2) dzbar_inv(g).
 
-    Starts the Neumann series of the integral form.  After each term it
-    first checks convergence, then leaves for a GMRES solve of the same
-    discrete integral equation as soon as a term's norm is >= 0.8 times
-    the previous one; GMRES also takes over when the series reaches its
-    cap or misses the residual check.  The residual contract is on that
-    discrete operator; it also judges a GMRES run that stops at its cap.
+    Meets a relative residual <= tol on that discrete equation by the
+    Neumann series or else GMRES, or raises ConvergenceError naming the
+    residual; GMRES's own stop flag decides nothing.
     """
-    w, _, _ = _vekua_solve(op, as_data(g, op.b_coef), tol)
+    w, _ = _vekua_solve(op, as_data(g, op.b_coef), tol)
     return same_kind(g, op.plan.grid, w)
 
 
 def _vekua_solve(op: VekuaOperator, gd: np.ndarray, tol: float):
-    """vekua_solve on raw samples; returns w, the op.full_map(w) of its check, and rhs."""
+    """Raw-sample vekua_solve: w and the norm of rhs - (w + K w), rhs = dzbar_inv(gd) / 2."""
     rhs = 0.5 * dzbar_inv(gd, op.plan)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(gd), np.zeros_like(gd), rhs
+    rhs_norm = _norm(rhs)
 
-    w = rhs.copy()
-    term, prev_norm = rhs, rhs_norm
-    for _ in range(_SERIES_CAP):
-        term = -op.full_map(term)
-        w += term
-        nrm = np.linalg.norm(term)
-        if nrm < 0.1 * tol * rhs_norm:
-            break
-        if nrm >= 0.8 * prev_norm:
-            w = None  # contracting too slowly, if at all
-            break
-        prev_norm = nrm
-    else:
-        w = None
-    if w is not None:
-        kw = op.full_map(w)
-        if np.linalg.norm(w + kw - rhs) / rhs_norm > tol:
-            w = None  # fall through to GMRES
+    def apply(v):
+        return v + op.full_map(v)
 
-    if w is None:
-        shape = gd.shape
-
-        def mv(x):
-            v = x.reshape(shape)
-            return (v + op.full_map(v)).ravel()
-
+    w, res, _ = _residual_series(apply, np.copy, rhs, _norm)
+    if not res <= tol:
         from scipy.sparse.linalg import LinearOperator
 
-        A = LinearOperator((gd.size, gd.size), matvec=mv, dtype=complex)
+        A = LinearOperator((gd.size, gd.size), dtype=complex,
+                           matvec=lambda x: apply(x.reshape(gd.shape)).ravel())
         x, info = gmres(A, rhs.ravel(), rtol=0.01 * tol, atol=0.0, maxiter=400,
                         restart=80)
         if info < 0:
             raise SingularSystemError("Vekua integral system breakdown")
-        w = x.reshape(shape)
-        kw = op.full_map(w)
-        res = np.linalg.norm(w + kw - rhs) / rhs_norm
-        if res > tol:
+        w = x.reshape(gd.shape)
+        res = _norm(rhs - apply(w)) / rhs_norm
+        if not res <= tol:
             raise ConvergenceError(f"Vekua solve missed the residual tolerance: "
                                    f"residual {res:.2e} > {tol:g}", residual=res)
-    return w, kw, rhs
+    return w, res * rhs_norm
 
 
 def _mirrored(tau, side: str) -> bool:

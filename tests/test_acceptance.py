@@ -119,6 +119,7 @@ def test_criterion_5_cgo_identity_and_factorization(tmp_path):
     errs = [L.factorization_check(make_triple(6, 2, L.Grid2D(nx=nx, ny=nx)))
             ["discrepancy_1"] for nx in (65, 129, 257)]
     orders = refinement_orders(errs)
+    # passed includes h_exponent_ge_1.5: the residual refines with the grid
     ok = passed and min(orders) >= 1.8
     verdict(5, ok, f"fit R2 {m['r_squared']:.3f} (exps tau {m['tau_exponent']:.2f}, "
             f"h {m['h_exponent']:.2f}), factorization orders {rounded(orders)}")

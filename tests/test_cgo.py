@@ -11,7 +11,7 @@ from cgolab import (Grid2D, TransformPlan, build_amplitude,
                     LabError, OverflowGuardError)
 from cgolab import transforms
 from cgolab.calculus import dz_array, dzbar_array
-from cgolab.fields import pointwise
+from cgolab.fields import pointwise, _norm
 from cgolab.cgo import _stencil_residual, holomorphic_seed
 from cgolab.harness import refinement_orders
 
@@ -35,16 +35,20 @@ def test_amplitude_residual_from_the_solve_check(grid33, plan33, n_sys):
         sides = ((t.a_coef, amp.w0),
                  (t.b_coef.conj(), build_amplitude(t.mirror(), plan33).w0))
         s = amp.seed
-        direct = []
+        solves = []
         for m, w in sides:
             op = make_vekua_operator(m, plan33)
-            # K s = -rhs bit for bit, which the residual shortcut relies on
-            _, _, rhs = transforms._vekua_solve(op, m.matvec(s).data * (-1.0), 1e-9)
-            assert np.array_equal(rhs, -op.full_map(s.data))
-            direct.append(np.linalg.norm(w.data + op.full_map(w.data) - s.data)
-                          / np.linalg.norm(s.data))
-        assert amp.residual <= 1e-12
-        assert 0.5 <= amp.residual / max(direct) <= 2.0
+            v, res = transforms._vekua_solve(op, m.matvec(s).data * (-1.0), 1e-9)
+            assert np.array_equal(w.data, s.data + v)
+            # the solve's right-hand side is -K s bit for bit, so its residual
+            # v + K v + K s is that of the fixed point w + K w = s
+            ks = op.full_map(s.data)
+            assert res == pytest.approx(_norm(-ks - (v + op.full_map(v))), rel=1e-15)
+            solves.append(res / _norm(s.data))
+            # measured on w itself, the fixed point holds to the round-off of K w
+            fixed_point = _norm(w.data + op.full_map(w.data) - s.data)
+            assert fixed_point <= 1e-14 * _norm(s.data)
+        assert amp.residual == max(solves) <= 1e-12
 
 
 def test_amplitude_transform_count(monkeypatch):
@@ -52,7 +56,7 @@ def test_amplitude_transform_count(monkeypatch):
     t, plan = make_triple(3, 2, grid), TransformPlan(grid)
     calls = count_transforms(monkeypatch)
     build_amplitude(t, plan)
-    # the integral residual reuses each solve's own check: no transform of its own
+    # the integral residual is each solve's own last residual: no transform of its own
     assert len(calls) == 14
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgolab import ConfigError, Grid2D, LabError, cli, weight_catalog
+from cgolab.calculus import wirtinger_pair
 from cgolab.weights import resolution_nodes_per_period
 from cgolab.cli import (SCENARIOS, ScenarioConfig, load_config,
                         fit_power_law, run, main)
@@ -215,6 +216,57 @@ def test_reruns_are_byte_identical(tmp_path):
     for name in ("report.json", "table.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def _lab_run_bytes(tmp_path, scenario, threads):
+    """The files of ``lab run`` at seed 0 in a fresh interpreter whose
+    OPENBLAS_NUM_THREADS is ``threads``; None leaves every BLAS variable unset."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    cfg = write_config(tmp_path, scenario=scenario, seed=0, nx_ladder=[65, 129])
+    out = tmp_path / f"{scenario}-{threads}"
+    proc = subprocess.run([sys.executable, "-m", "cgolab.cli", "run", str(cfg),
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [(out / name).read_bytes() for name in ("report.json", "table.csv")]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: BLAS runs one thread whatever the setting")
+@pytest.mark.parametrize("scenario, threads", [("cgo", None), ("gauge", None),
+                                               ("cgo", 2)])
+def test_reports_do_not_follow_the_blas_thread_count(tmp_path, scenario, threads):
+    # at nx 129 a whole-array BLAS norm, and SuperLU's BLAS, sum in an
+    # order that follows the thread count
+    assert _lab_run_bytes(tmp_path, scenario, threads) == \
+        _lab_run_bytes(tmp_path, scenario, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cgo_scenario_fails_on_an_amplitude_off_its_equation(tmp_path, monkeypatch,
+                                                             seed):
+    # w0 (1 + 0.05 x) no longer solves (2 dzbar + A) w0 = 0; its residual
+    # still fits a power law well, but one that does not refine with h
+    real = cli.build_amplitude
+
+    def mutant(coefs, plan):
+        amp = real(coefs, plan)
+        x = coefs.grid.meshgrid()[0][:, :, None]
+        w0 = amp.w0.with_data(amp.w0.data * (1 + 0.05 * x))
+        return replace(amp, w0=w0, d_w0=wirtinger_pair(w0.data, coefs.grid))
+
+    monkeypatch.setattr(cli, "build_amplitude", mutant)
+    report = run(ScenarioConfig(scenario="cgo", seed=seed, nx_ladder=(17, 33, 65)),
+                 tmp_path)
+    assert report["metrics"]["h_exponent"] < 0.5
+    assert report["criteria"] == {"power_law_r2_ge_0.95": True,
+                                  "h_exponent_ge_1.5": False}
+    assert not report["passed"]
 
 
 def test_main_run_exit_codes(tmp_path, capsys):

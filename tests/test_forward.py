@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+import cgolab.fields
 import cgolab.forward
 from cgolab.grid import EDGES
 from cgolab import (Grid2D, BoundaryPartition, VectorField, MatrixField,
@@ -267,7 +268,7 @@ def test_block_series_takes_one_trace_solve_per_term(monkeypatch):
     x = u[1:-1, 1:-1].reshape(-1, 3)
     b = -(fac._coupling @ boundary.reshape(-1, 3))
     res = np.linalg.norm(fac._matrix @ x - b, axis=0) / np.linalg.norm(b, axis=0)
-    assert np.all(res <= cgolab.forward._SERIES_RTOL)
+    assert np.all(res <= cgolab.fields._SERIES_RTOL)
     # one trace-part solve per term for the whole block, whatever its width
     precondition, calls = fac._precondition, []
     monkeypatch.setattr(fac, "_precondition",

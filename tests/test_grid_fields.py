@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from cgolab import (Grid2D, BoundaryPartition, GridError, remark_partition,
                     GAMMA_TILDE, GAMMA_0, VectorField, MatrixField, CutoffFunction,
                     bump_cutoff, plateau_cutoff, random_trig_spec)
+from cgolab.fields import _norm, _residual_series, _SERIES_CAP, _SERIES_RTOL
 from cgolab.synthetic import N_MODES, _basis_1d
 
 from conftest import constant_matrix
@@ -106,6 +107,43 @@ def test_identity_matrix_acts_trivially(grid33):
 def test_l2_of_constant_scalar(grid33):
     f = VectorField(grid33, np.full((33, 33, 1), 2.0, dtype=complex))
     assert abs(f.l2() - 2.0) < 1e-12  # unit square, trapezoid exact
+
+
+SERIES_NORMS = {"columns": lambda v: np.linalg.norm(v, axis=0), "whole": _norm}
+
+
+# per row, the factor q by which each term shrinks the residual (apply is
+# (1 - q) x and M the identity); the stop, the terms after M b and the
+# range of the worst relative residual
+@pytest.mark.parametrize("q, nan_at, terms, worst", [
+    ((1e-3, 1e-3), None, 4, (0.0, _SERIES_RTOL)),           # rtol
+    ((0.9, 0.9), None, 0, (0.9 - 1e-12, 0.9 + 1e-12)),      # stall at the first step
+    ((1e-2, 0.85), None, 2, (6.1e-4, 6.2e-4)),              # a later stall
+    ((0.5, 0.5), None, _SERIES_CAP, (0.5 ** 31 * (1 - 1e-6), 0.5 ** 31 * (1 + 1e-6))),
+    ((0.5, 0.5), 3, 2, None),                                # NaN
+], ids=["rtol", "first stall", "later stall", "cap", "nan"])
+@pytest.mark.parametrize("norm", SERIES_NORMS)
+def test_residual_series_stops(q, nan_at, terms, worst, norm):
+    d = 1.0 - np.array(q)[:, None]
+    calls = []
+
+    def apply(x):
+        calls.append(None)
+        return np.full_like(x, np.nan) if len(calls) == nan_at else d * x
+
+    # rows 1 and 1e-3, and columns far apart in scale: each column's own
+    # residual is relative to its own right-hand side
+    b = np.array([1.0, 1e-3])[:, None] * np.array([1.0, 1e-6, 1e-9]) * (1 + 1j)
+    norm_of = SERIES_NORMS[norm]
+    x, res, n = _residual_series(apply, np.copy, b, norm_of)
+    assert n == terms == len(calls) - 1
+    assert np.shape(res) == ((3,) if norm == "columns" else ())
+    if worst is None:
+        assert np.isnan(res).all()
+    else:
+        assert worst[0] <= np.max(res) <= worst[1]
+        # the residual(s) of the x returned
+        assert np.array_equal(res, norm_of(b - d * x) / norm_of(b))
 
 
 def test_plateau_cutoff_flat_core_and_support(grid33):
