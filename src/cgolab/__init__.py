@@ -13,8 +13,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .errors import (LabError, GridError, ConvergenceError, DivergenceError,
-                     SingularSystemError, OverflowGuardError, ConfigError)
+from .errors import (LabError, GridError, ConvergenceError, SingularSystemError,
+                     OverflowGuardError, ConfigError)
 from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,
                    bump_cutoff, plateau_cutoff, GAMMA_TILDE, GAMMA_0)
 from .fields import VectorField, MatrixField

@@ -31,14 +31,6 @@ from .harness import (GaugeSpec, gauge_transform, check_relations,
                       random_h01_spec, refinement_orders, _PROBE_KINDS)
 from .cgo import build_amplitude, build_cgo_solution, cgo_residual
 
-# fewest (nx_ladder, tau_ladder) rungs each scenario's criteria can judge:
-# an order needs two grids, the slope fit three taus, the (tau, h) fit two
-# of each, and a Carleman probe compares two halves of its tau ladder
-_MIN_RUNGS = {"transforms": (2, 1), "cgo": (2, 2), "gauge": (2, 1),
-              "carleman": (1, 2), "stationary-phase": (1, 3),
-              "relations": (2, 1)}
-SCENARIOS = tuple(_MIN_RUNGS)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -65,7 +57,7 @@ class ScenarioConfig:
             raise ConfigError("tau_ladder entries must be finite numbers > 0")
         for name, ladder, least in zip(("nx_ladder", "tau_ladder"),
                                        (self.nx_ladder, self.tau_ladder),
-                                       _MIN_RUNGS[self.scenario]):
+                                       _SCENARIO_TABLE[self.scenario][1]):
             if len(ladder) < least:
                 raise ConfigError(f"scenario {self.scenario} needs at least "
                                   f"{least} {name} entries")
@@ -112,13 +104,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def fit_power_law(samples) -> tuple[np.ndarray, float]:
     """Least-squares power law y = exp(c) * x_1**e_1 * ... * x_K**e_K in log-log.
 
-    ``samples`` holds (x_1, ..., x_K, y) rows; needs >= 3 finite, strictly
-    positive rows whose x columns determine every coefficient.  Returns
-    the coefficients [e_1, ..., e_K, c] and R^2.
+    ``samples`` holds (x_1, ..., x_K, y) rows; needs >= 3 rows of one
+    length, of finite, strictly positive values, whose x columns determine
+    every coefficient.  Returns the coefficients [e_1, ..., e_K, c] and R^2.
     """
     pts = [tuple(float(v) for v in row) for row in samples]
     if len(pts) < 3:
         raise LabError("power-law fit needs at least 3 samples")
+    if len({len(row) for row in pts}) > 1:
+        raise LabError("power-law fit needs rows of one length")
     if not all(math.isfinite(v) and v > 0 for row in pts for v in row):
         raise LabError("power-law fit needs finite, strictly positive samples")
     logs = [np.log([row[k] for row in pts]) for k in range(len(pts[0]))]
@@ -254,10 +248,17 @@ def _run_relations(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     return metrics, criteria, rows
 
 
-_RUNNERS = {"transforms": _run_transforms, "cgo": _run_cgo,
-            "gauge": _run_gauge, "carleman": _run_carleman,
-            "stationary-phase": _run_stationary_phase,
-            "relations": _run_relations}
+# each scenario's runner and the fewest (nx_ladder, tau_ladder) rungs its
+# criteria can judge: an order needs two grids, the slope fit three taus,
+# the (tau, h) fit two of each, and a Carleman probe compares two halves
+# of its tau ladder
+_SCENARIO_TABLE = {"transforms": (_run_transforms, (2, 1)),
+                   "cgo": (_run_cgo, (2, 2)),
+                   "gauge": (_run_gauge, (2, 1)),
+                   "carleman": (_run_carleman, (1, 2)),
+                   "stationary-phase": (_run_stationary_phase, (1, 3)),
+                   "relations": (_run_relations, (2, 1))}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def write_table(path: Path, rows: list) -> None:
@@ -283,7 +284,7 @@ def _write_report(out: Path, cfg: ScenarioConfig, **fields) -> dict:
 
 
 def run(cfg: ScenarioConfig, out_dir: str | Path) -> dict:
-    metrics, criteria, rows = _RUNNERS[cfg.scenario](cfg)
+    metrics, criteria, rows = _SCENARIO_TABLE[cfg.scenario][0](cfg)
     out = Path(out_dir)
     report = _write_report(out, cfg, metrics=metrics, criteria=criteria,
                            passed=bool(all(criteria.values())))

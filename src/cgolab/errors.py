@@ -20,16 +20,12 @@ class ConvergenceError(LabError):
         self.residual = residual
 
 
-class DivergenceError(LabError):
-    """A series or fixed-point iteration was detected to diverge."""
-
-
 class SingularSystemError(LabError):
     """A discrete linear system is numerically singular."""
 
 
 class OverflowGuardError(LabError):
-    """An exponential weight would leave double range; normalize first."""
+    """A CGO residual or a Carleman ratio came out non-finite (inf or NaN)."""
 
 
 class ConfigError(LabError):

@@ -35,10 +35,7 @@ side 'z' is the conjugate of side 'zbar' run on conj g and conj B, since
 (2 dz + B) w = g iff (2 dzbar + conj B) conj w = conj g.  Every entry
 point first refuses arguments off one grid and N (``check_same``).
 r_tau and r_tau_b refuse a side other than 'z' / 'zbar' and a tau that
-is not a finite number > 0, before any transform.  The series of
-v -> (1/2) dzbar^{-1}(e B v) for a cutoff e that its caller passes
-(``neumann_series_apply``) is kept to observe the smallness-of-support
-mechanism; it is gated on the norm ratios of its own terms.
+is not a finite number > 0, before any transform.
 """
 
 from __future__ import annotations
@@ -47,16 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, ConvergenceError, DivergenceError, SingularSystemError
+from .errors import GridError, ConvergenceError, SingularSystemError
 from .grid import Grid2D, CutoffFunction, check_same, check_tau
 from .fields import (VectorField, MatrixField, as_data, pointwise, same_kind, _norm,
                      _residual_series)
 from .weights import HolomorphicWeight
-
-# the cutoff series stops once a term's norm is below this factor times eps
-# times the norm of its running sum: one addition moves an entry only by a
-# term above about eps / 2 of that entry, so further terms are round-off
-_CUTOFF_STOP = 1e-3
 
 
 def _fast_len(n: int) -> int:
@@ -167,47 +159,23 @@ class VekuaOperator:
 
 
 def make_vekua_operator(b_coef: MatrixField, plan: TransformPlan) -> VekuaOperator:
-    """Build the operator; no transform is applied: a series of the operator
-    judges its own convergence (see neumann_series_apply and vekua_solve)."""
+    """The operator of B on the plan's grid; building it applies no transform."""
     return VekuaOperator(b_coef=b_coef, plan=plan)
 
 
-def neumann_series_apply(op: VekuaOperator, g, terms: int,
-                         cutoff: CutoffFunction | None = None
-                         ) -> np.ndarray | VectorField | MatrixField:
-    """Partial sum of (1/2) sum_j (-1)^j ((1/2) dzbar^{-1} e B)^j dzbar^{-1} g.
+def neumann_series_apply(op: VekuaOperator, g, cutoff: CutoffFunction | None = None):
+    """The cutoff series S_B g = (1/2) sum_j (-1)^j ((1/2) dzbar^{-1} e B)^j dzbar^{-1} g.
 
-    ``e`` holds the values of ``cutoff``; no cutoff means e = 1.  Stops
-    after the first term with norm <= 1e-3 eps times the norm of the
-    running sum, or after `terms` terms, whichever comes first; `terms` is
-    a cap.  Zero g costs one transform.  The series judges its own
-    convergence: it raises DivergenceError, naming the ratios, when three
-    consecutive term-norm ratios are >= 1.  A shorter run of growing
-    terms is the transient growth of a non-normal map and is summed on.
+    ``e`` holds the values of ``cutoff``; no cutoff means e = 1.  The
+    series is the inverse of 2 dzbar + e B, so this is vekua_solve of the
+    operator with B cut off to e B, under its contract: its series, or
+    GMRES where the series stalls.  Without a cutoff it is vekua_solve(op, g).
     """
-    term = 0.5 * dzbar_inv(as_data(g, op.b_coef, cutoff), op.plan)
-    e = 1.0 if cutoff is None else \
-        cutoff.values.reshape(cutoff.values.shape + (1,) * (term.ndim - 2))
-    total = term.copy()
-    prev_norm = _norm(term)
-    stop = _CUTOFF_STOP * np.finfo(float).eps
-    growth = []  # the current run of term-norm ratios >= 1
-    for _ in range(1, terms):
-        if prev_norm <= stop * _norm(total):
-            break
-        term = -(0.5 * dzbar_inv(e * pointwise(op.b_coef.data, term), op.plan))
-        total += term
-        nrm = _norm(term)
-        if prev_norm > 0 and nrm >= prev_norm:
-            growth.append(nrm / prev_norm)
-            if len(growth) >= 3:
-                raise DivergenceError(
-                    "series term norms failed to decay for 3 consecutive "
-                    "terms: term ratios " + ", ".join(f"{r:.2f}" for r in growth))
-        else:
-            growth = []
-        prev_norm = nrm
-    return same_kind(g, op.plan.grid, total)
+    check_same(op.b_coef, g, cutoff)
+    if cutoff is not None:
+        op = VekuaOperator(op.b_coef.with_data(
+            cutoff.values[:, :, None, None] * op.b_coef.data), op.plan)
+    return vekua_solve(op, g)
 
 
 def gmres(*args, **kwargs):

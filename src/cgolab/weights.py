@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, LabError
-from .grid import Grid2D, check_same, check_tau
+from .fields import as_data
+from .grid import Grid2D, check_tau
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ def resolution_nodes_per_period(w: HolomorphicWeight, grid: Grid2D, tau: float) 
 def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> complex:
     """Trapezoid quadrature of the phase integral of scalar g against exp(2 i tau psi)."""
     check_tau(tau)
-    check_same(grid, g)
-    gd = np.asarray(getattr(g, "data", g))
+    gd = as_data(g, grid)
     if gd.shape[2:] not in ((), (1,)):
         raise GridError(f"samples of shape {gd.shape} are not one scalar per "
                         f"node of the {grid.nx} x {grid.ny} grid")

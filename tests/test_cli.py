@@ -180,6 +180,11 @@ def test_fit_power_law_input_contracts():
         fit_power_law([(1.0, 1.0), (2.0, 0.5)])
     with pytest.raises(LabError):
         fit_power_law([(1.0, 1.0), (2.0, -0.5), (3.0, 0.2)])
+    # rows of unequal length: one value too many, or one too few
+    with pytest.raises(LabError, match="^power-law fit needs rows of one length$"):
+        fit_power_law([(1, 2), (2, 3, 9), (3, 4), (4, 5)])
+    with pytest.raises(LabError, match="^power-law fit needs rows of one length$"):
+        fit_power_law([(1, 2, 3), (2, 3), (3, 4, 5)])
 
 
 def test_run_transforms_scenario(tmp_path):

@@ -183,7 +183,7 @@ ROWS = {
     "neumann_series_apply": (
         lambda v: (lambda op=make_vekua_operator(v.mat("b"), TransformPlan(G)),
                    g=v.vec("g", raw=True), c=v.cutoff("cutoff"):
-                   neumann_series_apply(op, g, 10, cutoff=c)),
+                   neumann_series_apply(op, g, cutoff=c)),
         ["grid g", "N g", "grid cutoff", "N b"]),
     "vekua_solve": (lambda v: (lambda op=make_vekua_operator(v.mat("b"), TransformPlan(G)),
                                g=v.vec("g"): vekua_solve(op, g)),
