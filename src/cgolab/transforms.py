@@ -12,16 +12,16 @@ kernel circularly on an FFT grid of L0 x L1 points, each the smallest
 11-smooth length of at least 2n - 1, where the circular convolution
 equals the linear one, and keeps its spectrum (numpy.fft along axis 0,
 then along axis 1).  One apply works on each component plane in turn,
-in the plan's work arrays: a forward FFT along axis 0 over the ny input
-columns only (the zero padding columns transform to zero), one along
-axis 1, the product with the spectrum, an inverse FFT along axis 0, the
-scaling by 1/(L0 L1), and an inverse FFT along axis 1 over the nx kept
-output rows only (Markel's FFT pruning, IEEE Trans. Audio Electroacoust.
-19, 1971).  These are the one-axis passes, in the same order and with
-the scaling at the same place, that scipy.fft's fft2 / ifft2 make over
-the padded grid, and numpy >= 2 runs the same pocketfft: the result is
-bit for bit the one of that two-dimensional pair, and no scipy module
-is loaded.
+in place in the plan's one L0 x L1 work array, whose padding it zeroes
+each time: a forward FFT along axis 0 over the ny input columns only
+(the zero padding columns transform to zero), one along axis 1, the
+product with the spectrum, an inverse FFT along axis 0, the scaling by
+1/(L0 L1), and an inverse FFT along axis 1 over the nx kept output rows
+only (Markel's FFT pruning, IEEE Trans. Audio Electroacoust. 19, 1971).
+These are the one-axis passes, in the same order and with the scaling
+at the same place, that scipy.fft's fft2 / ifft2 make over the padded
+grid, and numpy >= 2 runs the same pocketfft: the result is bit for bit
+the one of that two-dimensional pair, and no scipy module is loaded.
 
 The Vekua inverse solves the integral form w + (1/2) dzbar^{-1}(B w) =
 (1/2) dzbar^{-1} g by its Neumann series, the forward solver's residual
@@ -73,14 +73,15 @@ def _kernel_table(grid: Grid2D) -> np.ndarray:
     dx = np.arange(-(grid.nx - 1), grid.nx)
     dy = np.arange(-(grid.ny - 1), grid.ny)
     D = dx[:, None] * grid.h_x + 1j * dy[None, :] * grid.h_y  # z_t - zeta_s
+    D *= np.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = 1.0 / (np.pi * D)
+        np.divide(1.0, D, out=D)
     # self cell: closed-form polar/odd-symmetry integration of 1/(zeta - z)
     # over the centered singular cell gives exactly 0
-    vals[grid.nx - 1, grid.ny - 1] = 0.0
+    D[grid.nx - 1, grid.ny - 1] = 0.0
     shape = (_fast_len(2 * grid.nx - 1), _fast_len(2 * grid.ny - 1))
     K = np.zeros(shape, dtype=complex)
-    K[np.ix_(dx % shape[0], dy % shape[1])] = vals
+    K[np.ix_(dx % shape[0], dy % shape[1])] = D
     return K
 
 
@@ -88,46 +89,44 @@ def _kernel_table(grid: Grid2D) -> np.ndarray:
 class TransformPlan:
     """Precomputed quadrature data: node weights and the kernel spectrum.
 
-    It also holds the work arrays of an apply, so the passes allocate
-    nothing: the zero-padded input of the forward axis-0 pass, the
-    zero-padded input of the axis-1 pass (the padding of both stays zero),
-    the L0 x L1 array that the product and the inverse axis-0 pass
-    overwrite in place, and the kept rows of the inverse axis-1 pass.  So
-    one plan serves one apply at a time.
+    It also holds the one L0 x L1 work array in which an apply runs every
+    pass in place, so the passes allocate nothing; each apply zeroes the
+    padding it reads.  So one plan serves one apply at a time.
     """
 
     grid: Grid2D
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _work: tuple = field(init=False, repr=False, compare=False)
+    _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nx, ny = self.grid.shape
-        spectrum = np.fft.fft(np.fft.fft(_kernel_table(self.grid), axis=0), axis=1)
-        l0, l1 = spectrum.shape
+        spectrum = _kernel_table(self.grid)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
+        np.fft.fft(spectrum, axis=1, out=spectrum)
         object.__setattr__(self, "_spectrum", spectrum)
         object.__setattr__(self, "_weights", self.grid.quad_weights())
-        object.__setattr__(self, "_work", (
-            np.zeros((l0, ny), dtype=complex), np.zeros((l0, l1), dtype=complex),
-            np.empty((l0, l1), dtype=complex), np.empty((nx, l1), dtype=complex)))
+        object.__setattr__(self, "_work", np.empty_like(spectrum))
 
 
 def _apply_kernel(plan: TransformPlan, samples: np.ndarray) -> np.ndarray:
     """-(1/pi) * sum_s w_s g_s / (zeta_s - z_t) for every target node t."""
     nx, ny = plan.grid.shape
-    padded0, padded1, full, kept = plan._work
-    scale = 1.0 / full.size
+    work = plan._work
+    cols, kept = work[:, :ny], work[:nx]
+    scale = 1.0 / work.size
     planes = samples.reshape(nx, ny, -1)
     out = np.empty(planes.shape, dtype=complex)
     for k in range(planes.shape[2]):
-        np.multiply(planes[:, :, k], plan._weights, out=padded0[:nx])
-        np.fft.fft(padded0, axis=0, out=padded1[:, :ny])
-        np.fft.fft(padded1, axis=1, out=full)
-        full *= plan._spectrum
-        np.fft.ifft(full, axis=0, norm="forward", out=full)
-        rows = full[:nx].view(float)
-        rows *= scale  # re and im times 1/(L0 L1), where and as ifft2 scales
-        np.fft.ifft(full[:nx], axis=1, norm="forward", out=kept)
+        np.multiply(planes[:, :, k], plan._weights, out=cols[:nx])
+        cols[nx:] = 0.0
+        np.fft.fft(cols, axis=0, out=cols)
+        work[:, ny:] = 0.0
+        np.fft.fft(work, axis=1, out=work)
+        work *= plan._spectrum
+        np.fft.ifft(work, axis=0, norm="forward", out=work)
+        flat = kept.view(float)
+        flat *= scale  # re and im times 1/(L0 L1), where and as ifft2 scales
+        np.fft.ifft(kept, axis=1, norm="forward", out=kept)
         out[:, :, k] = kept[:, :ny]
     return out.reshape(samples.shape)
 

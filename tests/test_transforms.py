@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -46,6 +48,43 @@ def test_pruned_passes_are_the_scipy_pair_bit_for_bit(nx, ny):
         out = transforms._apply_kernel(plan, g)
         assert out.shape == shape and out.flags.c_contiguous
         assert np.array_equal(out, _scipy_apply_kernel(plan, g))
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 33), (33, 17)])
+def test_a_reused_plan_carries_nothing_over(nx, ny):
+    """Each apply clears the padding of the plan's one work array itself:
+    NaN left in it, or the last apply's spectrum, changes no bit."""
+    grid = Grid2D(nx=nx, ny=ny)
+    plan = TransformPlan(grid)
+    assert isinstance(plan._work, np.ndarray)
+    assert plan._work.shape == plan._spectrum.shape
+    plan._work.fill(np.nan)
+    rng = np.random.default_rng(nx * ny)
+    for trail in [(), (2,), (1,)]:
+        shape = grid.shape + trail
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = transforms._apply_kernel(plan, g)
+        assert np.array_equal(out, transforms._apply_kernel(TransformPlan(grid), g))
+
+
+@pytest.mark.parametrize("nx", [129, 257])
+def test_plan_build_and_apply_peak_at_three_spectra(nx):
+    """Building a plan and one single-plane apply hold at most three arrays
+    of the spectrum's size at once: the spectrum, the work array, and the
+    input and output planes with the build's temporaries."""
+    g = np.ones((nx, nx), dtype=complex)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        plan = TransformPlan(Grid2D(nx=nx, ny=nx))
+        transforms._apply_kernel(plan, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3 * plan._spectrum.nbytes
 
 
 def test_fast_len_is_scipy_next_fast_len():
