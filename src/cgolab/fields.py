@@ -135,7 +135,7 @@ def _residual_series(apply, precondition, b: np.ndarray, norm):
             return x, res, terms
         prev = worst
         x += precondition(r)
-        del r  # freed before the next apply(x), not after it
+        del r  # not held alive through the next apply(x): one field less at peak
         terms += 1
 
 
