@@ -3,7 +3,10 @@
 The operator  lap(u) + 2 A dz(u) + 2 B dzbar(u) + Q u  is discretized with
 the 5-point Laplacian and centered first derivatives.  Only the interior
 unknowns form the square system K; the interior-to-boundary coupling C
-moves Dirichlet data to the right-hand side, rhs - C u_B.
+moves Dirichlet data to the right-hand side, rhs - C u_B.  K and C are
+block-sparse (BSR) with one N x N block per node pair: their index
+structure is computed once, and each stencil offset's blocks are written
+straight into their slots of one data array, one offset at a time.
 
 Every component shares the principal part lap I_N; the components couple
 only through A, B and Q.  So the first factor is of K's scalar trace
@@ -78,6 +81,10 @@ class CoefficientTriple:
                                  self.q_coef.conj())
 
 
+# the 5-point stencil's neighbour offsets, in the order _stencil_blocks yields them
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
 def _stencil_blocks(coefs: CoefficientTriple):
     """(offset, NxN coupling block per interior node) of the 5-point operator.
 
@@ -90,10 +97,9 @@ def _stencil_blocks(coefs: CoefficientTriple):
     eye = np.eye(coefs.n_sys)
     hx2, hy2 = grid.h_x ** 2, grid.h_y ** 2
     yield (0, 0), (-2 / hx2 - 2 / hy2) * eye + coefs.q_coef.data[inner]
-    for (di, dj), lap, d_x, d_y in (((1, 0), 1 / hx2, 0.5 / grid.h_x, 0.0),
-                                    ((-1, 0), 1 / hx2, -0.5 / grid.h_x, 0.0),
-                                    ((0, 1), 1 / hy2, 0.0, 0.5 / grid.h_y),
-                                    ((0, -1), 1 / hy2, 0.0, -0.5 / grid.h_y)):
+    for di, dj in _OFFSETS[1:]:
+        lap = 1 / hx2 if di else 1 / hy2
+        d_x, d_y = 0.5 * di / grid.h_x, 0.5 * dj / grid.h_y
         yield (di, dj), lap * eye + a * (d_x - 1j * d_y) + b * (d_x + 1j * d_y)
 
 
@@ -121,32 +127,43 @@ class OperatorFactorization:
         interior[1:-1, 1:-1] = np.arange(n_int).reshape(nx - 2, ny - 2)
         boundary = np.full(grid.shape, -1)
         boundary[ii, jj] = np.arange(len(ii))
-        offsets, blocks = zip(*_stencil_blocks(coefs))
-        blocks = np.stack(blocks, axis=2).reshape(-1, n, n)  # node-major
 
-        def block_rows(number, n_cols):
-            """Per node, the blocks of its neighbours that ``number`` numbers."""
+        def structure(number):
+            """BSR indices and indptr of the blocks that ``number`` numbers,
+            and the flat (node, offset) index of each block in their order."""
             col = np.stack([number[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj].ravel()
-                            for di, dj in offsets], axis=1)
+                            for di, dj in _OFFSETS], axis=1)
             order = np.argsort(col, axis=1)  # ascending columns, -1 first
             col = np.take_along_axis(col, order, axis=1)
             on = col >= 0
-            pick = (np.arange(n_int)[:, None] * len(offsets) + order)[on]
+            pick = (np.arange(n_int)[:, None] * len(_OFFSETS) + order)[on]
             indptr = np.concatenate(([0], np.cumsum(on.sum(axis=1))))
-            return sp.bsr_matrix((blocks[pick], col[on], indptr),
-                                 shape=(n_int * n, n_cols * n))
+            return col[on], indptr, pick
+
+        k_indices, k_indptr, k_pick = structure(interior)
+        c_indices, c_indptr, c_pick = structure(boundary)
+        # each (node, offset) block's slot in one data array: K's, then C's
+        slot = np.empty(n_int * len(_OFFSETS), dtype=int)
+        slot[np.concatenate((k_pick, c_pick))] = np.arange(slot.size)
+        slot = slot.reshape(n_int, len(_OFFSETS))
+        data = np.empty((slot.size, n, n), dtype=complex)
+        for offset, block in _stencil_blocks(coefs):
+            data[slot[:, _OFFSETS.index(offset)]] = block.reshape(n_int, n, n)
+            del block  # free it before the next offset's is made
+        n_k = len(k_indices)
 
         self.grid = grid
         self.n_sys = n
         self._boundary_nodes = (ii, jj)
         # K couples interior unknowns, C carries Dirichlet data to the rhs;
         # the trace part is the mean of K's diagonal component blocks
-        k_blocks = block_rows(interior, n_int)
-        self._matrix = k_blocks.tocsr()
-        self._coupling = block_rows(boundary, len(ii)).tocsr()
+        self._matrix = sp.bsr_matrix((data[:n_k], k_indices, k_indptr),
+                                     shape=(n_int * n, n_int * n))
+        self._coupling = sp.bsr_matrix((data[n_k:], c_indices, c_indptr),
+                                       shape=(n_int * n, len(ii) * n))
         self._trace = sp.csr_matrix(
-            (np.einsum("kii->k", k_blocks.data) / n, k_blocks.indices,
-             k_blocks.indptr), shape=(n_int, n_int))
+            (np.einsum("kii->k", self._matrix.data) / n, self._matrix.indices,
+             self._matrix.indptr), shape=(n_int, n_int))
         self._iterations = 0
         # the rungs not yet tried, in order (see the module docstring)
         self._ladder = ["static", "partial"]

@@ -152,12 +152,15 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
     for nx in nx_ladder:
         grid = Grid2D(nx=nx, ny=nx)
         part = remark_partition(grid)
+        # one triple alive per factorization: t2 is made after c1's and
+        # t1 dropped before c2's
         t1 = make_triple(grid)
-        t2 = gauge_transform(t1, gauge)
         c1 = cauchy_data(t1, part, m)
+        t2 = gauge_transform(t1, gauge)
+        gaps.append(coefficient_gap(t1, t2))
+        del t1
         c2 = cauchy_data(t2, part, m)
         distances.append(cauchy_distance(c1, c2))
-        gaps.append(coefficient_gap(t1, t2))
     return {"nx_ladder": list(nx_ladder), "distances": distances,
             "orders": refinement_orders(distances),
             "coefficient_gap": max(gaps)}

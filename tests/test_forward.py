@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -241,8 +243,9 @@ def test_single_component_solve_is_the_static_direct_solve(nx):
     p = fourier_profiles(remark_partition(grid), 1)[0]
     for t in pair:
         fac = OperatorFactorization(t)
+        k = fac._matrix.tocsr()
         for part in ("shape", "indptr", "indices", "data"):
-            assert np.array_equal(getattr(fac._trace, part), getattr(fac._matrix, part))
+            assert np.array_equal(getattr(fac._trace, part), getattr(k, part))
         u = fac.solve(p, None).data
         assert fac.pivoting == "static"
         assert fac.iterations == 0
@@ -341,14 +344,25 @@ def test_assembly_equals_node_by_node_reference(nx, ny, n, seed):
         assert (got != want[kind]).nnz == 0
 
 
+@pytest.mark.parametrize("nx", [65, 129])
+def test_assembly_peak_memory_stays_near_the_operator_data(nx):
+    # each stencil offset's blocks are written once into K's and C's data;
+    # SuperLU's own memory is not traced
+    _, (t, _) = gauge_pair(nx, 3)
+    tracemalloc.start()
+    try:
+        fac = OperatorFactorization(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * fac._matrix.data.nbytes
+
+
 system = st.tuples(st.integers(9, 33), st.integers(9, 33), st.integers(1, 3),
                    st.integers(0, 2 ** 16))
 
 
-@settings(max_examples=30, deadline=None)
-@given(system, st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
-       st.integers(1, 4))
-def test_block_solve_equals_column_solves(sys_, observed, m):
+def check_block_solve_equals_column_solves(sys_, observed, m):
     nx, ny, n, seed = sys_
     grid = Grid2D(nx=nx, ny=ny)
     t = make_triple(seed, n, grid)
@@ -365,6 +379,23 @@ def test_block_solve_equals_column_solves(sys_, observed, m):
         for got, want in ((d, trace_boundary(u, part, GAMMA_TILDE)),
                           (nt, normal_derivative(u, part, GAMMA_TILDE))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(system, st.lists(st.booleans(), min_size=4, max_size=4).filter(any),
+       st.integers(1, 4))
+def test_block_solve_equals_column_solves(sys_, observed, m):
+    check_block_solve_equals_column_solves(sys_, observed, m)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the block series stops on its worst column, so profile 2 takes 5 terms "
+    "where its single-column solve stops at 4; its Neumann traces differ by "
+    "1.005e-12 of their maximum, past the 1e-12 bound"))
+def test_block_solve_equals_column_solves_recorded_draw():
+    # a draw of the random test above that fails
+    check_block_solve_equals_column_solves((27, 12, 2, 7246),
+                                           [False, False, True, True], 2)
 
 
 @settings(max_examples=30, deadline=None)
