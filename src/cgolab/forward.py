@@ -143,9 +143,8 @@ class OperatorFactorization:
         k_indices, k_indptr, k_pick = structure(interior)
         c_indices, c_indptr, c_pick = structure(boundary)
         # each (node, offset) block's slot in one data array: K's, then C's
-        slot = np.empty(n_int * len(_OFFSETS), dtype=int)
-        slot[np.concatenate((k_pick, c_pick))] = np.arange(slot.size)
-        slot = slot.reshape(n_int, len(_OFFSETS))
+        slot = np.empty((n_int, len(_OFFSETS)), dtype=int)
+        np.put(slot, np.concatenate((k_pick, c_pick)), np.arange(slot.size))
         data = np.empty((slot.size, n, n), dtype=complex)
         for offset, block in _stencil_blocks(coefs):
             data[slot[:, _OFFSETS.index(offset)]] = block.reshape(n_int, n, n)

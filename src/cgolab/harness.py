@@ -152,8 +152,7 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
     for nx in nx_ladder:
         grid = Grid2D(nx=nx, ny=nx)
         part = remark_partition(grid)
-        # one triple alive per factorization: t2 is made after c1's and
-        # t1 dropped before c2's
+        # one triple per factorization: t2 made after c1, t1 dropped before c2
         t1 = make_triple(grid)
         c1 = cauchy_data(t1, part, m)
         t2 = gauge_transform(t1, gauge)
