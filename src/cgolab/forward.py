@@ -32,6 +32,17 @@ partial pivoting ("partial").  The solver factors at the first rung that
 succeeds.  Every solve checks each column's relative residual against
 1e-8 and, if the check misses, factors K and solves again.
 ``cauchy_data`` solves all its boundary profiles as one block.
+
+An operator similar to another by a positive diagonal W, K ~ W^-1 K1 W
+up to O(h^2) (the gauge pair, W = e^{s eta}), may start from a borrowed
+rung ahead of the two: the other operator's trace-part factor M1,
+preconditioning with M = W^-1 M1 W, so that it factors nothing.  On the
+gauge scenario's N = 3 pair the series then takes 7, 5 and 4 terms after
+M b at nx 33, 65 and 129.  A block is kept on the borrowed rung only if
+every column's residual reaches the series' 1e-13, not just the 1e-8
+check; otherwise the block is solved again from scratch on the
+operator's own ladder, bit for bit the path it takes without the
+borrowed rung.
 """
 
 from __future__ import annotations
@@ -44,7 +55,8 @@ import numpy as np
 from .errors import GridError, SingularSystemError
 from .grid import (EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices,
                    check_same, is_int)
-from .fields import VectorField, MatrixField, weighted_l2, _residual_series
+from .fields import (VectorField, MatrixField, weighted_l2, _residual_series,
+                     _SERIES_RTOL)
 from .calculus import dz_array, normal_derivative, trace_boundary
 
 
@@ -106,15 +118,25 @@ def _stencil_blocks(coefs: CoefficientTriple):
 class OperatorFactorization:
     """One assembled elliptic system, reusable across solves.
 
-    ``pivoting`` names the factor in use: "static" (K's scalar trace part,
-    the mean of its N diagonal component blocks, in symmetric mode) or
-    "partial" (K with partial pivoting, after a failed residual check or
-    a failed static factorization).  Either factor's solves sum to a
-    residual series on K (see the module docstring); ``iterations`` is the
-    number of its terms after the first, M b, in the last block solve.
+    ``pivoting`` names the factor in use: "borrowed" (another operator's
+    trace-part factor conjugated by node weights, kept while every column
+    of every block reaches the series' 1e-13 on it), "static" (K's scalar
+    trace part, the mean of its N diagonal component blocks, in symmetric
+    mode) or "partial" (K with partial pivoting, after a failed residual
+    check or a failed static factorization).  Every factor's solves sum to
+    a residual series on K (see the module docstring); ``iterations`` is
+    the number of its terms after the first, M b, in the last block solve.
+
+    ``borrowed`` is None or (lu, w): the SuperLU trace-part factor of
+    another operator on the same grid (a "static" one), and positive
+    weights w on the grid's nodes; a factor of another size or weights of
+    another shape are refused with ``GridError``.  The operator then
+    starts on M = W^-1 lu W, W = diag(w) on the interior, and factors
+    nothing until a block misses 1e-13 on it; that block is solved again
+    from scratch on the "static" rung.
     """
 
-    def __init__(self, coefs: CoefficientTriple):
+    def __init__(self, coefs: CoefficientTriple, borrowed=None):
         import scipy.sparse as sp  # the first solver built loads scipy
 
         grid = coefs.grid
@@ -166,7 +188,14 @@ class OperatorFactorization:
         self._iterations = 0
         # the rungs not yet tried, in order (see the module docstring)
         self._ladder = ["static", "partial"]
-        self._factor_next()
+        if borrowed is None:
+            self._factor_next()
+            return
+        self._lu, w = borrowed
+        if self._lu.shape != (n_int, n_int) or np.shape(w) != grid.shape:
+            raise GridError("a borrowed factor must be of the trace part, and its "
+                            "weights one per node, on the same grid")
+        self._rung, self._weights = "borrowed", w[1:-1, 1:-1].reshape(n_int, 1)
 
     @property
     def pivoting(self) -> str:
@@ -196,7 +225,11 @@ class OperatorFactorization:
         """Apply the factor's solve to v: to every component for the trace part."""
         # rows are node * N + component, so each node's N components (of
         # each column) form one row of the trace part's right-hand side
-        return self._lu.solve(v.reshape(self._lu.shape[0], -1)).reshape(v.shape)
+        if self._rung != "borrowed":
+            return self._lu.solve(v.reshape(self._lu.shape[0], -1)).reshape(v.shape)
+        y = self._lu.solve(v.reshape(len(self._weights), -1) * self._weights)
+        y /= self._weights  # W^-1 M1 W v; in place, so the series' peak stays
+        return y.reshape(v.shape)
 
     def _solve_columns(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x for K x = b by the residual series on the factor, and each
@@ -219,7 +252,9 @@ class OperatorFactorization:
         if rhs is not None:
             b += rhs[1:-1, 1:-1].reshape(b.shape)
         x, res = self._solve_columns(b)
-        while not res.max(initial=0.0) <= 1e-8:
+        # the borrowed rung keeps a block only at the series' own tolerance
+        while not res.max(initial=0.0) <= (
+                _SERIES_RTOL if self._rung == "borrowed" else 1e-8):
             if not self._ladder:
                 raise SingularSystemError(
                     "discrete system numerically singular; try shifting Q")
@@ -338,9 +373,14 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
     """
     check_same(coefs, partition)
     profiles = fourier_profiles(partition, basis_size)
-    fac = OperatorFactorization(coefs)
+    return _profile_data(OperatorFactorization(coefs), partition, profiles)
+
+
+def _profile_data(fac: OperatorFactorization, partition: BoundaryPartition,
+                  profiles: list) -> PartialCauchyData:
+    """The data of ``fac``'s operator through ``profiles``, one block solve."""
     # one column of boundary data per profile
-    boundary = np.zeros((len(fac._boundary_nodes[0]), coefs.n_sys,
+    boundary = np.zeros((len(fac._boundary_nodes[0]), fac.n_sys,
                          len(profiles)), dtype=complex)
     for j, prof in enumerate(profiles):
         boundary[:, 0, j] = prof
@@ -349,7 +389,7 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
     dir_traces = [trace_boundary(f, partition, GAMMA_TILDE) for f in fields]
     neu_traces = [normal_derivative(f, partition, GAMMA_TILDE) for f in fields]
     return PartialCauchyData(partition=partition,
-                             basis_id=f"fourier:{basis_size}",
+                             basis_id=f"fourier:{len(profiles)}",
                              dirichlet=dir_traces, neumann=neu_traces)
 
 

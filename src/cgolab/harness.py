@@ -17,7 +17,8 @@ from .grid import (Grid2D, BoundaryPartition, GAMMA_0, GAMMA_TILDE, remark_parti
 from .fields import MatrixField, VectorField, pointwise, weighted_l2
 from .calculus import dz_array, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, N_MODES
-from .forward import CoefficientTriple, cauchy_data, cauchy_distance
+from .forward import (CoefficientTriple, OperatorFactorization, cauchy_data,
+                      cauchy_distance, fourier_profiles, _profile_data)
 from .weights import weight_catalog
 
 
@@ -139,6 +140,38 @@ def refinement_orders(errs) -> list:
             for a, b in zip(errs[:-1], errs[1:])]
 
 
+def _gauge_pair_data(t1: CoefficientTriple, gauge: GaugeSpec,
+                     partition: BoundaryPartition, m: int):
+    """Partial Cauchy data of t1 and of its gauge transform t2 through the
+    first m profiles, and their coefficient gap.
+
+    The gauge is the similarity e^{-s eta} L e^{s eta}, so t2's trace part
+    is t1's conjugated by W = e^{s eta} up to O(h^2): for N > 1, c2 is
+    solved on t1's trace-part factor conjugated by W (the borrowed rung of
+    ``OperatorFactorization``), and t2 is factored only if that misses.
+    t1's K and C are freed before t2 is made, and the pair's references to
+    t1 and t2 before c2's series, so that it holds no more at its peak
+    than two separate ``cauchy_data`` calls.
+    """
+    check_same(t1, partition)
+    profiles = fourier_profiles(partition, m)  # refused before any factorization
+    fac = OperatorFactorization(t1)
+    c1 = _profile_data(fac, partition, profiles)
+    # only a trace-part factor is lent, and only for N > 1: at N = 1 the
+    # trace part is K, and its own factor solves t2 directly, to round-off
+    # rather than to the borrowed series' 1e-13
+    lent = None
+    if fac.pivoting == "static" and fac.n_sys > 1:
+        lent = fac._lu, np.exp(gauge.s * gauge.eta(partition.grid))
+    del fac
+    t2 = gauge_transform(t1, gauge)
+    gap = coefficient_gap(t1, t2)
+    del t1
+    fac = OperatorFactorization(t2, lent)
+    del t2, lent
+    return c1, _profile_data(fac, partition, profiles), gap
+
+
 def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
                                  m: int) -> dict:
     """Cauchy-data distance of a triple vs its gauge transform on a grid ladder.
@@ -152,13 +185,9 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
     for nx in nx_ladder:
         grid = Grid2D(nx=nx, ny=nx)
         part = remark_partition(grid)
-        # one triple per factorization: t2 made after c1, t1 dropped before c2
-        t1 = make_triple(grid)
-        c1 = cauchy_data(t1, part, m)
-        t2 = gauge_transform(t1, gauge)
-        gaps.append(coefficient_gap(t1, t2))
-        del t1
-        c2 = cauchy_data(t2, part, m)
+        # the pair owns t1, so that it can drop it before c2's series
+        c1, c2, gap = _gauge_pair_data(make_triple(grid), gauge, part, m)
+        gaps.append(gap)
         distances.append(cauchy_distance(c1, c2))
     return {"nx_ladder": list(nx_ladder), "distances": distances,
             "orders": refinement_orders(distances),
@@ -170,14 +199,15 @@ def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int) -> dict:
 
     Each of 20 perturbations, drawn from ``default_rng(0)``, is a random
     trig field of amplitude 3 added to Q; the data are observed on the
-    remark partition through the first 4 boundary profiles.
+    remark partition through the first 4 boundary profiles.  The gauge
+    pair's data are those of ``gauge_equivalence_experiment``; each
+    perturbation is factored on its own.
     """
     grid = Grid2D(nx=nx, ny=nx)
     part = remark_partition(grid)
     t1 = make_triple(grid)
-    c1 = cauchy_data(t1, part, 4)
-    gauge_dist = cauchy_distance(
-        c1, cauchy_data(gauge_transform(t1, gauge), part, 4))
+    c1, c2, _ = _gauge_pair_data(t1, gauge, part, 4)
+    gauge_dist = cauchy_distance(c1, c2)
     rng = np.random.default_rng(0)
     n = t1.n_sys
     off = []

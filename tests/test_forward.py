@@ -256,6 +256,39 @@ def test_single_component_solve_is_the_static_direct_solve(nx):
         assert np.array_equal(u[1:-1, 1:-1].ravel(), want)
 
 
+@pytest.mark.parametrize("case", ["operator factor", "other grid", "weights shape"])
+def test_borrowed_factor_of_another_kind_is_refused_before_any_solve(case):
+    grid, (t1, t2) = gauge_pair(17, 2)
+    lender = OperatorFactorization(t1 if case != "other grid" else
+                                   make_triple(0, 2, Grid2D(nx=19, ny=17)))
+    lu = (scipy.sparse.linalg.splu(lender._matrix.tocsc()) if case == "operator factor"
+          else lender._lu)
+    w = np.ones(grid.shape if case != "weights shape" else (15, 15))
+    with pytest.raises(GridError, match="^a borrowed factor must be ") as err:
+        OperatorFactorization(t2, (lu, w))
+    assert "\n" not in str(err.value)
+
+
+def test_borrowed_rung_on_the_gauge_pair_takes_few_terms():
+    # t2's trace part is t1's conjugated by W = e^{s eta} up to O(h^2)
+    for nx, terms in ((33, 7), (65, 5), (129, 4)):
+        grid, (t1, t2) = gauge_pair(nx, 3)
+        lent = OperatorFactorization(t1)._lu, np.exp(0.7 * GaugeSpec(0.7).eta(grid))
+        fac = OperatorFactorization(t2, lent)
+        own = OperatorFactorization(t2)
+        p = fourier_profiles(remark_partition(grid), 1)[0]
+        bv = np.zeros((len(p), 3))
+        bv[:, 0] = p
+        u, want = fac.solve(bv, None).data, own.solve(bv, None).data
+        assert fac.pivoting == "borrowed" and fac.iterations <= terms
+        assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
+        # without W the conjugation is lost and the series stalls far above
+        # 1e-13, so the block is solved again on t2's own trace part
+        fac = OperatorFactorization(t2, (lent[0], np.ones(grid.shape)))
+        assert np.array_equal(fac.solve(bv, None).data, want)
+        assert fac.pivoting == "static"
+
+
 def test_block_series_takes_one_trace_solve_per_term(monkeypatch):
     # the series stops on each column's own relative residual, so columns
     # 1e-6 and 1e-9 times smaller converge as far as the first

@@ -8,7 +8,9 @@ from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
                     full_operator_setup, GaugeSpec, LabError, GridError,
                     OverflowGuardError, TrigSpec, random_trig_spec,
                     find_critical_points, GAMMA_0, GAMMA_TILDE)
-from cgolab import cli, harness
+from cgolab import (cli, forward, harness, BoundaryPartition, OperatorFactorization,
+                    cauchy_data, fourier_profiles)
+from cgolab.fields import _SERIES_CAP, _SERIES_RTOL
 from cgolab.harness import refinement_orders
 
 from conftest import make_triple, NOT_FINITE_POSITIVE
@@ -48,6 +50,77 @@ def test_gauge_not_flat_on_observed_edges_fails_the_criteria(tmp_path, monkeypat
     rel = cli.run(cli.ScenarioConfig(scenario="relations", seed=0,
                                      nx_ladder=(33, 65, 129)), tmp_path / "r")
     assert not rel["criteria"]["boundary_gap_zero"]
+
+
+def pair_and_own_data(seed, n, nx, s, monkeypatch):
+    """The gauge pair's (c1, c2), c2 from its own ladder, and the pivoting
+    of each factorization the pair read data from."""
+    grid = Grid2D(nx=nx, ny=nx)
+    part, gauge = remark_partition(grid), GaugeSpec(s)
+    t1 = make_triple(seed, n, grid)
+    own = cauchy_data(gauge_transform(t1, gauge), part, 4)
+    profile_data, rungs = harness._profile_data, []
+
+    def recorded(fac, *args):
+        data = profile_data(fac, *args)
+        rungs.append(fac.pivoting)
+        return data
+
+    monkeypatch.setattr(harness, "_profile_data", recorded)
+    c1, c2, _ = harness._gauge_pair_data(t1, gauge, part, 4)
+    return c1, c2, own, rungs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nx, s", [(9, 0.7), (9, 8.0), (17, 8.0), (33, 8.0)])
+def test_gauge_pair_off_the_borrowed_rung_is_the_own_ladder_bit_for_bit(
+        monkeypatch, n, nx, s):
+    # at nx 9 the borrowed series reaches its cap at 4e-9, past 1e-13 though
+    # inside the 1e-8 check; at s = 8 the conjugated factor is too far off
+    # and the series stalls
+    grid = Grid2D(nx=nx, ny=nx)
+    gauge = GaugeSpec(s)
+    t1 = make_triple(0, n, grid)
+    lent = OperatorFactorization(t1)._lu, np.exp(s * gauge.eta(grid))
+    fac = OperatorFactorization(gauge_transform(t1, gauge), lent)
+    assert fac.pivoting == "borrowed"
+    boundary = np.zeros((len(BoundaryPartition(grid).nodes()[0]), n, 4), dtype=complex)
+    boundary[:, 0] = np.transpose(fourier_profiles(remark_partition(grid), 4))
+    _, res = fac._solve_columns(-(fac._coupling @ boundary.reshape(-1, 4)))
+    assert res.max() > _SERIES_RTOL
+    assert (fac.iterations == _SERIES_CAP) == (s == 0.7)
+    u = fac._solve_block(boundary, None)
+    assert fac.pivoting == "static"
+    assert np.array_equal(
+        u, OperatorFactorization(gauge_transform(t1, gauge))._solve_block(boundary, None))
+    c1, c2, own, rungs = pair_and_own_data(0, n, nx, s, monkeypatch)
+    assert rungs == ["static", "static"]
+    for got, want in zip(c2.neumann + c2.dirichlet, own.neumann + own.dirichlet):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nx", [33, 65])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gauge_pair_solves_t2_on_the_borrowed_rung(monkeypatch, n, nx, seed):
+    # at N = 1 t2's own factor is an exact LU of K, so nothing is lent
+    c1, c2, own, rungs = pair_and_own_data(seed, n, nx, 0.7, monkeypatch)
+    assert rungs == ["static", "borrowed" if n > 1 else "static"]
+    assert c1.basis_id == c2.basis_id == own.basis_id
+    for got, want in zip(c2.dirichlet, own.dirichlet):
+        assert np.array_equal(got, want)
+    for got, want in zip(c2.neumann, own.neumann):
+        assert np.max(np.abs(got - want)) <= (1e-10 if n > 1 else 0.0) * np.max(np.abs(want))
+
+
+def test_gauge_experiment_factors_once_per_rung(monkeypatch):
+    splu, calls = forward.splu, []
+    monkeypatch.setattr(forward, "splu",
+                        lambda *args, **kw: calls.append(kw) or splu(*args, **kw))
+    rep = harness.gauge_equivalence_experiment(lambda grid: make_triple(0, 3, grid),
+                                               GaugeSpec(0.7), (17, 33, 65), 4)
+    assert len(calls) == 3 and all(kw for kw in calls)  # the trace parts only
+    assert min(rep["orders"]) >= 1.5
 
 
 def test_gauge_transform_identity_at_zero_strength(grid33):
