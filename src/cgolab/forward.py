@@ -143,6 +143,10 @@ class OperatorFactorization:
         nx, ny, n = grid.nx, grid.ny, coefs.n_sys
         ii, jj = BoundaryPartition(grid).nodes()
         n_int = (nx - 2) * (ny - 2)
+        if borrowed is not None and (borrowed[0].shape != (n_int, n_int)
+                                     or np.shape(borrowed[1]) != grid.shape):
+            raise GridError("a borrowed factor must be of the trace part, and its "
+                            "weights one per node, on the same grid")
         # unknown numbers: interior nodes row-major, boundary nodes in the
         # canonical boundary order; -1 marks the other kind
         interior = np.full(grid.shape, -1)
@@ -190,12 +194,9 @@ class OperatorFactorization:
         self._ladder = ["static", "partial"]
         if borrowed is None:
             self._factor_next()
-            return
-        self._lu, w = borrowed
-        if self._lu.shape != (n_int, n_int) or np.shape(w) != grid.shape:
-            raise GridError("a borrowed factor must be of the trace part, and its "
-                            "weights one per node, on the same grid")
-        self._rung, self._weights = "borrowed", w[1:-1, 1:-1].reshape(n_int, 1)
+        else:
+            self._rung, self._lu = "borrowed", borrowed[0]
+            self._weights = borrowed[1][1:-1, 1:-1].reshape(n_int, 1)
 
     @property
     def pivoting(self) -> str:
@@ -228,7 +229,7 @@ class OperatorFactorization:
         if self._rung != "borrowed":
             return self._lu.solve(v.reshape(self._lu.shape[0], -1)).reshape(v.shape)
         y = self._lu.solve(v.reshape(len(self._weights), -1) * self._weights)
-        y /= self._weights  # W^-1 M1 W v; in place, so the series' peak stays
+        y /= self._weights  # W^-1 M1 W v, in place: no block beyond the static path's
         return y.reshape(v.shape)
 
     def _solve_columns(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -257,13 +257,19 @@ def test_single_component_solve_is_the_static_direct_solve(nx):
 
 
 @pytest.mark.parametrize("case", ["operator factor", "other grid", "weights shape"])
-def test_borrowed_factor_of_another_kind_is_refused_before_any_solve(case):
+def test_borrowed_factor_of_another_kind_is_refused_before_any_work(monkeypatch, case):
     grid, (t1, t2) = gauge_pair(17, 2)
     lender = OperatorFactorization(t1 if case != "other grid" else
                                    make_triple(0, 2, Grid2D(nx=19, ny=17)))
     lu = (scipy.sparse.linalg.splu(lender._matrix.tocsc()) if case == "operator factor"
           else lender._lu)
     w = np.ones(grid.shape if case != "weights shape" else (15, 15))
+
+    def no_work(*args, **kw):
+        raise AssertionError("assembled or factored before refusing the borrowed factor")
+
+    monkeypatch.setattr(cgolab.forward, "_stencil_blocks", no_work)
+    monkeypatch.setattr(cgolab.forward, "splu", no_work)
     with pytest.raises(GridError, match="^a borrowed factor must be ") as err:
         OperatorFactorization(t2, (lu, w))
     assert "\n" not in str(err.value)
