@@ -118,22 +118,25 @@ _SERIES_CAP = 30
 
 
 def _residual_series(apply, precondition, b: np.ndarray, norm):
-    """x = M b, then x <- x + M (b - apply(x)), M = ``precondition``, until every
-    residual norm(b - apply(x)) / norm(b) is <= _SERIES_RTOL, a term leaves the
-    worst at >= _SERIES_STALL times the last (the first against 1, the residual
-    of x = 0), after _SERIES_CAP terms, or on a NaN, which fails every test.
-    ``norm`` gives one norm or one per column.  Returns x, its relative
-    residual(s) and the number of terms after M b."""
+    """x = M b, then x <- x + M (b - apply(x)), M = ``precondition``.  ``norm``
+    gives one norm or one per column, and each stops on its own: when its
+    residual norm(b - apply(x)) / norm(b) is <= _SERIES_RTOL, a term leaves it
+    at >= _SERIES_STALL times its last (the first against 1, the residual of
+    x = 0), or on a NaN, which fails every test; a stopped column's residual
+    is zeroed, so it takes no further term.  All stop after _SERIES_CAP terms.
+    Returns x, its relative residual(s) and the number of terms after M b."""
     b_norm = np.maximum(norm(b), 1e-300)
     x = precondition(b)
-    prev, terms = 1.0, 0
+    prev, run, terms = 1.0, True, 0
     while True:
         r = b - apply(x)
         res = norm(r) / b_norm
-        worst = np.max(res, initial=0.0)
-        if not (terms < _SERIES_CAP and _SERIES_RTOL < worst < _SERIES_STALL * prev):
+        run = run & (_SERIES_RTOL < res) & (res < _SERIES_STALL * prev)
+        if terms == _SERIES_CAP or not np.any(run):
             return x, res, terms
-        prev = worst
+        if not np.all(run):
+            r[..., ~run] = 0  # in place: M r adds zero to the stopped columns
+        prev = res
         x += precondition(r)
         del r  # not held alive through the next apply(x): one field less at peak
         terms += 1

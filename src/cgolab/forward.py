@@ -14,9 +14,10 @@ part: coefficients tr(A)/N, tr(B)/N and tr(Q)/N on n_interior unknowns,
 lower-order terms away from K, and K itself, entry for entry, at N = 1.
 With M a factor's solve (for the trace part one solve of N * k
 right-hand sides serves a block of k), every block is the residual
-series x = M b, x <- x + M (b - K x) of fields._residual_series, with
-one norm per column: it sums until every column's residual is 1e-13
-relative to its own right-hand side, a stall, its cap or a NaN.  On a
+series x = M b, x <- x + M (b - K x) of fields._residual_series, in
+which each column stops on its own, as its single-column solve would:
+at a residual 1e-13 relative to its own right-hand side, a stall or a
+NaN.  The block stops when every column has, or at the cap.  On a
 factor of K this is iterative refinement (Higham, Accuracy and Stability
 of Numerical Algorithms, 2002, ch. 12).  On the trace part M K is so
 close to I that Krylov acceleration buys nothing (equivalent-operator
@@ -35,10 +36,11 @@ succeeds.  Every solve checks each column's relative residual against
 
 An operator similar to another by a positive diagonal W, K ~ W^-1 K1 W
 up to O(h^2) (the gauge pair, W = e^{s eta}), may start from a borrowed
-rung ahead of the two: the other operator's trace-part factor M1,
-preconditioning with M = W^-1 M1 W, so that it factors nothing.  On the
-gauge scenario's N = 3 pair the series then takes 7, 5 and 4 terms after
-M b at nx 33, 65 and 129.  A block is kept on the borrowed rung only if
+rung ahead of the two: the other operator's trace-part factor M1, which
+its ``OperatorFactorization.lend`` gives, preconditioning with
+M = W^-1 M1 W, so that it factors nothing.  On the gauge scenario's
+N = 3 pair the series then takes 7, 5 and 4 terms after M b at nx 33,
+65 and 129.  A block is kept on the borrowed rung only if
 every column's residual reaches the series' 1e-13, not just the 1e-8
 check; otherwise the block is solved again from scratch on the
 operator's own ladder, bit for bit the path it takes without the
@@ -53,8 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError, SingularSystemError
-from .grid import (EDGES, Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices,
-                   check_same, is_int)
+from .grid import (Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices, check_same,
+                   is_int)
 from .fields import (VectorField, MatrixField, weighted_l2, _residual_series,
                      _SERIES_RTOL)
 from .calculus import dz_array, normal_derivative, trace_boundary
@@ -118,22 +120,12 @@ def _stencil_blocks(coefs: CoefficientTriple):
 class OperatorFactorization:
     """One assembled elliptic system, reusable across solves.
 
-    ``pivoting`` names the factor in use: "borrowed" (another operator's
-    trace-part factor conjugated by node weights, kept while every column
-    of every block reaches the series' 1e-13 on it), "static" (K's scalar
-    trace part, the mean of its N diagonal component blocks, in symmetric
-    mode) or "partial" (K with partial pivoting, after a failed residual
-    check or a failed static factorization).  Every factor's solves sum to
-    a residual series on K (see the module docstring); ``iterations`` is
-    the number of its terms after the first, M b, in the last block solve.
-
-    ``borrowed`` is None or (lu, w): the SuperLU trace-part factor of
-    another operator on the same grid (a "static" one), and positive
-    weights w on the grid's nodes; a factor of another size or weights of
-    another shape are refused with ``GridError``.  The operator then
-    starts on M = W^-1 lu W, W = diag(w) on the interior, and factors
-    nothing until a block misses 1e-13 on it; that block is solved again
-    from scratch on the "static" rung.
+    ``pivoting`` names the rung of the factor in use, "borrowed", "static"
+    or "partial", and ``iterations`` the number of residual series terms
+    after the first, M b, in the last block solve (see the module
+    docstring for both).  ``borrowed`` is None or the pair (lu, w) that
+    another operator's ``lend`` gives; a factor of another size or weights
+    of another shape are refused with ``GridError``.
     """
 
     def __init__(self, coefs: CoefficientTriple, borrowed=None):
@@ -189,32 +181,33 @@ class OperatorFactorization:
         self._trace = sp.csr_matrix(
             (np.einsum("kii->k", self._matrix.data) / n, self._matrix.indices,
              self._matrix.indptr), shape=(n_int, n_int))
-        self._iterations = 0
+        self.iterations = 0
         # the rungs not yet tried, in order (see the module docstring)
         self._ladder = ["static", "partial"]
         if borrowed is None:
             self._factor_next()
         else:
-            self._rung, self._lu = "borrowed", borrowed[0]
+            self.pivoting, self._lu = "borrowed", borrowed[0]
             self._weights = borrowed[1][1:-1, 1:-1].reshape(n_int, 1)
 
-    @property
-    def pivoting(self) -> str:
-        return self._rung
-
-    @property
-    def iterations(self) -> int:
-        return self._iterations
+    def lend(self, w: np.ndarray):
+        """The ``borrowed`` pair (lu, w) that lends this operator's factor,
+        conjugated by positive node weights w, to another on the same grid
+        and N; None unless the factor is of the trace part ("static") and
+        N > 1.  At N = 1 the trace part is K, so the other operator's own
+        factor solves it directly, to round-off rather than to the borrowed
+        series' 1e-13."""
+        return (self._lu, w) if self.pivoting == "static" and self.n_sys > 1 else None
 
     def _factor_next(self) -> None:
         """Factor at the next rung of the ladder that succeeds."""
         while self._ladder:
-            self._rung = self._ladder.pop(0)
+            self.pivoting = self._ladder.pop(0)
             try:
                 self._lu = (splu(self._trace.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                  diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
-                            if self._rung == "static" else splu(self._matrix.tocsc()))
+                            if self.pivoting == "static" else splu(self._matrix.tocsc()))
                 return
             except RuntimeError as exc:
                 failure = exc
@@ -226,19 +219,11 @@ class OperatorFactorization:
         """Apply the factor's solve to v: to every component for the trace part."""
         # rows are node * N + component, so each node's N components (of
         # each column) form one row of the trace part's right-hand side
-        if self._rung != "borrowed":
+        if self.pivoting != "borrowed":
             return self._lu.solve(v.reshape(self._lu.shape[0], -1)).reshape(v.shape)
         y = self._lu.solve(v.reshape(len(self._weights), -1) * self._weights)
         y /= self._weights  # W^-1 M1 W v, in place: no block beyond the static path's
         return y.reshape(v.shape)
-
-    def _solve_columns(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x for K x = b by the residual series on the factor, and each
-        column's relative residual; inf where x is not finite."""
-        x, res, self._iterations = _residual_series(
-            lambda v: self._matrix @ v, self._precondition, b,
-            lambda v: np.linalg.norm(v, axis=0))
-        return x, np.where(np.isfinite(x).all(axis=0), res, np.inf)
 
     def _solve_block(self, boundary: np.ndarray,
                      rhs: np.ndarray | None) -> np.ndarray:
@@ -252,15 +237,18 @@ class OperatorFactorization:
         b = -(self._coupling @ boundary.reshape(self._coupling.shape[1], k))
         if rhs is not None:
             b += rhs[1:-1, 1:-1].reshape(b.shape)
-        x, res = self._solve_columns(b)
-        # the borrowed rung keeps a block only at the series' own tolerance
-        while not res.max(initial=0.0) <= (
-                _SERIES_RTOL if self._rung == "borrowed" else 1e-8):
+        while True:
+            x, res, self.iterations = _residual_series(
+                lambda v: self._matrix @ v, self._precondition, b,
+                lambda v: np.linalg.norm(v, axis=0))
+            # the borrowed rung keeps a block only at the series' own tolerance
+            tol = _SERIES_RTOL if self.pivoting == "borrowed" else 1e-8
+            if np.isfinite(x).all() and res.max(initial=0.0) <= tol:
+                break
             if not self._ladder:
                 raise SingularSystemError(
                     "discrete system numerically singular; try shifting Q")
             self._factor_next()
-            x, res = self._solve_columns(b)
         u = np.empty((grid.nx, grid.ny, n, k), dtype=complex)
         u[1:-1, 1:-1] = x.reshape(grid.nx - 2, grid.ny - 2, n, k)
         u[self._boundary_nodes] = boundary
@@ -321,10 +309,8 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     if not arcs:
         raise GridError("partition has no observed arc to carry a Fourier profile")
     grid = partition.grid
-    # start of each edge in the canonical boundary order
-    sizes = [len(_edge_indices(grid, e)[0]) for e in EDGES]
-    starts = dict(zip(EDGES, np.cumsum([0] + sizes)))
     X, Y = grid.meshgrid()
+    canonical = partition.nodes()  # every edge, in the canonical boundary order
     out = []
     for k in range(m):
         edge = arcs[k % len(arcs)]
@@ -338,9 +324,9 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
             t = (X[i, j] - grid.x_min) / (grid.x_max - grid.x_min)
         else:
             t = (Y[i, j] - grid.y_min) / (grid.y_max - grid.y_min)
-        v = np.zeros(sum(sizes))
-        v[starts[edge]:starts[edge] + len(i)] = np.sin(mode * np.pi * t)
-        out.append(v)
+        v = np.zeros(grid.shape)
+        v[i, j] = np.sin(mode * np.pi * t)
+        out.append(v[canonical])
     return out
 
 

@@ -145,24 +145,17 @@ def _gauge_pair_data(t1: CoefficientTriple, gauge: GaugeSpec,
     """Partial Cauchy data of t1 and of its gauge transform t2 through the
     first m profiles, and their coefficient gap.
 
-    The gauge is the similarity e^{-s eta} L e^{s eta}, so t2's trace part
-    is t1's conjugated by W = e^{s eta} up to O(h^2): for N > 1, c2 is
-    solved on t1's trace-part factor conjugated by W (the borrowed rung of
-    ``OperatorFactorization``), and t2 is factored only if that misses.
-    t1's K and C are freed before t2 is made, and the pair's references to
-    t1 and t2 before c2's series, so that it holds no more at its peak
-    than two separate ``cauchy_data`` calls.
+    The gauge is the similarity e^{-s eta} L e^{s eta}, so c2 starts on
+    the borrowed rung of t1's factor that ``lend`` gives, W = e^{s eta}
+    (see ``forward``).  t1's K and C are freed before t2 is made, and the
+    pair's references to t1 and t2 before c2's series, so that it holds
+    no more at its peak than two separate ``cauchy_data`` calls.
     """
     check_same(t1, partition)
     profiles = fourier_profiles(partition, m)  # refused before any factorization
     fac = OperatorFactorization(t1)
     c1 = _profile_data(fac, partition, profiles)
-    # only a trace-part factor is lent, and only for N > 1: at N = 1 the
-    # trace part is K, and its own factor solves t2 directly, to round-off
-    # rather than to the borrowed series' 1e-13
-    lent = None
-    if fac.pivoting == "static" and fac.n_sys > 1:
-        lent = fac._lu, np.exp(gauge.s * gauge.eta(partition.grid))
+    lent = fac.lend(np.exp(gauge.s * gauge.eta(partition.grid)))
     del fac
     t2 = gauge_transform(t1, gauge)
     gap = coefficient_gap(t1, t2)

@@ -183,14 +183,14 @@ def gmres(*args, **kwargs):
     return scipy_gmres(*args, **kwargs)
 
 
-def vekua_solve(op: VekuaOperator, g, tol: float = 1e-8):
+def vekua_solve(op: VekuaOperator, g):
     """Solve (2 dzbar + B) w = g through its integral form w + K w = (1/2) dzbar_inv(g).
 
-    Meets a relative residual <= tol on that discrete equation by the
+    Meets a relative residual <= 1e-8 on that discrete equation by the
     Neumann series or else GMRES, or raises ConvergenceError naming the
     residual; GMRES's own stop flag decides nothing.
     """
-    w, _ = _vekua_solve(op, as_data(g, op.b_coef), tol)
+    w, _ = _vekua_solve(op, as_data(g, op.b_coef), 1e-8)
     return same_kind(g, op.plan.grid, w)
 
 
@@ -263,7 +263,7 @@ def r_tau_b(g, weight: HolomorphicWeight, tau: float, b_coef: MatrixField,
     side 'zbar' solves (2 d_zbar + 2 tau d_zbar conj(Phi) + B) w = g,
     side 'z'    solves (2 d_z    + 2 tau d_z Phi        + B) w = g,
     the conjugate of side 'zbar' solved for conj g with conj B.  Each is
-    one vekua_solve, at its default tolerance, under the phase
+    one vekua_solve, at its 1e-8 tolerance, under the phase
     conjugation of r_tau, B identically zero included: that solve's series
     stops at its first term and gives r_tau bit for bit.
 

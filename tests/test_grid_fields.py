@@ -146,6 +146,28 @@ def test_residual_series_stops(q, nan_at, terms, worst, norm):
         assert np.array_equal(res, norm_of(b - d * x) / norm_of(b))
 
 
+def test_residual_series_columns_stop_on_their_own():
+    # per column, the factor q by which each term shrinks its residual: a
+    # stall at the first step, rtol after 4 and 13 terms, the cap, and a
+    # NaN from the first apply; each column of the block must be its own
+    # single-column series, bit for bit
+    q = np.array([0.85, 1e-3, 0.1, 0.5, np.nan])
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+
+    def series(cols):
+        return _residual_series(lambda x: (1.0 - q[cols]) * x, np.copy, b[:, cols],
+                                lambda v: np.linalg.norm(v, axis=0))
+
+    x, res, n = series(slice(None))
+    assert n == _SERIES_CAP
+    single = [series(slice(j, j + 1)) for j in range(len(q))]
+    assert [t for *_, t in single] == [0, 4, 13, _SERIES_CAP, 0]
+    for j, (xj, rj, _) in enumerate(single):
+        assert np.array_equal(x[:, j:j + 1], xj)
+        assert np.array_equal(res[j:j + 1], rj, equal_nan=True)
+
+
 def test_plateau_cutoff_flat_core_and_support(grid33):
     cut = plateau_cutoff(grid33, 0.5 + 0.5j, 0.2, 0.4)
     Z = grid33.nodes_z()
