@@ -20,10 +20,8 @@ from .grid import (Grid2D, BoundaryPartition, CutoffFunction, remark_partition,
 from .fields import VectorField, MatrixField
 from .calculus import trace_boundary, normal_derivative
 from .synthetic import TrigSpec, random_trig_spec, random_coefficient_specs
-from .weights import (HolomorphicWeight, CriticalPoint, weight_catalog,
-                      find_critical_points,
-                      oscillatory_integral, stationary_phase_leading,
-                      resolution_nodes_per_period)
+from .weights import (HolomorphicWeight, weight_catalog, oscillatory_integral,
+                      stationary_phase_leading, resolution_nodes_per_period)
 from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
                          make_vekua_operator, neumann_series_apply,
                          vekua_solve, r_tau, r_tau_b)

@@ -192,12 +192,13 @@ class OperatorFactorization:
 
     def lend(self, w: np.ndarray):
         """The ``borrowed`` pair (lu, w) that lends this operator's factor,
-        conjugated by positive node weights w, to another on the same grid
-        and N; None unless the factor is of the trace part ("static") and
-        N > 1.  At N = 1 the trace part is K, so the other operator's own
-        factor solves it directly, to round-off rather than to the borrowed
-        series' 1e-13."""
-        return (self._lu, w) if self.pivoting == "static" and self.n_sys > 1 else None
+        conjugated by node weights w, to another on the same grid and N;
+        None unless the factor is of the trace part ("static"), N > 1 and
+        every weight is finite and positive.  At N = 1 the trace part is K,
+        so the other operator's own factor solves it directly, to round-off
+        rather than to the borrowed series' 1e-13."""
+        lends = self.pivoting == "static" and self.n_sys > 1
+        return (self._lu, w) if lends and np.all((0 < w) & (w < np.inf)) else None
 
     def _factor_next(self) -> None:
         """Factor at the next rung of the ladder that succeeds."""
@@ -238,9 +239,12 @@ class OperatorFactorization:
         if rhs is not None:
             b += rhs[1:-1, 1:-1].reshape(b.shape)
         while True:
-            x, res, self.iterations = _residual_series(
-                lambda v: self._matrix @ v, self._precondition, b,
-                lambda v: np.linalg.norm(v, axis=0))
+            # weights near the floating range's ends can overflow the borrowed
+            # series; its non-finite block is refused below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                x, res, self.iterations = _residual_series(
+                    lambda v: self._matrix @ v, self._precondition, b,
+                    lambda v: np.linalg.norm(v, axis=0))
             # the borrowed rung keeps a block only at the series' own tolerance
             tol = _SERIES_RTOL if self.pivoting == "borrowed" else 1e-8
             if np.isfinite(x).all() and res.max(initial=0.0) <= tol:

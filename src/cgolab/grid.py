@@ -208,14 +208,10 @@ def remark_partition(grid: Grid2D) -> BoundaryPartition:
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """Real cutoff in [0, 1] vanishing identically outside ``support_box``.
-
-    support_box = (x0, x1, y0, y1).
-    """
+    """Real cutoff values in [0, 1], one per node."""
 
     grid: Grid2D
     values: np.ndarray
-    support_box: tuple[float, float, float, float]
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -224,11 +220,6 @@ class CutoffFunction:
             raise GridError("cutoff values must be one finite number per node")
         if v.min() < 0.0 or v.max() > 1.0:
             raise GridError("cutoff values must lie in [0, 1]")
-        X, Y = self.grid.meshgrid()
-        x0, x1, y0, y1 = self.support_box
-        outside = (X < x0) | (X > x1) | (Y < y0) | (Y > y1)
-        if np.any(v[outside] != 0.0):
-            raise GridError("cutoff must vanish outside its support box")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -241,8 +232,7 @@ def bump_cutoff(grid: Grid2D, center: complex, radius: float) -> CutoffFunction:
     with np.errstate(divide="ignore", over="ignore"):
         v = np.where(r2 < r02,
                      np.exp(1.0 - r02 / np.maximum(r02 - r2, 1e-300)), 0.0)
-    cx, cy = center.real, center.imag
-    return CutoffFunction(grid, v, (cx - radius, cx + radius, cy - radius, cy + radius))
+    return CutoffFunction(grid, v)
 
 
 def plateau_cutoff(grid: Grid2D, center: complex, r_flat: float,
@@ -261,8 +251,5 @@ def plateau_cutoff(grid: Grid2D, center: complex, r_flat: float,
             b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
         return a / (a + b)
 
-    v = 1.0 - s(t)
-    cx, cy = center.real, center.imag
-    return CutoffFunction(grid, v,
-                          (cx - r_supp, cx + r_supp, cy - r_supp, cy + r_supp))
+    return CutoffFunction(grid, 1.0 - s(t))
 

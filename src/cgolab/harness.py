@@ -155,7 +155,8 @@ def _gauge_pair_data(t1: CoefficientTriple, gauge: GaugeSpec,
     profiles = fourier_profiles(partition, m)  # refused before any factorization
     fac = OperatorFactorization(t1)
     c1 = _profile_data(fac, partition, profiles)
-    lent = fac.lend(np.exp(gauge.s * gauge.eta(partition.grid)))
+    with np.errstate(over="ignore"):  # an infinite weight is not lent
+        lent = fac.lend(np.exp(gauge.s * gauge.eta(partition.grid)))
     del fac
     t2 = gauge_transform(t1, gauge)
     gap = coefficient_gap(t1, t2)

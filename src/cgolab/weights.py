@@ -1,4 +1,4 @@
-"""The holomorphic phase weight, its critical point, and stationary phase.
+"""The holomorphic phase weight and the stationary phase at its center.
 
 The lab's one weight is the quadratic Phi(z) = (z - c)^2 = phi + i*psi.
 Its imaginary part psi is a harmonic saddle with its one critical point
@@ -41,15 +41,6 @@ class HolomorphicWeight:
         return self.Phi(z).imag
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """Zero of dPhi/dz, with psi and the Hessian of psi there."""
-
-    location: complex
-    psi_value: float
-    hessian: np.ndarray
-
-
 def weight_catalog(kind: str, params: dict) -> HolomorphicWeight:
     """The quadratic weight from a finite center ``c`` in the closed unit square."""
     if kind != "quadratic":
@@ -67,16 +58,6 @@ def weight_catalog(kind: str, params: dict) -> HolomorphicWeight:
     if not (0.0 <= c.real <= 1.0 and 0.0 <= c.imag <= 1.0):
         raise LabError(f"quadratic center {c} outside the closed domain")
     return HolomorphicWeight(c=c)
-
-
-def find_critical_points(w: HolomorphicWeight, grid: Grid2D) -> list[CriticalPoint]:
-    """The critical point c of Phi if it lies in the closed rectangle, else none."""
-    z = w.c
-    if not (grid.x_min <= z.real <= grid.x_max and grid.y_min <= z.imag <= grid.y_max):
-        return []
-    # Hessian of psi: [[Im Phi'', Re Phi''], [Re Phi'', -Im Phi'']] with Phi'' = 2
-    return [CriticalPoint(location=z, psi_value=float(w.psi(np.asarray(z))),
-                          hessian=np.array([[0.0, 2.0], [2.0, 0.0]]))]
 
 
 def resolution_nodes_per_period(w: HolomorphicWeight, grid: Grid2D, tau: float) -> float:
@@ -102,18 +83,14 @@ def oscillatory_integral(g, w: HolomorphicWeight, tau: float, grid: Grid2D) -> c
     return complex(np.sum(grid.quad_weights() * gd * np.exp(2j * tau * w.psi(Z))))
 
 
-def stationary_phase_leading(g0: complex, point: CriticalPoint, tau: float) -> complex:
-    """Leading stationary-phase term of the phase integral at one critical point.
+def stationary_phase_leading(g0: complex, tau: float) -> complex:
+    """Leading stationary-phase term of the phase integral at the center c.
 
+    The general term at a nondegenerate critical point z~ is
     (2 pi / (2 tau)) |det psi''|^{-1/2} e^{i pi sigma / 4} g(z~) e^{2 i tau psi(z~)}
-    with sigma the Hessian signature (0 for the harmonic saddle of the
-    quadratic weight).  ``g0`` is the amplitude's value g(z~) at the point.
+    with sigma the signature of psi''.  At c, psi'' = [[0, 2], [2, 0]]
+    (det -4, sigma 0) and psi(c) = 0, so it is (pi / tau) g(c) / 2.
+    ``g0`` is the amplitude's value g(c).
     """
     check_tau(tau)
-    det = float(np.linalg.det(point.hessian))
-    eigs = np.linalg.eigvalsh(point.hessian)
-    sigma = int(np.sum(eigs > 0) - np.sum(eigs < 0))
-
-    pref = (2 * np.pi / (2 * tau)) * abs(det) ** -0.5
-    return (pref * np.exp(1j * np.pi * sigma / 4) * complex(g0)
-            * np.exp(2j * tau * point.psi_value))
+    return (np.pi / tau) * 0.5 * complex(g0)

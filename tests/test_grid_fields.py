@@ -181,10 +181,18 @@ def test_plateau_cutoff_flat_core_and_support(grid33):
 def test_cutoff_refuses_non_finite_values(grid33, bad):
     cut = bump_cutoff(grid33, 0.5 + 0.5j, 0.3)
     values = cut.values.copy()
-    values[16, 16] = bad  # inside the support box
+    values[16, 16] = bad  # inside the bump
     with pytest.raises(GridError, match="^cutoff values must be one finite number "
                                         "per node$"):
-        CutoffFunction(grid33, values, cut.support_box)
+        CutoffFunction(grid33, values)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, 1 + 1e-3])
+def test_cutoff_refuses_values_outside_the_unit_interval(grid33, bad):
+    values = bump_cutoff(grid33, 0.5 + 0.5j, 0.3).values.copy()
+    values[16, 16] = bad
+    with pytest.raises(GridError, match=r"^cutoff values must lie in \[0, 1\]$"):
+        CutoffFunction(grid33, values)
 
 
 def test_bump_cutoff_peaks_at_center(grid33):

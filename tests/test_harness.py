@@ -7,7 +7,7 @@ from cgolab import (Grid2D, MatrixField, CoefficientTriple, remark_partition,
                     coefficient_gap, carleman_probe, random_h01_spec,
                     full_operator_setup, GaugeSpec, LabError, GridError,
                     OverflowGuardError, TrigSpec, random_trig_spec,
-                    find_critical_points, GAMMA_0, GAMMA_TILDE)
+                    GAMMA_0, GAMMA_TILDE)
 from cgolab import (cli, forward, harness, BoundaryPartition, OperatorFactorization,
                     cauchy_data, fourier_profiles)
 from cgolab.fields import _SERIES_CAP, _SERIES_RTOL, _residual_series
@@ -114,6 +114,21 @@ def test_gauge_pair_solves_t2_on_the_borrowed_rung(monkeypatch, n, nx, seed):
         assert np.array_equal(got, want)
     for got, want in zip(c2.neumann, own.neumann):
         assert np.max(np.abs(got - want)) <= (1e-10 if n > 1 else 0.0) * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [-1000.0, -700.0, 1000.0])
+def test_gauge_pair_beyond_the_floating_range_warns_nothing(monkeypatch, s):
+    # e^{s eta} leaves the floating range: an infinite weight is not lent,
+    # and a borrowed block that is not finite is solved again on t2's own
+    # ladder, so the distances are those of a pair that lends nothing
+    def distances():
+        return harness.gauge_equivalence_experiment(
+            lambda grid: make_triple(0, 2, grid), GaugeSpec(s), (17, 33), 4)["distances"]
+
+    got = distances()
+    monkeypatch.setattr(OperatorFactorization, "lend", lambda self, w: None)
+    assert [d.hex() for d in got] == [d.hex() for d in distances()]
 
 
 def test_gauge_experiment_factors_once_per_rung(monkeypatch):
@@ -261,7 +276,5 @@ def test_full_operator_setup_flags():
                                "right": GAMMA_TILDE, "top": GAMMA_TILDE}
         z = part.grid.nodes_z()
         assert np.max(np.abs(w.psi(z[part.nodes(GAMMA_0)]))) < 1e-12
-        (point,) = find_critical_points(w, part.grid)
-        assert w.dPhi(point.location) == 0
-        assert abs(np.linalg.det(point.hessian)) == pytest.approx(4.0)  # |Phi''|^2
-        assert np.min(np.abs(z[part.nodes(GAMMA_TILDE)] - point.location)) > 1e-8
+        assert w.dPhi(w.c) == 0
+        assert np.min(np.abs(z[part.nodes(GAMMA_TILDE)] - w.c)) > 1e-8

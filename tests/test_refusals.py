@@ -43,8 +43,7 @@ W = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
 ONE_GRID_OR_NONE = {
     "Grid2D", "BoundaryPartition", "remark_partition", "bump_cutoff",
     "plateau_cutoff", "TrigSpec", "random_trig_spec", "random_coefficient_specs",
-    "HolomorphicWeight", "CriticalPoint", "weight_catalog",
-    "find_critical_points", "stationary_phase_leading",
+    "HolomorphicWeight", "weight_catalog", "stationary_phase_leading",
     "resolution_nodes_per_period", "TransformPlan", "OperatorFactorization",
     "fourier_profiles", "PartialCauchyData", "GaugeSpec", "gauge_transform",
     "RelationResidual", "gauge_equivalence_experiment", "off_gauge_separation",
@@ -144,7 +143,7 @@ def _relations(v):
 
 def _bump_values(v):
     cut = bump_cutoff(v.grid("values", raw=True), 0.5 + 0.5j, 0.3)
-    return lambda: CutoffFunction(G, cut.values, cut.support_box)
+    return lambda: CutoffFunction(G, cut.values)
 
 
 # name -> (builder of the call in one variant, the variants besides "valid")

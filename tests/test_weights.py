@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cgolab import (Grid2D, weight_catalog, find_critical_points,
+from cgolab import (Grid2D, weight_catalog,
                     oscillatory_integral, stationary_phase_leading,
                     resolution_nodes_per_period, HolomorphicWeight,
                     LabError, GridError, random_trig_spec, bump_cutoff,
@@ -59,15 +60,6 @@ def test_catalog_refuses_an_unknown_kind():
         weight_catalog("sextic", {"c": 0.5 + 0.5j})
 
 
-def test_quadratic_critical_point_is_its_center():
-    c = 0.4 + 0.6j
-    w = weight_catalog("quadratic", {"c": c})
-    pts = find_critical_points(w, Grid2D(nx=33, ny=33))
-    assert len(pts) == 1
-    assert pts[0].location == c
-    assert pts[0].psi_value == 0.0
-
-
 @pytest.mark.parametrize("kind, params", [
     ("quadratic", {"c": 0.4 + 0.6j}),
     ("quadratic", {"c": 0.0}),
@@ -76,28 +68,27 @@ def test_quadratic_critical_point_is_its_center():
     ("quadratic", {"c": 1}),
 ])
 def test_critical_points_are_zeros_of_dphi_in_the_rectangle(kind, params):
-    grid = Grid2D(nx=33, ny=33)
+    """The catalog's center c lies in the unit square, and dPhi and psi vanish there."""
     w = weight_catalog(kind, params)
-    pts = find_critical_points(w, grid)
-    assert pts
-    for p in pts:
-        z = p.location
-        assert grid.x_min <= z.real <= grid.x_max
-        assert grid.y_min <= z.imag <= grid.y_max
-        assert abs(complex(w.dPhi(np.asarray(z)))) <= 1e-14
+    assert w.c == params["c"]
+    assert 0.0 <= w.c.real <= 1.0 and 0.0 <= w.c.imag <= 1.0
+    assert w.dPhi(w.c) == 0
+    assert w.psi(w.c) == 0
 
 
-def test_critical_point_outside_the_rectangle_is_dropped():
-    # the center 0.7 + 0.5j lies in the unit square but right of x = 0.5
-    w = weight_catalog("quadratic", {"c": 0.7 + 0.5j})
-    assert find_critical_points(w, Grid2D(nx=33, ny=33, x_max=0.5)) == []
-    assert len(find_critical_points(w, Grid2D(nx=33, ny=33, x_max=0.7))) == 1
+def psi_hessian(w, h=0.125):
+    """Central second differences of psi at c: exact, since psi is quadratic."""
+    def psi(dx, dy):
+        return float(w.psi(w.c + complex(dx, dy)))
+    pxx = (psi(h, 0) - 2 * psi(0, 0) + psi(-h, 0)) / h ** 2
+    pyy = (psi(0, h) - 2 * psi(0, 0) + psi(0, -h)) / h ** 2
+    pxy = (psi(h, h) - psi(h, -h) - psi(-h, h) + psi(-h, -h)) / (4 * h * h)
+    return np.array([[pxx, pxy], [pxy, pyy]])
 
 
 def test_hessian_is_harmonic_saddle():
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    pt = find_critical_points(w, Grid2D(nx=33, ny=33))[0]
-    H = pt.hessian
+    H = psi_hessian(w)
     # psi = 2 (x - Re c)(y - Im c), and det psi'' = -|Phi''|^2 = -4
     assert np.array_equal(H, [[0.0, 2.0], [2.0, 0.0]])
     assert np.linalg.det(H) == pytest.approx(-4.0)
@@ -105,6 +96,42 @@ def test_hessian_is_harmonic_saddle():
     assert eigs[0] < 0 < eigs[1]  # signature zero
 
 
+def general_leading(g0, tau, hessian, psi0):
+    """The general stationary-phase leading term at a nondegenerate critical
+    point, from the det and signature of psi'' and the value psi0 there."""
+    det = float(np.linalg.det(hessian))
+    eigs = np.linalg.eigvalsh(hessian)
+    sigma = int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    pref = (2 * np.pi / (2 * tau)) * abs(det) ** -0.5
+    return (pref * np.exp(1j * np.pi * sigma / 4) * complex(g0)
+            * np.exp(2j * tau * psi0))
+
+
+def test_closed_form_is_the_general_term_bit_for_bit():
+    # the stationary-phase scenario's range: g(c) of a unit-amplitude
+    # trigonometric spec and tau up to the sweep's 128, with margin
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    saddle = psi_hessian(w), float(w.psi(w.c))
+    rng = np.random.default_rng(20)
+    g0s = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+    taus = 10.0 ** rng.uniform(-3.0, 4.0, 2000)
+    for g0, tau in zip(g0s, taus):
+        got, want = stationary_phase_leading(g0, tau), general_leading(g0, tau, *saddle)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300, 300), st.floats(0, 2 * np.pi), st.floats(-300, 300))
+def test_closed_form_is_the_general_term_in_value_over_a_wide_range(lg, arg, lt):
+    """Where the general term is finite the two agree in value; only the sign
+    of an underflowed zero may differ."""
+    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
+    g0, tau = 10.0 ** lg * np.exp(1j * arg), 10.0 ** lt
+    got = stationary_phase_leading(g0, tau)
+    with np.errstate(all="ignore"):
+        want = general_leading(g0, tau, psi_hessian(w), float(w.psi(w.c)))
+    if np.isfinite(want):
+        assert got == want
 def test_carleman_weight_invariants():
     """The probes' convex weight is exp(lam psi_c), lam = 2 >= 1, psi_c = x + 0.1 y.
 
@@ -137,19 +164,18 @@ def test_stationary_phase_against_fine_quadrature():
     """
     grid = Grid2D(nx=257, ny=257)
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    pt = find_critical_points(w, Grid2D(nx=33, ny=33))[0]
     bump = bump_cutoff(grid, 0.5 + 0.5j, 0.4).values
     spec = random_trig_spec(np.random.default_rng(7), (), 1.0)
     g = spec.sample(grid) * bump
 
     # closed form of the same amplitude at the saddle (bump == 1 there)
-    z = pt.location
+    z = w.c
     g_at = complex(spec.eval(np.asarray([[z.real]]), np.asarray([[z.imag]]))[0, 0])
 
     rels = []
     for tau in (16.0, 64.0):
         full = oscillatory_integral(g, w, tau, grid)
-        lead = stationary_phase_leading(g_at, pt, tau)
+        lead = stationary_phase_leading(g_at, tau)
         rels.append(abs(full - lead) / abs(full))
     assert rels[0] < 0.2
     assert rels[1] < rels[0]
@@ -159,12 +185,11 @@ def test_stationary_phase_against_fine_quadrature():
 def test_phase_integrals_refuse_tau_that_is_not_finite_positive(tau):
     grid = Grid2D(nx=33, ny=33)
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    point = find_critical_points(w, grid)[0]
     message = r"^tau must be a finite number > 0, got "
     with pytest.raises(GridError, match=message):
         oscillatory_integral(np.ones(grid.shape), w, tau, grid)
     with pytest.raises(GridError, match=message):
-        stationary_phase_leading(1.0, point, tau)
+        stationary_phase_leading(1.0, tau)
     with pytest.raises(GridError, match=message):
         resolution_nodes_per_period(w, grid, tau)
 
