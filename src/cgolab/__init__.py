@@ -24,7 +24,7 @@ from .weights import (HolomorphicWeight, weight_catalog, oscillatory_integral,
                       stationary_phase_leading, resolution_nodes_per_period)
 from .transforms import (TransformPlan, dzbar_inv, dz_inv, VekuaOperator,
                          make_vekua_operator, neumann_series_apply,
-                         vekua_solve, r_tau, r_tau_b)
+                         vekua_solve, r_tau_b)
 from .forward import (CoefficientTriple, OperatorFactorization,
                       fourier_profiles, PartialCauchyData, cauchy_data,
                       cauchy_distance)

@@ -212,7 +212,7 @@ def _run_stationary_phase(cfg: ScenarioConfig) -> tuple[dict, dict, list]:
     rng = np.random.default_rng(cfg.seed)
     spec = random_trig_spec(rng, (), amplitude=1.0)
     g = spec.sample(grid)
-    g0 = complex(spec.eval(np.full((1, 1), w.c.real), np.full((1, 1), w.c.imag))[0, 0])
+    g0 = complex(spec.eval([w.c.real], [w.c.imag])[0, 0])
     rows = []
     for tau in cfg.tau_ladder:
         full = oscillatory_integral(g, w, float(tau), grid)

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import GridError, SingularSystemError
 from .grid import (Grid2D, BoundaryPartition, GAMMA_TILDE, _edge_indices, check_same,
                    is_int)
-from .fields import (VectorField, MatrixField, weighted_l2, _residual_series,
+from .fields import (VectorField, MatrixField, pointwise, weighted_l2, _residual_series,
                      _SERIES_RTOL)
 from .calculus import dz_array, normal_derivative, trace_boundary
 
@@ -88,6 +88,12 @@ class CoefficientTriple:
                 + self.b_coef.matmat(self.a_coef).data)
         part.flags.writeable = False
         return part
+
+    def apply(self, u, dz, dzbar, lap) -> np.ndarray:
+        """L u = lap + 2 A dz + 2 B dzbar + Q u from samples of u, dz u, dzbar u and lap u."""
+        return (lap + 2 * pointwise(self.a_coef.data, dz)
+                + 2 * pointwise(self.b_coef.data, dzbar)
+                + pointwise(self.q_coef.data, u))
 
     def mirror(self) -> "CoefficientTriple":
         """(conj B, conj A, conj Q): L u = f iff L_mirror conj(u) = conj(f).  Not cached."""

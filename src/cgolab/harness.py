@@ -188,18 +188,17 @@ def gauge_equivalence_experiment(make_triple, gauge: GaugeSpec, nx_ladder,
             "coefficient_gap": max(gaps)}
 
 
-def off_gauge_separation(make_triple, gauge: GaugeSpec, nx: int) -> dict:
-    """Distances for a seeded family of non-gauge Q perturbations vs the gauge pair.
+def off_gauge_separation(t1: CoefficientTriple, gauge: GaugeSpec) -> dict:
+    """Distances for a seeded family of non-gauge Q perturbations of t1 vs its gauge pair.
 
     Each of 20 perturbations, drawn from ``default_rng(0)``, is a random
     trig field of amplitude 3 added to Q; the data are observed on the
-    remark partition through the first 4 boundary profiles.  The gauge
-    pair's data are those of ``gauge_equivalence_experiment``; each
-    perturbation is factored on its own.
+    remark partition of t1's grid through the first 4 boundary profiles.
+    The gauge pair's data are those of ``gauge_equivalence_experiment``;
+    each perturbation is factored on its own.
     """
-    grid = Grid2D(nx=nx, ny=nx)
+    grid = t1.grid
     part = remark_partition(grid)
-    t1 = make_triple(grid)
     c1, c2, _ = _gauge_pair_data(t1, gauge, part, 4)
     gauge_dist = cauchy_distance(c1, c2)
     rng = np.random.default_rng(0)
@@ -322,10 +321,7 @@ def _probe_sides(kind, tf, tau, wexp, coefs, partition, weight):
         else:
             f = (tf.dz if kind == "first_order_dz" else tf.dzbar)(grid)
         return np.sqrt(tau) * norm(w), norm(f)
-    lap = tf.lap(grid)
-    lu = (lap + 2 * pointwise(coefs.a_coef.data, tf.dz(grid))
-          + 2 * pointwise(coefs.b_coef.data, tf.dzbar(grid))
-          + pointwise(coefs.q_coef.data, w))
+    lu = coefs.apply(w, tf.dz(grid), tf.dzbar(grid), tf.lap(grid))
     dphi = weight.dPhi(grid.nodes_z())
     gx = tf.sample(grid, 1, 0)
     gy = tf.sample(grid, 0, 1)

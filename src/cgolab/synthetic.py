@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridError
 from .grid import Grid2D
 from .fields import VectorField, MatrixField
 
@@ -54,16 +55,20 @@ class TrigSpec:
 
     coeffs: np.ndarray
 
-    def eval(self, X: np.ndarray, Y: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
-        bx = _basis_1d(X[:, 0], dx)         # (M, nx)
-        by = _basis_1d(Y[0, :], dy)         # (M, ny)
+    def eval(self, xs, ys, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """Values at every (xs[i], ys[j]) of two 1-D axis vectors, shape (nx, ny) + value_shape."""
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise GridError(f"eval takes 1-D coordinate vectors, got shapes {xs.shape} "
+                            f"and {ys.shape}")
+        bx = _basis_1d(xs, dx)  # (M, nx)
+        by = _basis_1d(ys, dy)  # (M, ny)
         # out[x, y, ...] = sum_m bx[m,x] sum_n by[n,y] c[m,n,...], one sum at a time
         inner = np.tensordot(by, self.coeffs, axes=(0, 1))  # (ny, M, ...)
         return np.tensordot(bx, inner, axes=(0, 1))
 
     def sample(self, grid: Grid2D, dx: int = 0, dy: int = 0) -> np.ndarray:
-        X, Y = grid.meshgrid()
-        return self.eval(X, Y, dx, dy)
+        return self.eval(grid.xs(), grid.ys(), dx, dy)
 
     def dz(self, grid: Grid2D) -> np.ndarray:
         return 0.5 * (self.sample(grid, 1, 0) - 1j * self.sample(grid, 0, 1))

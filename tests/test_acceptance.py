@@ -128,8 +128,8 @@ def test_criterion_5_cgo_identity_and_factorization(tmp_path):
 def test_criterion_6_gauge_non_uniqueness(tmp_path):
     passed, m = scenario(tmp_path, scenario="gauge", seed=3, n_sys=1,
                          nx_ladder=(33, 65, 129), basis_size=4)
-    sep = L.off_gauge_separation(lambda grid: make_triple(3, 1, grid),
-                                 L.GaugeSpec(0.7), 129)
+    sep = L.off_gauge_separation(make_triple(3, 1, L.Grid2D(nx=129, ny=129)),
+                                 L.GaugeSpec(0.7))
     ok = passed and sep["separation"] >= 10.0
     verdict(6, ok, f"orders {rounded(m['orders'])}, "
             f"gap {m['coefficient_gap']:.2f}, separation {sep['separation']:.1f}x")

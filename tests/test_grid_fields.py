@@ -218,3 +218,20 @@ def test_trig_spec_sample_matches_mode_by_mode_sum(nx, ny, shape, dx, dy, seed):
     # 25 products summed in another order: a few eps of the largest term
     scale = np.abs(bx).max() * np.abs(by).max() * np.abs(spec.coeffs).max()
     assert np.max(np.abs(got - want)) <= 100 * np.finfo(float).eps * scale
+
+
+def test_trig_spec_eval_takes_the_axis_vectors():
+    """eval reads x from xs and y from ys: entry (i, j) is the value at (xs[i], ys[j])."""
+    spec = random_trig_spec(np.random.default_rng(0), (), 1.0)
+    both = spec.eval([0.1, 0.2], [0.3, 0.9])
+    for i, x in enumerate((0.1, 0.2)):
+        for j, y in enumerate((0.3, 0.9)):
+            assert abs(both[i, j] - spec.eval([x], [y])[0, 0]) <= 1e-15
+    assert abs(both[1, 1] - (-0.0300411 + 0.01065745j)) < 1e-7
+    grid = Grid2D(nx=17, ny=12, y_max=2.0)
+    for dx, dy in ((0, 0), (1, 0), (0, 2)):
+        got = spec.eval(grid.xs(), grid.ys(), dx, dy)
+        assert got.tobytes() == spec.sample(grid, dx, dy).tobytes()
+    for X, Y in (grid.meshgrid(), np.meshgrid(grid.xs(), grid.ys())):
+        with pytest.raises(GridError, match=r"^eval takes 1-D coordinate vectors, got "):
+            spec.eval(X, Y)

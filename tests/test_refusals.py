@@ -23,7 +23,7 @@ from cgolab import (Grid2D, TransformPlan, VectorField, MatrixField, CutoffFunct
                     cauchy_distance, cgo_residual, check_relations, coefficient_gap,
                     dz_inv, dzbar_inv, gauge_transform,
                     GaugeSpec, make_vekua_operator, neumann_series_apply,
-                    normal_derivative, oscillatory_integral, r_tau, r_tau_b,
+                    normal_derivative, oscillatory_integral, r_tau_b,
                     random_h01_spec, random_trig_spec, remark_partition,
                     trace_boundary, vekua_solve, weight_catalog, GAMMA_TILDE,
                     GAMMA_0, TrigSpec, fourier_profiles)
@@ -191,8 +191,6 @@ ROWS = {
     "vekua_solve scalar": (lambda v: (lambda op=make_vekua_operator(v.mat("b"), TransformPlan(G)),
                                       g=v.vec("g", raw=True)[:, :, 0]: vekua_solve(op, g)),
                            ["grid g", "N b"]),
-    "r_tau": (lambda v: (lambda g=v.vec("g"), p=v.plan("plan"):
-                         r_tau(g, W, 4.0, p, side="z")), ["grid g", "grid plan"]),
     "r_tau_b": (lambda v: (lambda g=v.vec("g"), b=v.mat("b"), p=v.plan("plan"),
                            c=v.cutoff("cutoff"):
                            r_tau_b(g, W, 4.0, b, p, cutoff=c)),

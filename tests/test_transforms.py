@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgolab import (Grid2D, TransformPlan, VectorField,
                     dzbar_inv, dz_inv, make_vekua_operator, vekua_solve,
-                    neumann_series_apply, r_tau, r_tau_b, bump_cutoff, plateau_cutoff,
+                    neumann_series_apply, r_tau_b, bump_cutoff, plateau_cutoff,
                     random_trig_spec, weight_catalog, GridError, ConvergenceError)
 from cgolab import transforms
 from cgolab.calculus import dzbar_array, dz_array
@@ -384,19 +384,13 @@ def test_cutoff_series_stops_at_round_off(grid33, plan33, monkeypatch, case):
         assert _norm(total - reference) <= _SERIES_RTOL * _norm(reference)
 
 
-def test_r_tau_rejects_zero_tau(grid33, plan33):
-    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    g = VectorField(grid33, np.ones((33, 33, 1), dtype=complex))
-    with pytest.raises(GridError):
-        r_tau(g, w, 0.0, plan33)
-
-
 def _no_transform(*args, **kwargs):
     raise AssertionError("applied a transform before the check")
 
 
+# the "entry" ids name the one conjugated inverse; R_tau is its B = 0 case
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -4.0, 0.0, True])
-@pytest.mark.parametrize("entry", ["r_tau", "r_tau_b"])
+@pytest.mark.parametrize("entry", ["r_tau_b"])
 def test_conjugated_inverses_refuse_tau_that_is_not_finite_positive(
         grid33, plan33, monkeypatch, entry, tau):
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
@@ -404,13 +398,10 @@ def test_conjugated_inverses_refuse_tau_that_is_not_finite_positive(
     b = constant_matrix(grid33, [[2.0]])
     monkeypatch.setattr(transforms, "_apply_kernel", _no_transform)
     with pytest.raises(GridError, match=r"^tau must be a finite number > 0, got "):
-        if entry == "r_tau":
-            r_tau(g, w, tau, plan33)
-        else:
-            r_tau_b(g, w, tau, b, plan33)
+        r_tau_b(g, w, tau, b, plan33)
 
 
-@pytest.mark.parametrize("entry", ["r_tau", "r_tau_b"])
+@pytest.mark.parametrize("entry", ["r_tau_b"])
 def test_side_other_than_z_or_zbar_is_refused_up_front(grid33, plan33,
                                                        monkeypatch, entry):
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
@@ -418,16 +409,13 @@ def test_side_other_than_z_or_zbar_is_refused_up_front(grid33, plan33,
     b = constant_matrix(grid33, [[2.0]])
     monkeypatch.setattr(transforms, "_apply_kernel", _no_transform)
     with pytest.raises(GridError, match=r"^side must be 'z' or 'zbar', got 'x'"):
-        if entry == "r_tau":
-            r_tau(g, w, 4.0, plan33, side="x")
-        else:
-            r_tau_b(g, w, 4.0, b, plan33, side="x")
+        r_tau_b(g, w, 4.0, b, plan33, side="x")
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (33, 1, 2), (17, 17, 1)])
 @pytest.mark.parametrize("entry", [
-    "dzbar_inv", "dz_inv", "r_tau zbar", "r_tau z", "r_tau_b zbar",
-    "r_tau_b z", "vekua_solve zbar", "vekua_solve z", "neumann_series_apply"])
+    "dzbar_inv", "dz_inv", "r_tau_b zbar", "r_tau_b z", "vekua_solve zbar",
+    "vekua_solve z", "neumann_series_apply"])
 def test_entry_points_refuse_samples_off_the_plan_grid(grid33, plan33,
                                                        monkeypatch, entry, shape):
     w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
@@ -436,7 +424,6 @@ def test_entry_points_refuse_samples_off_the_plan_grid(grid33, plan33,
     call = {
         "dzbar_inv": lambda g: dzbar_inv(g, plan33),
         "dz_inv": lambda g: dz_inv(g, plan33),
-        "r_tau": lambda g: r_tau(g, w, 4.0, plan33, side=side),
         "r_tau_b": lambda g: r_tau_b(g, w, 4.0, b, plan33, side=side),
         # side 'z' runs its solve on the mirror's coefficient conj B
         "vekua_solve": lambda g: vekua_solve(
@@ -448,21 +435,36 @@ def test_entry_points_refuse_samples_off_the_plan_grid(grid33, plan33,
     def no_work(*args, **kwargs):
         raise AssertionError("worked on samples of the wrong shape")
 
-    monkeypatch.setattr(transforms, "_phase_conjugated", no_work)
     monkeypatch.setattr(transforms, "_apply_kernel", no_work)
     with pytest.raises(GridError, match=r"and samples of shape .* differ in grid "
                                         r"shape: \(33, 33\) against"):
         call(np.ones(shape, dtype=complex))
 
 
+def _r_tau(gd, w, tau, plan, side="zbar"):
+    """Closed-form R_tau gd = (1/2) e^{2 i tau psi} dzbar_inv(e^{-2 i tau psi} gd);
+    side 'z' is its mirror conj(R_tau conj gd), on raw samples."""
+    if side == "z":
+        return np.conj(_r_tau(np.conj(gd), w, tau, plan))
+    osc = np.exp(2j * tau * w.psi(plan.grid.nodes_z()))
+    osc = osc.reshape(osc.shape + (1,) * (gd.ndim - 2))
+    return osc * (0.5 * dzbar_inv(np.conj(osc) * gd, plan))
+
+
 def test_r_tau_b_reduces_to_r_tau_for_zero_b(grid33, plan33):
-    w = weight_catalog("quadratic", {"c": 0.5 + 0.5j})
-    rng = np.random.default_rng(4)
-    g = random_trig_spec(rng, (1,), 1.0).vector_field(grid33)
-    b0 = constant_matrix(grid33, [[0.0]])
-    u1 = r_tau(g, w, 4.0, plan33)
-    u2 = r_tau_b(g, w, 4.0, b0, plan33)
-    assert np.max(np.abs(u1.data - u2.data)) == 0.0
+    """At B = 0 the conjugated Vekua inverse is the closed-form R_tau, bit for bit."""
+    w = weight_catalog("quadratic", {"c": 0.3 + 0.6j})
+    for n in (1, 2, 3):
+        g = random_trig_spec(np.random.default_rng(4 + n), (n,), 1.0).vector_field(grid33)
+        b0 = constant_matrix(grid33, np.zeros((n, n)))
+        samples = [g, g.data[:, :, 0]] if n == 1 else [g]
+        for tau in (0.5, 4.0, 1e3):
+            for side in ("zbar", "z"):
+                for s in samples:
+                    u = r_tau_b(s, w, tau, b0, plan33, side=side)
+                    ref = _r_tau(getattr(s, "data", s), w, tau, plan33, side)
+                    assert type(u) is type(s)
+                    assert getattr(u, "data", u).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("b_value", [0.5, 0.0])
@@ -479,7 +481,7 @@ def test_scalar_samples_are_one_component_per_node(grid33, plan33, b_value):
         assert u.shape == (33, 33)
         assert np.array_equal(u, r_tau_b(g, w, 4.0, b, plan33, side=side).data[:, :, 0])
         if b_value == 0.0:
-            assert np.array_equal(u, r_tau(scalar, w, 4.0, plan33, side=side))
+            assert np.array_equal(u, _r_tau(scalar, w, 4.0, plan33, side))
 
 
 def test_conjugated_identity_residual(grid33, plan33):

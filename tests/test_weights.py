@@ -170,7 +170,7 @@ def test_stationary_phase_against_fine_quadrature():
 
     # closed form of the same amplitude at the saddle (bump == 1 there)
     z = w.c
-    g_at = complex(spec.eval(np.asarray([[z.real]]), np.asarray([[z.imag]]))[0, 0])
+    g_at = complex(spec.eval([z.real], [z.imag])[0, 0])
 
     rels = []
     for tau in (16.0, 64.0):
