@@ -17,10 +17,13 @@ from cgolab.cli import SCENARIOS, ScenarioConfig, run
 
 
 def _seeds(text: str):
-    """An int for one seed N, a range for an inclusive range A-B."""
+    """An int for one seed N >= 0, a range for an inclusive range A-B."""
     m = re.fullmatch(r"(\d+)-(\d+)", text)
     if m is None:
-        return int(text)
+        seed = int(text)
+        if seed < 0:
+            raise argparse.ArgumentTypeError(f"negative seed {text!r}")
+        return seed
     seeds = range(int(m.group(1)), int(m.group(2)) + 1)
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")

@@ -32,6 +32,9 @@ not symmetric, but its sparsity pattern is), then K with COLAMD and
 partial pivoting ("partial").  The solver factors at the first rung that
 succeeds.  Every solve checks each column's relative residual against
 1e-8 and, if the check misses, factors K and solves again.
+``OperatorFactorization.solve`` is the one Dirichlet solve: data of shape
+(n_b,) or (n_b, N) give a VectorField, a block (n_b, N, k) of k sets its
+samples (nx, ny, N, k), and a source is added to every set.
 ``cauchy_data`` solves all its boundary profiles as one block.
 
 An operator similar to another by a positive diagonal W, K ~ W^-1 K1 W
@@ -232,18 +235,43 @@ class OperatorFactorization:
         y /= self._weights  # W^-1 M1 W v, in place: no block beyond the static path's
         return y.reshape(v.shape)
 
-    def _solve_block(self, boundary: np.ndarray,
-                     rhs: np.ndarray | None) -> np.ndarray:
-        """Solutions for k data sets at once, shape (nx, ny, N, k).
+    def solve(self, boundary_values: np.ndarray | None,
+              rhs: VectorField | None) -> VectorField | np.ndarray:
+        """Solve L u = rhs with Dirichlet data on the whole boundary.
 
-        ``boundary`` has shape (n_boundary_nodes, N, k) in canonical
-        boundary order; ``rhs`` holds interior sources, (nx, ny, N, k).
+        ``boundary_values`` follows the canonical boundary node order of
+        BoundaryPartition(grid) (all edges observed): shape (n_b,) for one
+        profile on every component, (n_b, N), or (n_b, N, k) for k data
+        sets solved as one block; None means zero data.  The first two
+        give a VectorField, a block its samples, shape (nx, ny, N, k).
+        ``rhs`` holds interior sources, added to every data set.  Data that
+        are not numbers, of another shape or not finite, and an ``rhs`` of
+        another grid or N are refused with ``GridError`` before any solve.
         """
-        grid, n = self.grid, self.n_sys
-        k = boundary.shape[-1]
-        b = -(self._coupling @ boundary.reshape(self._coupling.shape[1], k))
+        check_same(self, rhs)
+        grid, n, nb = self.grid, self.n_sys, len(self._boundary_nodes[0])
+        try:
+            bv = np.asarray(np.zeros(nb) if boundary_values is None
+                            else boundary_values)
+            numbers = bv.dtype.kind in "iufc"
+        except ValueError:  # ragged nesting
+            numbers = False
+        if not numbers:
+            raise GridError("boundary values must be an array of numbers, got "
+                            f"{type(boundary_values).__name__}")
+        bv = bv.astype(complex)
+        block = bv.ndim == 3 and bv.shape[:2] == (nb, n) and bv.shape[2] > 0
+        if not block and bv.shape not in ((nb,), (nb, n)):
+            raise GridError(f"boundary values of shape {bv.shape}; expected ({nb},), "
+                            f"({nb}, {n}) or ({nb}, {n}, k) in canonical boundary order")
+        if not np.isfinite(bv).all():
+            raise GridError("boundary values are not all finite")
+        if not block:  # (n_b,) is one profile for every component
+            bv = np.broadcast_to(bv.reshape(nb, -1), (nb, n))[..., None]
+        k = bv.shape[-1]
+        b = -(self._coupling @ bv.reshape(self._coupling.shape[1], k))
         if rhs is not None:
-            b += rhs[1:-1, 1:-1].reshape(b.shape)
+            b += rhs.data[1:-1, 1:-1].reshape(-1, 1)
         while True:
             # weights near the floating range's ends can overflow the borrowed
             # series; its non-finite block is refused below
@@ -261,42 +289,8 @@ class OperatorFactorization:
             self._factor_next()
         u = np.empty((grid.nx, grid.ny, n, k), dtype=complex)
         u[1:-1, 1:-1] = x.reshape(grid.nx - 2, grid.ny - 2, n, k)
-        u[self._boundary_nodes] = boundary
-        return u
-
-    def solve(self, boundary_values: np.ndarray | None,
-              rhs: VectorField | None) -> VectorField:
-        """Solve L u = rhs with Dirichlet data on the whole boundary.
-
-        ``boundary_values`` follows the canonical boundary node order of
-        BoundaryPartition(grid) (all edges observed), shape (n_b,) for one
-        profile on every component or (n_b, N); None means zero data.
-        Data that are not numbers, of another shape or not finite, and an
-        ``rhs`` of another grid or N are refused with ``GridError`` before
-        any solve.
-        """
-        check_same(self, rhs)
-        n, nb = self.n_sys, len(self._boundary_nodes[0])
-        try:
-            bv = np.asarray(np.zeros(nb) if boundary_values is None
-                            else boundary_values)
-            numbers = bv.dtype.kind in "iufc"
-        except ValueError:  # ragged nesting
-            numbers = False
-        if not numbers:
-            raise GridError("boundary values must be an array of numbers, got "
-                            f"{type(boundary_values).__name__}")
-        bv = bv.astype(complex)
-        if bv.shape not in ((nb,), (nb, n)):
-            raise GridError(f"boundary values of shape {bv.shape}; expected "
-                            f"({nb},) or ({nb}, {n}) in canonical boundary order")
-        if not np.isfinite(bv).all():
-            raise GridError("boundary values are not all finite")
-        if bv.ndim == 1:  # one profile for every component
-            bv = bv[:, None]
-        source = None if rhs is None else rhs.data[..., None]
-        u = self._solve_block(np.broadcast_to(bv, (nb, n))[..., None], source)
-        return VectorField(self.grid, u[..., 0])
+        u[self._boundary_nodes] = bv
+        return u if block else VectorField(grid, u[..., 0])
 
 
 def splu(*args, **kwargs):
@@ -319,7 +313,7 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
     if not arcs:
         raise GridError("partition has no observed arc to carry a Fourier profile")
     grid = partition.grid
-    X, Y = grid.meshgrid()
+    xs, ys = grid.xs(), grid.ys()
     canonical = partition.nodes()  # every edge, in the canonical boundary order
     out = []
     for k in range(m):
@@ -331,9 +325,9 @@ def fourier_profiles(partition: BoundaryPartition, m: int) -> list[np.ndarray]:
                             f"{edge} edge has only {nodes} nodes")
         i, j = _edge_indices(grid, edge)
         if edge in ("bottom", "top"):
-            t = (X[i, j] - grid.x_min) / (grid.x_max - grid.x_min)
+            t = (xs[i] - grid.x_min) / (grid.x_max - grid.x_min)
         else:
-            t = (Y[i, j] - grid.y_min) / (grid.y_max - grid.y_min)
+            t = (ys[j] - grid.y_min) / (grid.y_max - grid.y_min)
         v = np.zeros(grid.shape)
         v[i, j] = np.sin(mode * np.pi * t)
         out.append(v[canonical])
@@ -376,12 +370,10 @@ def cauchy_data(coefs: CoefficientTriple, partition: BoundaryPartition,
 def _profile_data(fac: OperatorFactorization, partition: BoundaryPartition,
                   profiles: list) -> PartialCauchyData:
     """The data of ``fac``'s operator through ``profiles``, one block solve."""
-    # one column of boundary data per profile
-    boundary = np.zeros((len(fac._boundary_nodes[0]), fac.n_sys,
-                         len(profiles)), dtype=complex)
-    for j, prof in enumerate(profiles):
-        boundary[:, 0, j] = prof
-    u = fac._solve_block(boundary, None)
+    # one column of boundary data per profile, on the first component
+    boundary = np.zeros((len(profiles[0]), fac.n_sys, len(profiles)), dtype=complex)
+    boundary[:, 0] = np.transpose(profiles)
+    u = fac.solve(boundary, None)
     fields = [VectorField(fac.grid, u[..., j]) for j in range(len(profiles))]
     dir_traces = [trace_boundary(f, partition, GAMMA_TILDE) for f in fields]
     neu_traces = [normal_derivative(f, partition, GAMMA_TILDE) for f in fields]

@@ -39,11 +39,6 @@ def _eta_window(grid: Grid2D):
     return np.sin(u), np.cos(u), (Y > _ETA_A) & (Y < _ETA_B)
 
 
-def _eta_y(grid: Grid2D):
-    sn, cs, m = _eta_window(grid)
-    return np.where(m, 6 * _ETA_W * sn ** 5 * cs, 0.0)
-
-
 @dataclass(frozen=True)
 class GaugeSpec:
     """Gauge e^{s eta} of the non-uniqueness remark, eta(x2) flat on the observed arcs."""
@@ -54,18 +49,14 @@ class GaugeSpec:
         sn, _, m = _eta_window(grid)
         return np.where(m, sn ** 6, 0.0)
 
-    def eta_z(self, grid: Grid2D):
-        return 0.5 * (0.0 - 1j * _eta_y(grid))
-
-    def eta_zbar(self, grid: Grid2D):
-        return 0.5 * (0.0 + 1j * _eta_y(grid))
+    def eta_y(self, grid: Grid2D):
+        """d eta / d x2: eta_z = -i eta_y / 2 and eta_zbar = i eta_y / 2."""
+        sn, cs, m = _eta_window(grid)
+        return np.where(m, 6 * _ETA_W * sn ** 5 * cs, 0.0)
 
     def lap_eta(self, grid: Grid2D):
         sn, cs, m = _eta_window(grid)
         return np.where(m, 6 * _ETA_W ** 2 * sn ** 4 * (5 * cs ** 2 - sn ** 2), 0.0)
-
-    def grad_sq(self, grid: Grid2D):
-        return _eta_y(grid) ** 2
 
 
 def gauge_transform(coefs: CoefficientTriple, gauge: GaugeSpec) -> CoefficientTriple:
@@ -76,12 +67,13 @@ def gauge_transform(coefs: CoefficientTriple, gauge: GaugeSpec) -> CoefficientTr
     """
     grid = coefs.grid
     s = gauge.s
-    ez = gauge.eta_z(grid)[:, :, None, None]
-    ezb = gauge.eta_zbar(grid)[:, :, None, None]
+    ey = gauge.eta_y(grid)
+    ez = 0.5 * (0.0 - 1j * ey)[:, :, None, None]
+    ezb = 0.5 * (0.0 + 1j * ey)[:, :, None, None]
     eye = np.eye(coefs.n_sys)
     a2 = coefs.a_coef.data + 2 * s * ezb * eye
     b2 = coefs.b_coef.data + 2 * s * ez * eye
-    scal = (s * gauge.lap_eta(grid) + s * s * gauge.grad_sq(grid))[:, :, None, None]
+    scal = (s * gauge.lap_eta(grid) + s * s * ey ** 2)[:, :, None, None]
     q2 = (coefs.q_coef.data + scal * eye
           + 2 * s * ez * coefs.a_coef.data + 2 * s * ezb * coefs.b_coef.data)
     return CoefficientTriple(MatrixField(grid, a2), MatrixField(grid, b2),

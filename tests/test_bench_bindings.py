@@ -37,3 +37,18 @@ def test_workload_experiment_passes_its_check(name, tmp_path):
     w = WORKLOADS[name]
     out = w.experiment(w.setup(w.default_seed, tmp_path, smoke=True))
     assert w.check(out) == []
+
+
+def test_traced_gauge_experiment_sees_every_forward_solve(tmp_path):
+    # 2 rungs x 2 operators, each solving its Cauchy data as one block;
+    # the gauge transform starts on the borrowed rung, so only t1 factors
+    w = WORKLOADS["gauge_cauchy"]
+    inputs = w.setup(w.default_seed, tmp_path, smoke=True)
+    recorder = tracer.Recorder()
+    with tracer.traced(recorder), recorder.span(tracer.ROOT):
+        out = w.experiment(inputs)
+    assert w.check(out) == []
+    m = tracer.layer_metrics(recorder.spans)
+    assert m["forward.solve_calls"] == 4
+    assert m["forward.factor_calls"] == 4
+    assert sum(s[0] == "forward.splu" for s in recorder.spans) == 2

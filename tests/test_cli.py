@@ -378,6 +378,21 @@ def test_run_all_scenarios_script_fast(tmp_path):
     assert (tmp_path / "sweep" / "seed1" / "cgo" / "report.json").is_file()
 
 
+def test_run_all_scenarios_refuses_a_negative_seed_before_any_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_all_scenarios.py"),
+                           "--seed", "-1", "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    # argparse's usage line, then its one error line; no traceback
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_does_not_load_scipy_interpolate():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -72,6 +72,17 @@ def test_solver_linearity(grid33):
     assert np.max(np.abs(u12.data - 2.0 * u1.data + 0.5j * u2.data)) < 1e-10
 
 
+def test_block_solve_adds_the_source_to_every_set(grid33):
+    t = make_triple(13, 2, grid33)
+    fac = OperatorFactorization(t)
+    _, bv, rhs = manufactured(grid33, t)
+    sets = (bv, np.zeros_like(bv), 2 * bv)
+    u = fac.solve(np.stack(sets, axis=-1), rhs)
+    assert u.shape == grid33.shape + (2, 3)
+    for j, data in enumerate(sets):
+        want = fac.solve(data, rhs).data
+        assert np.max(np.abs(u[..., j] - want)) <= 1e-12 * np.max(np.abs(want))
+
 def bad_input(case, grid, n):
     """(boundary values, rhs) that break one rule of the solve's input contract."""
     nb = len(BoundaryPartition(grid).nodes()[0])
@@ -83,6 +94,14 @@ def bad_input(case, grid, n):
     if case in ("nan", "inf"):
         bv[3, 1] = np.nan if case == "nan" else np.inf
         return bv, None
+    if case == "block components":
+        return np.ones((nb, n + 1, 3)), None
+    if case == "4-D":
+        return np.ones((nb, n, 3, 1)), None
+    if case == "block nan":
+        block = np.ones((nb, n, 3), dtype=complex)
+        block[3, 1, 2] = np.nan
+        return block, None
     if case == "strings":
         return [["one"] * n] * nb, None
     if case == "number strings":
@@ -98,7 +117,8 @@ def bad_input(case, grid, n):
 
 @pytest.mark.parametrize("case", ["short", "components", "nan", "inf", "strings",
                                   "number strings", "dict", "ragged",
-                                  "rhs_grid", "rhs_components"])
+                                  "rhs_grid", "rhs_components", "block components",
+                                  "4-D", "block nan"])
 def test_solve_refuses_bad_input_before_any_work(grid33, monkeypatch, case):
     t = make_triple(13, 2, grid33)
     fac = OperatorFactorization(t)
@@ -315,7 +335,7 @@ def test_block_series_takes_one_trace_solve_per_term(monkeypatch):
     boundary = np.zeros((len(profiles[0]), 3, 3), dtype=complex)
     for j, (p, scale) in enumerate(zip(profiles, (1.0, 1e-6, 1e-9))):
         boundary[:, 0, j] = scale * p
-    u = fac._solve_block(boundary, None)
+    u = fac.solve(boundary, None)
     assert fac.pivoting == "static"
     assert 1 <= fac.iterations <= 4
     x = u[1:-1, 1:-1].reshape(-1, 3)
@@ -329,7 +349,7 @@ def test_block_series_takes_one_trace_solve_per_term(monkeypatch):
     for k in (1, 4, 12):
         calls.clear()
         wide = np.repeat(boundary[..., :1], k, axis=-1) * np.arange(1, k + 1)
-        fac._solve_block(wide, None)
+        fac.solve(wide, None)
         assert fac.pivoting == "static" and 1 <= fac.iterations <= 4
         assert len(calls) == fac.iterations + 1
 
@@ -343,7 +363,7 @@ def test_series_stays_on_the_trace_part_for_strong_coefficients(amplitude):
     profiles = fourier_profiles(remark_partition(grid), 4)
     boundary = np.zeros((len(profiles[0]), 3, 4), dtype=complex)
     boundary[:, 0] = np.transpose(profiles)
-    x = fac._solve_block(boundary, None)[1:-1, 1:-1].reshape(-1, 4)
+    x = fac.solve(boundary, None)[1:-1, 1:-1].reshape(-1, 4)
     assert fac.iterations >= 1  # K factored would read 0
     b = -(fac._coupling @ boundary.reshape(-1, 4))
     want = scipy.sparse.linalg.splu(fac._matrix.tocsc()).solve(b)
